@@ -19,7 +19,7 @@ from .lognorm import (Cmp, LogNorm, RadiusDecl, in_value_group_rational,
                       ln_compare, ln_mul, ln_pow)
 from .series import (LAURENT, POWER, TateSeries, gauss_norm,
                      spectral_power_estimate, spectral_radius_laurent,
-                     truncate, ts_arith)
+                     truncate)
 from .rootlift import (NearRootResult, RootTower, RootTrace, build_tower,
                        pth_root_near, pth_root_near_one,
                        tower_unit_certificate, verify_tower, verify_trace)

@@ -54,7 +54,6 @@ DEFAULT_CONFIG = {
                 "note": "test radius pinned near 0.6; the irrationality "
                         "assertion is a stub for readable exponents"},
     },
-    "caps": {"support": 4096, "refine_depth": 256},
     "out": "out",
 }
 
@@ -64,9 +63,16 @@ def load_config(path=None):
     if path:
         with open(path) as fh:
             user = json.load(fh)
+        if not isinstance(user, dict):
+            raise NonarchError("config must be a JSON object")
+        unknown = sorted(set(user) - set(cfg))
+        if unknown:
+            raise NonarchError(f"unknown config keys {unknown}; "
+                               f"known: {sorted(cfg)}")
         for key in ("fields", "radii"):
+            if not isinstance(user.get(key, {}), dict):
+                raise NonarchError(f"config {key!r} must be an object")
             cfg[key].update(user.get(key, {}))
-        cfg["caps"].update(user.get("caps", {}))
         if "out" in user:
             cfg["out"] = user["out"]
     return cfg
@@ -95,12 +101,28 @@ def _series_from_params(params):
 
 
 def _load_series_arg(arg):
-    """--series accepts a JSON file path or an inline JSON object."""
+    """--series accepts a JSON file path or an inline JSON object with
+    optional "radius" ids and "terms" of the form {"exp": [int, ..],
+    "coeff": str}."""
     text = arg
     if os.path.exists(arg):
         with open(arg) as fh:
             text = fh.read()
-    return json.loads(text)
+    obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise NonarchError("series must be a JSON object")
+    terms = obj.get("terms", [])
+    if not isinstance(terms, list) or not all(
+            isinstance(t, dict) and isinstance(t.get("exp"), list)
+            and all(type(x) is int for x in t["exp"])
+            and isinstance(t.get("coeff"), str) for t in terms):
+        raise NonarchError('series "terms" must be a list of '
+                           '{"exp": [int, ...], "coeff": str} objects')
+    radius = obj.get("radius", [])
+    if not isinstance(radius, list) or not all(
+            isinstance(r, str) for r in radius):
+        raise NonarchError('series "radius" must be a list of radius ids')
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +140,13 @@ def run_gauss_norm(params):
 def run_spectral_radius(params):
     f, spec, radii = _series_from_params(params)
     n, exact = f.gauss_norm()
+    powers = params.get("powers", 6)
+    if powers < 1:
+        raise NonarchError("spectral-radius needs --powers >= 1")
     checks = []
     agree = True
     if f.is_exact() and not f.is_ring_zero():
-        for power in range(1, params.get("powers", 6) + 1):
+        for power in range(1, powers + 1):
             est = spectral_power_estimate(f, power)
             ok = est == n
             agree = agree and ok
@@ -152,6 +177,8 @@ def run_pth_root(params):
 def run_tower(params):
     spec = FieldSpec.from_json(params["field"])
     target = scalar_from_literal(spec, params["target"])
+    if params["depth"] < 1:
+        raise NonarchError("tower needs --depth >= 1")
     try:
         tower = build_tower(target, params["prime"], params["depth"])
     except TowerObstruction as exc:
@@ -238,6 +265,8 @@ def run_sz_check(params):
     radius = RadiusDecl.from_json(params["radius"])
     rng = random.Random(params["seed"])
     count = params["count"]
+    if count < 1:
+        raise NonarchError("sz-check needs --count >= 1")
 
     def rand_scalar():
         if spec.kind == PADIC:
@@ -414,7 +443,7 @@ def build_parser():
         prog="nonarch",
         description="exact demonstrations in non-archimedean Banach rings")
     ap.add_argument("--config", default=None,
-                    help="session config JSON (fields, radii, caps)")
+                    help="session config JSON (fields, radii, out)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("gauss-norm", help="Gauss norm of a series")

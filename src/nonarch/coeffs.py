@@ -186,9 +186,6 @@ class GF:
     def neg(self, a):
         return tuple((-c) % self.p for c in a)
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def mul(self, a, b):
         if not a or not b:
             return ()
@@ -198,9 +195,6 @@ class GF:
         if not a:
             raise DivisionByZero("inverse of zero in GF")
         return _vec_trim(_poly_pow_mod(a, self.order - 2, self.modulus, self.p))
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def pow(self, a, e: int):
         if e < 0:
@@ -270,9 +264,6 @@ class MPoly:
 
     def const_value(self):
         return self.terms.get((0,) * self.nvars, 0)
-
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=-1)
 
     def degree_in(self, i):
         return max((e[i] for e in self.terms), default=-1)

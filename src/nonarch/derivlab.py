@@ -28,7 +28,7 @@ from .errors import (MissingCertificate, PreconditionFailed)
 from .fields import (PADIC, RATFUN_LAURENT, FieldSpec, Scalar)
 from .lognorm import (Cmp, LogNorm, RadiusDecl, ln_compare, ln_mul, ln_pow,
                       log_q_interval, norm_exceeds)
-from .linalg import (FractionField, PrimeField, nullspace, sparse_rank_mod_p)
+from .linalg import nullspace, sparse_rank_mod_p
 from .series import POWER, TateSeries
 from .squarezero import SquareZeroRing
 
@@ -161,6 +161,11 @@ def nonintegral_certificate(f, n_max: int, d_max: int,
     (or every solution forces h_0 = 0); a found relation with h_0 != 0 is
     returned as a witness.
 
+    The system is solved exactly by ``linalg.nullspace`` over the prime
+    field (method tag ``dense-nullspace``, kept for artifact stability),
+    except that a large system with integer coefficients is first tried
+    for full column rank modulo ``CERT_PRIME`` (``sparse-rank-certificate``).
+
     With sparse metadata the claim transfers to the completed gap series:
     the degree-gap condition n_max * i_m + d_max < i_{m+1} guarantees the
     truncation determines every compared coefficient.
@@ -188,72 +193,56 @@ def nonintegral_certificate(f, n_max: int, d_max: int,
         raise PreconditionFailed("certificate needs an exact truncation")
     char = f.spec.char
     coeffs = _series_prime_coeffs(f)
+    # integral rational coefficients become ints, reducible modulo a prime
+    intish = char == 0 and all(v.denominator == 1 for v in coeffs.values())
+    if intish:
+        coeffs = {k: int(v) for k, v in coeffs.items()}
     deg_f = max(coeffs, default=0)
     # powers of f as single-variable coefficient dicts over the prime field
     fpows = [{0: 1}]
     for _ in range(n_max):
         fpows.append(_poly_mul1(fpows[-1], coeffs, char))
     n_eqs = n_max * deg_f + d_max + 1
-    unknowns = [(i, e) for i in range(n_max + 1) for e in range(d_max + 1)]
-    n_unk = len(unknowns)
+    width = d_max + 1
+    n_unk = (n_max + 1) * width
     if n_eqs * n_unk > MAX_SYSTEM_ENTRIES:
         raise PreconditionFailed("relation system exceeds the configured cap")
     params["system"] = {"equations": n_eqs, "unknowns": n_unk}
-
-    def entry(k, i, e):
-        return fpows[n_max - i].get(k - e, 0)
+    # row k: coefficient of T^k; column i*width + e: the unknown h_i[T^e],
+    # whose column is T^e f^(n-i)
+    rows = [{} for _ in range(n_eqs)]
+    for i in range(n_max + 1):
+        for k, v in fpows[n_max - i].items():
+            for e in range(width):
+                rows[k + e][i * width + e] = v
 
     # large rational systems: certify full column rank modulo a big prime
     # (a full-rank minor mod P is nonzero over Q)
-    if char == 0 and n_eqs * n_unk > DENSE_ENTRY_LIMIT:
-        intish = all(v.denominator == 1 for v in coeffs.values())
-        if intish:
-            rows = []
-            for k in range(n_eqs):
-                row = {}
-                for col, (i, e) in enumerate(unknowns):
-                    v = entry(k, i, e)
-                    if v:
-                        row[col] = int(v)
-                if row:
-                    rows.append(row)
-            r = sparse_rank_mod_p(rows, n_unk)
-            if r == n_unk:
-                params["method"] = "sparse-rank-certificate"
-                return Certificate(
-                    "NON_INTEGRAL", "NON_INTEGRAL", params,
-                    {"rank": r, "unknowns": n_unk, "nullity": 0},
-                    "no-bounded-degree-algebraic-relation")
-            # fall through to the exact dense path
+    if intish and n_eqs * n_unk > DENSE_ENTRY_LIMIT:
+        r = sparse_rank_mod_p(rows, n_unk)
+        if r == n_unk:
+            params["method"] = "sparse-rank-certificate"
+            return Certificate(
+                "NON_INTEGRAL", "NON_INTEGRAL", params,
+                {"rank": r, "unknowns": n_unk, "nullity": 0},
+                "no-bounded-degree-algebraic-relation")
+        # fall through to the exact path
 
-    fld = FractionField() if char == 0 else PrimeField(char)
-    rows = []
-    for k in range(n_eqs):
-        rows.append([entry(k, i, e) if char == 0 else entry(k, i, e) % char
-                     for (i, e) in unknowns])
-    basis = nullspace(rows, n_unk, fld)
+    basis = nullspace(rows, n_unk, char or None)
     rank = n_unk - len(basis)
     params["method"] = "dense-nullspace"
     witness = {"rank": rank, "unknowns": n_unk, "nullity": len(basis)}
     if not basis:
         return Certificate("NON_INTEGRAL", "NON_INTEGRAL", params, witness,
                            "no-bounded-degree-algebraic-relation")
-    h0_cols = [c for c, (i, _) in enumerate(unknowns) if i == 0]
-    monic_vec = None
-    for vec in basis:
-        if any(not fld.is_zero(vec[c]) for c in h0_cols):
-            monic_vec = vec
-            break
+    # h_0 occupies columns 0..d_max
+    monic_vec = next((vec for vec in basis if min(vec) < width), None)
     if monic_vec is None:
         witness["note"] = "solutions exist but all force h_0 = 0"
         return Certificate("NON_INTEGRAL", "NON_INTEGRAL", params, witness,
                            "no-bounded-degree-algebraic-relation")
-    relation = {}
-    for col, (i, e) in enumerate(unknowns):
-        v = monic_vec[col]
-        if not fld.is_zero(v):
-            relation[f"h{i}[T^{e}]"] = str(v)
-    witness["relation"] = relation
+    witness["relation"] = {f"h{col // width}[T^{col % width}]": str(v)
+                           for col, v in monic_vec.items()}
     return Certificate("NON_INTEGRAL", "RELATION_FOUND", params, witness,
                        "no-bounded-degree-algebraic-relation")
 

@@ -1,10 +1,17 @@
-"""Exact Gaussian elimination used by the certificate generators.
+"""Exact linear algebra for the certificate generators: one elimination.
 
-Dense elimination runs over a pluggable field (Fractions, F_p residues or
-GF tuples).  For large integer matrices a sparse elimination modulo a big
-prime provides a sound full-rank certificate: a nonzero r x r minor mod P
-is nonzero over Q, so full column rank mod P implies full column rank over
-Q (the converse reduction never claims anything).
+``_eliminate`` takes the columns of a sparse system in order and reduces
+each by its leading entry (its highest row), like polynomial division by
+the leading term, over Q (``p=None``, Fractions) or F_p.  A column that
+keeps a new leading row is independent; one that vanishes is dependent,
+and the tracked combination that cancels it is a nullspace vector with 1
+at its own column and 0 at every later one, i.e. exactly the vector the
+reduced row echelon form gives for that free column.
+
+Reducing modulo a big prime gives a sound full-rank certificate for
+integer matrices: a nonzero r x r minor mod P is nonzero over Q, so full
+column rank mod P implies full column rank over Q (the converse reduction
+never claims anything).
 """
 
 from __future__ import annotations
@@ -14,153 +21,61 @@ from fractions import Fraction
 CERT_PRIME = (1 << 61) - 1  # Mersenne prime, comfortably above any entry
 
 
-class FractionField:
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def is_zero(a):
-        return a == 0
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def inv(a):
-        return 1 / a
+def _axpy(vec, c, other, p):
+    """vec -= c * other, in place, dropping zeros."""
+    for k, v in other.items():
+        nv = vec.get(k, 0) - c * v
+        if p:
+            nv %= p
+        if nv:
+            vec[k] = nv
+        else:
+            vec.pop(k, None)
 
 
-class PrimeField:
-    def __init__(self, p):
-        self.p = p
-        self.zero = 0
-        self.one = 1 % p
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def inv(self, a):
-        return pow(a, -1, self.p)
+def _scaled(vec, c, p):
+    return {k: v * c % p if p else v * c for k, v in vec.items()}
 
 
-class DomainField:
-    """Adapter around the coefficient-domain protocol of fields.py."""
-
-    def __init__(self, dom):
-        self.dom = dom
-        self.zero = dom.zero
-        self.one = dom.one
-
-    def is_zero(self, a):
-        return self.dom.is_zero(a)
-
-    def add(self, a, b):
-        return self.dom.add(a, b)
-
-    def neg(self, a):
-        return self.dom.neg(a)
-
-    def mul(self, a, b):
-        return self.dom.mul(a, b)
-
-    def inv(self, a):
-        return self.dom.inv(a)
-
-
-def rref(rows, ncols, field):
-    """Reduced row echelon form.  rows: list of lists over `field`.
-
-    Returns (rref_rows, pivot_columns)."""
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if not field.is_zero(mat[i][c]):
-                pivot = i
+def _eliminate(columns, p):
+    """(rank, [combination of each dependent column], in column order)."""
+    pivots = {}   # leading row -> (reduced column, its combination)
+    dependent = []
+    for j, col in enumerate(columns):
+        vec = {r: v % p if p else v for r, v in col.items()}
+        vec = {r: v for r, v in vec.items() if v}
+        combo = {j: 1}
+        while vec:
+            lead = max(vec)
+            if lead not in pivots:
+                inv = pow(vec[lead], -1, p) if p else Fraction(1, vec[lead])
+                pivots[lead] = (_scaled(vec, inv, p), _scaled(combo, inv, p))
                 break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = field.inv(mat[r][c])
-        mat[r] = [field.mul(inv, x) for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not field.is_zero(mat[i][c]):
-                factor = mat[i][c]
-                mat[i] = [field.add(x, field.neg(field.mul(factor, y)))
-                          for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+            pvec, pcombo = pivots[lead]
+            c = vec[lead]
+            _axpy(vec, c, pvec, p)
+            _axpy(combo, c, pcombo, p)
+        else:
+            dependent.append(combo)
+    return len(pivots), dependent
 
 
-def nullspace(rows, ncols, field):
-    """Basis of the solution space of rows . x = 0; list of coordinate
-    vectors (one per free column)."""
-    mat, pivots = rref(rows, ncols, field)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [field.zero] * ncols
-        vec[fc] = field.one
-        for r, pc in enumerate(pivots):
-            coeff = mat[r][fc]
-            if not field.is_zero(coeff):
-                vec[pc] = field.neg(coeff)
-        basis.append(vec)
-    return basis
-
-
-def rank(rows, ncols, field) -> int:
-    _, pivots = rref(rows, ncols, field)
-    return len(pivots)
+def _columns(rows, ncols):
+    cols = [{} for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            cols[c][r] = v
+    return cols
 
 
 def sparse_rank_mod_p(rows, ncols, p=CERT_PRIME) -> int:
-    """Rank mod p of a sparse integer matrix given as dicts {col: int}."""
-    mat = [{c: v % p for c, v in row.items() if v % p} for row in rows]
-    mat = [row for row in mat if row]
-    rank_count = 0
-    pivot_of_col = {}
-    for row in mat:
-        row = dict(row)
-        while row:
-            c = min(row)
-            piv = pivot_of_col.get(c)
-            if piv is None:
-                inv = pow(row[c], -1, p)
-                row = {cc: (vv * inv) % p for cc, vv in row.items()}
-                row = {cc: vv for cc, vv in row.items() if vv}
-                pivot_of_col[c] = row
-                rank_count += 1
-                break
-            factor = row[c]
-            for cc, vv in piv.items():
-                nv = (row.get(cc, 0) - factor * vv) % p
-                if nv:
-                    row[cc] = nv
-                else:
-                    row.pop(cc, None)
-    return rank_count
+    """Rank mod p of a sparse integer matrix given as rows {col: int}."""
+    return _eliminate(_columns(rows, ncols), p)[0]
+
+
+def nullspace(rows, ncols, p=None):
+    """Basis of the solutions of rows . x = 0 over Q (p None) or F_p.
+
+    rows are sparse {col: value}; the basis has one sparse vector
+    {col: value} per dependent column, in column order."""
+    return _eliminate(_columns(rows, ncols), p)[1]

@@ -296,20 +296,6 @@ def ln_le(a, b, radii=(), max_depth=MAX_REFINE_DEPTH) -> bool:
     return ln_compare(a, b, radii, max_depth) is not Cmp.GT
 
 
-def ln_lt(a, b, radii=(), max_depth=MAX_REFINE_DEPTH) -> bool:
-    return ln_compare(a, b, radii, max_depth) is Cmp.LT
-
-
-def ln_max(norms, radii=(), max_depth=MAX_REFINE_DEPTH) -> LogNorm:
-    best = None
-    for n in norms:
-        if best is None or ln_compare(n, best, radii, max_depth) is Cmp.GT:
-            best = n
-    if best is None:
-        raise ValueError("ln_max of empty sequence")
-    return best
-
-
 def norm_exceeds(a: LogNorm, radii, q: int, bound: Fraction,
                  depth: int = 48) -> bool:
     """Certified check that value(a) > bound, by interval evaluation.

@@ -113,9 +113,6 @@ class TateSeries:
         v = c.valuation()
         return LogNorm(Fraction(v), tuple(Fraction(x) for x in exp))
 
-    def total_degree(self, exp):
-        return sum(exp)
-
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
@@ -404,14 +401,6 @@ def _ln_max2(a: LogNorm, b: LogNorm, radii) -> LogNorm:
 
 # ---------------------------------------------------------------------------
 # Module-level operations (spec surface)
-
-
-def ts_arith(f: TateSeries, g: TateSeries, op: str) -> TateSeries:
-    if op == "add":
-        return f + g
-    if op == "mul":
-        return f * g
-    raise ValueError(f"unknown op {op!r}")
 
 
 def gauss_norm(f: TateSeries):

@@ -155,3 +155,51 @@ def test_config_file(tmp_path):
                  "--prime", "2", "--target", "8"]) == 0
     art = _read(tmp_path / "cfgout", "pth-root")
     assert art["params"]["field"]["residue_prime"] == 7
+
+
+def _fails_with_one_line(capsys, argv):
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_vacuous_inputs_rejected(tmp_path, capsys):
+    out = ["--out", str(tmp_path)]
+    _fails_with_one_line(capsys, ["tower", "--field", "q3", "--prime", "2",
+                                  "--target", "4", "--depth", "-1"] + out)
+    _fails_with_one_line(capsys, ["sz-check", "--field", "q3", "--count",
+                                  "-3"] + out)
+    _fails_with_one_line(capsys, ["spectral-radius", "--field", "q3",
+                                  "--series", SER_Q3, "--powers", "0"] + out)
+    assert not list(tmp_path.iterdir())
+
+
+def test_vacuous_replay_rejected(tmp_path, capsys):
+    assert main(["tower", "--field", "q3", "--prime", "2", "--target", "4",
+                 "--depth", "1", "--out", str(tmp_path)]) == 0
+    art = _read(tmp_path, "tower")
+    art["params"]["depth"] = -1
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(art))
+    _fails_with_one_line(capsys, ["tower", "--check", str(edited)])
+
+
+def test_malformed_series_rejected(tmp_path, capsys):
+    for bad in ('{"kind":"laurent","terms":[{"coeff":"3"}]}', "[1,2]",
+                '{"terms":[{"exp":[1.5],"coeff":"3"}]}',
+                '{"terms":[{"exp":[1],"coeff":3}]}', '{"terms":{}}',
+                '{"radius":"r1","terms":[]}'):
+        _fails_with_one_line(capsys, ["gauss-norm", "--field", "q3",
+                                      "--series", bad,
+                                      "--out", str(tmp_path)])
+
+
+def test_config_caps_rejected(tmp_path, capsys):
+    cfg = tmp_path / "session.json"
+    for bad in ({"caps": {"support": 4096}}, {"fields": 5}, [1]):
+        cfg.write_text(json.dumps(bad))
+        _fails_with_one_line(capsys, ["--config", str(cfg), "pth-root",
+                                      "--field", "q3", "--prime", "2",
+                                      "--target", "4",
+                                      "--out", str(tmp_path)])

@@ -1,0 +1,102 @@
+"""Golden artifact bytes: every case must reproduce its recorded sha256.
+
+Each case runs the CLI into a fresh directory and compares the exit code
+and the sha256 of the written artifact with ``golden_sha256.json``, then
+replays the artifact with ``--check``.  A refactor that keeps verdicts and
+witnesses keeps these bytes; a change that has to alter them bumps
+``SCHEMA`` and regenerates the table with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import json
+import os
+import tempfile
+
+import pytest
+
+from nonarch.cli import main
+
+TABLE = os.path.join(os.path.dirname(__file__), "golden_sha256.json")
+
+
+def _series(*terms):
+    return json.dumps({"kind": "power", "radius": ["r1"],
+                       "terms": [{"exp": [e], "coeff": c}
+                                 for e, c in terms]})
+
+
+CASES = {
+    # the README CLI examples
+    "readme-pth-root": ["pth-root", "--field", "q3", "--prime", "2",
+                        "--target", "4"],
+    "readme-tower": ["tower", "--field", "q3", "--prime", "2", "--target",
+                     "4", "--depth", "2"],
+    "readme-unbounded-demo": ["unbounded-demo", "--terms", "6", "--radius",
+                              "r1", "--bound", "1e6"],
+    "readme-nonintegral-cert": ["nonintegral-cert", "--terms", "3",
+                                "--nmax", "2", "--dmax", "3"],
+    "readme-pbasis-cert": ["pbasis-cert", "--prime", "2", "--nvars", "3",
+                           "--terms", "4", "--tdeg", "4", "--cdeg", "2"],
+    "readme-ffinite-decompose": [
+        "ffinite-decompose", "--field", "f2t", "--series",
+        '{"kind":"power","radius":["r1"],"terms":[{"exp":[1],"coeff":"t"},'
+        '{"exp":[2],"coeff":"1"}]}'],
+    "readme-gauss-norm": [
+        "gauss-norm", "--field", "q3", "--series",
+        '{"kind":"laurent","radius":["r1"],"terms":[{"exp":[1],"coeff":"3"},'
+        '{"exp":[2],"coeff":"1"}]}'],
+    "readme-sz-check": ["sz-check", "--field", "q3", "--count", "1000",
+                        "--seed", "7"],
+    # relation certificates off the README path
+    "q3-sparse-rank": ["nonintegral-cert", "--field", "q3", "--terms", "5",
+                       "--nmax", "1", "--dmax", "100"],
+    "f-is-T": ["nonintegral-cert", "--field", "q3", "--series",
+               _series((1, "1")), "--nmax", "1", "--dmax", "1"],
+    "f-is-T-mod-P-fallthrough": [
+        "nonintegral-cert", "--field", "q3", "--series", _series((1, "1")),
+        "--nmax", "1", "--dmax", "200"],
+    "fraction-witness": ["nonintegral-cert", "--field", "q3", "--series",
+                         _series((0, "3"), (2, "1/2")), "--nmax", "2",
+                         "--dmax", "3"],
+    "f2t-relation": ["nonintegral-cert", "--field", "f2t", "--series",
+                     _series((1, "1"), (3, "1")), "--nmax", "3",
+                     "--dmax", "4"],
+}
+
+
+def run_case(argv, out_dir):
+    """(exit code, artifact sha256, artifact path) of one CLI run."""
+    code = main(list(argv) + ["--out", str(out_dir)])
+    path = os.path.join(str(out_dir), argv[0] + ".json")
+    with open(path, "rb") as fh:
+        return code, hashlib.sha256(fh.read()).hexdigest(), path
+
+
+def _table():
+    with open(TABLE) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_artifact(case, tmp_path):
+    want = _table()[case]
+    code, digest, path = run_case(CASES[case], tmp_path)
+    assert (code, digest) == (want["exit"], want["sha256"])
+    assert main([CASES[case][0], "--check", path]) == 0
+
+
+def test_table_covers_cases():
+    assert sorted(_table()) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    table = {}
+    for name in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, digest, _ = run_case(CASES[name], tmp)
+        table[name] = {"exit": code, "sha256": digest}
+    with open(TABLE, "w") as fh:
+        json.dump(table, fh, sort_keys=True, indent=2)
+        fh.write("\n")
