@@ -143,15 +143,21 @@ def run_spectral_radius(params):
     powers = params.get("powers", 6)
     if powers < 1:
         raise NonarchError("spectral-radius needs --powers >= 1")
+    # the power estimates are the evidence for VERIFIED; neither input
+    # below has any
+    if f.is_ring_zero():
+        raise NonarchError("spectral-radius needs a nonzero series")
+    if not f.is_exact():
+        raise NonarchError("spectral-radius needs an exact series (no tail "
+                           "bound)")
     checks = []
     agree = True
-    if f.is_exact() and not f.is_ring_zero():
-        for power in range(1, powers + 1):
-            est = spectral_power_estimate(f, power)
-            ok = est == n
-            agree = agree and ok
-            checks.append({"l": power, "estimate": est.to_json(),
-                           "matches": ok})
+    for power in range(1, powers + 1):
+        est = spectral_power_estimate(f, power)
+        ok = est == n
+        agree = agree and ok
+        checks.append({"l": power, "estimate": est.to_json(),
+                       "matches": ok})
     result = {"spectral_radius": n.to_json(), "exact": exact,
               "power_estimates": checks, "all_match": agree}
     return result, "spectral-radius-equals-weighted-term-maximum", \

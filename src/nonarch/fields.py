@@ -390,7 +390,8 @@ class Scalar:
     # -- arithmetic ----------------------------------------------------
 
     def _check(self, other):
-        if not isinstance(other, Scalar) or other.spec != self.spec:
+        if not isinstance(other, Scalar) or (other.spec is not self.spec
+                                             and other.spec != self.spec):
             raise ValueError("scalars from different fields")
 
     def _known_abs(self):
@@ -415,7 +416,7 @@ class Scalar:
                 raise PrecisionExhausted(
                     "sum indistinguishable from zero at the cap")
             prec = None if known is None else known - v
-            return Scalar._padic(self.spec, rep, prec)
+            return Scalar(self.spec, frac=rep, prec=prec)
         dom = self.spec.domain()
         merged = {}
         for s in (self, other):
@@ -455,9 +456,8 @@ class Scalar:
         self._check(other)
         prec = _pmin(self._prec, other._prec)
         if self.kind == PADIC:
-            return Scalar._padic(self.spec, self._frac * other._frac,
-                                 None if self._frac * other._frac == 0
-                                 else prec)
+            rep = self._frac * other._frac
+            return Scalar(self.spec, frac=rep, prec=prec if rep else None)
         if self._val is None or other._val is None:
             return Scalar.zero(self.spec)
         dom = self.spec.domain()

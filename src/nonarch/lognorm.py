@@ -2,9 +2,17 @@
 
 A ``LogNorm`` stores the exponent data exactly (Fractions).  Formal radii
 r_j are declared once per session as ``RadiusDecl`` objects carrying a
-refinable interval for log_q(1/r_j); comparison of two norm values refines
-those intervals until the sign of the log-difference is decided, or gives
-up with ``UndecidableAtDepth``.
+refinable interval for log_q(1/r_j).
+
+Comparing two norm values means deciding the sign of the log-difference
+e0 + sum e_j * log_q(1/r_j).  When every radius in it is quadratic,
+log_q(1/r_j) = (a_j + b_j*sqrt(d))/c_j over one common d, the difference
+is A + B*sqrt(d) with A, B rational and its sign is decided exactly by
+integer squaring.  Otherwise (radii over different sqrt(d), rational
+stubs) the intervals are refined until the sign is decided; that fallback
+gives up with ``UndecidableAtDepth`` when the difference vanishes exactly
+(dependent radius declarations, a stub pinned at a tie) or is too small
+to separate from zero by depth 256.
 """
 
 from __future__ import annotations
@@ -35,16 +43,24 @@ class LogNorm:
     is_zero: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "base_exp", Fraction(self.base_exp))
-        object.__setattr__(
-            self, "radius_exps",
-            tuple(Fraction(e) for e in self.radius_exps))
+        if type(self.base_exp) is not Fraction:
+            object.__setattr__(self, "base_exp", Fraction(self.base_exp))
+        exps = self.radius_exps
+        if not (type(exps) is tuple
+                and all(type(e) is Fraction for e in exps)):
+            object.__setattr__(self, "radius_exps",
+                               tuple(Fraction(e) for e in exps))
         if self.is_zero and (self.base_exp or any(self.radius_exps)):
             raise ValueError("ZERO norm must carry zero exponents")
 
     @classmethod
     def zero(cls, arity: int = 0):
-        return cls(Fraction(0), (Fraction(0),) * arity, True)
+        """The shared (immutable) ZERO norm of this arity."""
+        z = _ZEROS.get(arity)
+        if z is None:
+            z = _ZEROS[arity] = cls(Fraction(0), (Fraction(0),) * arity,
+                                    True)
+        return z
 
     @classmethod
     def identity(cls, arity: int = 0):
@@ -92,6 +108,9 @@ class LogNorm:
         return f"({self.base_exp};{rads})" if rads else f"({self.base_exp})"
 
 
+_ZEROS = {}
+
+
 def ln_mul(a: LogNorm, b: LogNorm) -> LogNorm:
     if a.is_zero or b.is_zero:
         return LogNorm.zero(max(a.arity, b.arity))
@@ -120,6 +139,10 @@ def in_value_group_rational(a: LogNorm) -> bool:
 # ---------------------------------------------------------------------------
 # Radius declarations
 
+# distinct depths whose interval a declaration keeps; the library itself
+# asks for seven (8, 16, ..., 256 and 48), so the cache stays small
+INTERVAL_CACHE_SIZE = 16
+
 
 def _sqrt_interval(d: int, depth: int):
     """Dyadic interval of width 2^-depth around sqrt(d)."""
@@ -135,17 +158,25 @@ class RadiusDecl:
     returns exact rational bounds [lo, hi] containing log_q(1/r), with
     width <= 2^-depth (plus stream constants).  Quadratic-irrational
     streams carry a constructive irrationality proof; other streams only
-    *assert* irrationality.
+    *assert* irrationality.  Quadratic declarations also expose
+    ``quadratic_parts`` = (d, a/c, b/c), the exact form ``ln_compare``
+    decides with; it is None for every other stream kind.
     """
 
     def __init__(self, gen_id, stream, asserts_irrational, kind, params,
                  note=""):
         self.gen_id = gen_id
         self._stream = stream
+        self._intervals = {}
         self.asserts_irrational = asserts_irrational
         self.kind = kind
         self.params = params
         self.note = note
+        self.quadratic_parts = None
+        if kind == "quadratic":
+            c = params["c"]
+            self.quadratic_parts = (params["d"], Fraction(params["a"], c),
+                                    Fraction(params["b"], c))
 
     @classmethod
     def quadratic(cls, gen_id, a, b, c, d, note=""):
@@ -188,10 +219,14 @@ class RadiusDecl:
                              note="log_q(1/r) = sqrt(2)/2")
 
     def interval(self, depth: int):
-        lo, hi = self._stream(depth)
-        if lo > hi:
-            raise ValueError("stream produced an inverted interval")
-        return lo, hi
+        iv = self._intervals.get(depth)
+        if iv is None:
+            iv = self._stream(depth)
+            if iv[0] > iv[1]:
+                raise ValueError("stream produced an inverted interval")
+            if len(self._intervals) < INTERVAL_CACHE_SIZE:
+                self._intervals[depth] = iv
+        return iv
 
     def check_declaration(self, depth: int = 32) -> bool:
         """True iff the irrationality assertion is constructively verified.
@@ -254,13 +289,42 @@ def _log_interval(a: LogNorm, radii, depth: int):
     return lo, hi
 
 
+def _quadratic_sign(d_base, d_rad, radii):
+    """Exact sign of d_base + sum d_rad[j] * log_q(1/r_j), or 0 when it is
+    not decided here: a radius with a nonzero exponent is not quadratic,
+    two such radii differ in d, or the sum vanishes exactly."""
+    A, B, d = d_base, 0, None
+    for e, decl in zip(d_rad, radii):
+        if not e:
+            continue
+        parts = decl.quadratic_parts
+        if parts is None or (d is not None and parts[0] != d):
+            return 0
+        d, a, b = parts
+        if a:
+            A += e * a
+        B += e * b
+    sa = (A > 0) - (A < 0)
+    sb = (B > 0) - (B < 0)
+    if sa == sb or not sb:
+        return sa
+    if not sa:
+        return sb
+    # opposite signs: |A| against |B|*sqrt(d), squared and cleared of
+    # denominators
+    lhs = (A.numerator * B.denominator) ** 2
+    rhs = (B.numerator * A.denominator) ** 2 * d
+    return sa if lhs > rhs else sb if lhs < rhs else 0
+
+
 def ln_compare(a: LogNorm, b: LogNorm, radii=(),
                max_depth: int = MAX_REFINE_DEPTH) -> Cmp:
     """Total comparison of two norm values.
 
-    EQ only for structurally equal inputs.  Otherwise the sign of the
-    log-difference is determined by interval refinement; a difference
-    whose radius components cancel exactly is decided rationally.
+    EQ only for structurally equal inputs.  A difference whose radius
+    components cancel exactly is decided rationally, one over quadratic
+    radii sharing a sqrt(d) by exact squaring; any other is decided by
+    interval refinement, which can give up (see the module docstring).
     """
     if a.is_zero and b.is_zero:
         return Cmp.EQ
@@ -279,6 +343,10 @@ def ln_compare(a: LogNorm, b: LogNorm, radii=(),
         return Cmp.LT if d_base > 0 else Cmp.GT
     if len(radii) < a.arity:
         raise ValueError("missing radius declarations for comparison")
+    sign = _quadratic_sign(d_base, d_rad, radii)
+    if sign:
+        # larger log = smaller norm
+        return Cmp.LT if sign > 0 else Cmp.GT
     diff = LogNorm(d_base, d_rad)
     depth = 8
     while depth <= max_depth:

@@ -46,6 +46,20 @@ class TateSeries:
         if self.tail.arity != n:
             raise ValueError("tail norm arity mismatch")
 
+    @classmethod
+    def _make(cls, spec, kind, radii, support, tail):
+        """Trusted constructor for results built from validated operands:
+        `radii` is a tuple, every key of `support` an int tuple of its
+        arity (nonnegative for power series), no coefficient is zero, and
+        `tail` is a LogNorm of the same arity."""
+        self = object.__new__(cls)
+        self.spec = spec
+        self.kind = kind
+        self.radii = radii
+        self.support = support
+        self.tail = tail
+        return self
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -98,6 +112,9 @@ class TateSeries:
     def _check(self, other):
         if not isinstance(other, TateSeries):
             raise IncompatibleContext("expected a series operand")
+        if (other.spec is self.spec and other.kind == self.kind
+                and other.radii == self.radii):
+            return
         if (self.spec != other.spec or self.kind != other.kind
                 or tuple(d.gen_id for d in self.radii)
                 != tuple(d.gen_id for d in other.radii)):
@@ -124,14 +141,15 @@ class TateSeries:
         tail = _ln_max2(self.tail, other.tail, self.radii)
         for b in lost:
             tail = _ln_max2(tail, b, self.radii)
-        result = TateSeries(self.spec, self.kind, self.radii, out, tail)
+        result = TateSeries._make(self.spec, self.kind, self.radii, out, tail)
         if len(result.support) > SUPPORT_CAP:
             result = result.pruned(SUPPORT_CAP)
         return result
 
     def __neg__(self):
-        return TateSeries(self.spec, self.kind, self.radii,
-                          {e: -c for e, c in self.support.items()}, self.tail)
+        return TateSeries._make(self.spec, self.kind, self.radii,
+                                {e: -c for e, c in self.support.items()},
+                                self.tail)
 
     def __sub__(self, other):
         return self + (-other)
@@ -159,7 +177,7 @@ class TateSeries:
                     tail = _ln_max2(tail, c, self.radii)
         for b in lost:
             tail = _ln_max2(tail, b, self.radii)
-        result = TateSeries(self.spec, self.kind, self.radii, out, tail)
+        result = TateSeries._make(self.spec, self.kind, self.radii, out, tail)
         if len(result.support) > SUPPORT_CAP:
             result = result.pruned(SUPPORT_CAP)
         return result

@@ -185,6 +185,39 @@ def test_vacuous_replay_rejected(tmp_path, capsys):
     _fails_with_one_line(capsys, ["tower", "--check", str(edited)])
 
 
+SER_ZERO = json.dumps({"kind": "power", "radius": ["r1"], "terms": []})
+SER_INEXACT = json.dumps({"kind": "power", "radius": ["r1"],
+                          "terms": [{"exp": [1], "coeff": "1"}],
+                          "tail": {"e0": "5", "radius": ["0"]}})
+
+
+def test_spectral_radius_of_zero_series_rejected(tmp_path, capsys):
+    # no power estimate exists for 0, so VERIFIED would rest on nothing
+    _fails_with_one_line(capsys, ["spectral-radius", "--field", "q3",
+                                  "--series", SER_ZERO,
+                                  "--out", str(tmp_path)])
+    assert not list(tmp_path.iterdir())
+
+
+def test_spectral_radius_of_inexact_series_rejected(tmp_path, capsys):
+    _fails_with_one_line(capsys, ["spectral-radius", "--field", "q3",
+                                  "--series", SER_INEXACT,
+                                  "--out", str(tmp_path)])
+    assert not list(tmp_path.iterdir())
+
+
+def test_spectral_radius_replay_without_evidence_rejected(tmp_path, capsys):
+    assert main(["spectral-radius", "--field", "q3", "--series", SER_Q3,
+                 "--powers", "2", "--out", str(tmp_path)]) == 0
+    art = _read(tmp_path, "spectral-radius")
+    for ser in (SER_ZERO, SER_INEXACT):
+        art["params"]["series"] = json.loads(ser)
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(art))
+        _fails_with_one_line(capsys, ["spectral-radius", "--check",
+                                      str(edited)])
+
+
 def test_malformed_series_rejected(tmp_path, capsys):
     for bad in ('{"kind":"laurent","terms":[{"coeff":"3"}]}', "[1,2]",
                 '{"terms":[{"exp":[1.5],"coeff":"3"}]}',

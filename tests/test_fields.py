@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nonarch import (DivisionByZero, FieldSpec, NoRootInField,
                      PrecisionExhausted, Scalar, check_aux_prime,
@@ -208,3 +208,53 @@ def test_laurent_norm_multiplicative(i, j):
     x = Scalar.t_power(F2T, i) + Scalar.one(F2T)   # nonzero: i != 0 in F_2
     y = Scalar.t_power(F2T, j)
     assert norm(x * y).base_exp == norm(x).base_exp + norm(y).base_exp
+
+
+# p-adic add/mul build their result directly; they must agree with the
+# validated constructors on value, precision and valuation
+
+Q5 = FieldSpec(PADIC, 5, precision_cap=40)
+_pfrac = st.fractions(min_value=Fraction(-243), max_value=Fraction(243),
+                      max_denominator=250)
+_prec = st.one_of(st.none(), st.integers(1, 12))
+
+
+def _capped(spec, fr, prec):
+    return Scalar._padic(spec, fr, prec if fr else None)
+
+
+def _expected_sum(spec, x, y, rep):
+    """x + y (value rep) from the precision model: the sum is known modulo
+    the coarser of the two absolute precisions; None if it is lost."""
+    known = [s.valuation() + s.precision for s in (x, y) if not s.exact]
+    if not known:
+        return Scalar.from_fraction(spec, rep)
+    v = Scalar.from_fraction(spec, rep).valuation()
+    if v is None or v >= min(known):
+        return None
+    return Scalar._padic(spec, rep, min(known) - v)
+
+
+@pytest.mark.parametrize("spec", [Q3, Q5], ids=["Q3", "Q5"])
+@settings(max_examples=150, deadline=None)
+@given(a=_pfrac, pa=_prec, b=_pfrac, pb=_prec)
+@example(a=Fraction(1), pa=3, b=Fraction(-1), pb=None)   # sum lost
+@example(a=Fraction(1), pa=5, b=Fraction(8), pb=None)    # sum 9, prec cut
+def test_padic_fast_paths_match_validated(spec, a, pa, b, pb):
+    x, y = _capped(spec, a, pa), _capped(spec, b, pb)
+    precs = [p for p in (x.precision, y.precision) if p is not None]
+    want = (Scalar.from_fraction(spec, a * b) if not precs or a * b == 0
+            else Scalar._padic(spec, a * b, min(precs)))
+    got = x * y
+    assert (got, got.precision, got.valuation()) \
+        == (want, want.precision, want.valuation())
+    assert type(got._frac) is Fraction
+    want = _expected_sum(spec, x, y, a + b)
+    if want is None:
+        with pytest.raises(PrecisionExhausted):
+            x + y
+        return
+    got = x + y
+    assert (got, got.precision, got.valuation()) \
+        == (want, want.precision, want.valuation())
+    assert type(got._frac) is Fraction

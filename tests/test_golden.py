@@ -27,6 +27,15 @@ def _series(*terms):
                                  for e, c in terms]})
 
 
+def _laurent(q, n):
+    """n-term Laurent series over Q_q with coefficients +-u*q^v, spread
+    over negative and positive exponents."""
+    units = [1, 2, -1, -2]
+    return json.dumps({"kind": "laurent", "radius": ["r1"], "terms": [
+        {"exp": [3 * i - n], "coeff": f"{units[i % 4]}*{q}^{i * 7 % 5 - 2}"}
+        for i in range(n)]})
+
+
 CASES = {
     # the README CLI examples
     "readme-pth-root": ["pth-root", "--field", "q3", "--prime", "2",
@@ -63,6 +72,19 @@ CASES = {
     "f2t-relation": ["nonintegral-cert", "--field", "f2t", "--series",
                      _series((1, "1"), (3, "1")), "--nmax", "3",
                      "--dmax", "4"],
+    # element arithmetic and norm comparisons on the r1 radius
+    "sz-check-q5": ["sz-check", "--field", "q5", "--count", "60",
+                    "--seed", "1"],
+    "sz-check-f2t": ["sz-check", "--field", "f2t", "--count", "60",
+                     "--seed", "1"],
+    "sz-check-f4t": ["sz-check", "--field", "f4t", "--count", "60",
+                     "--seed", "1"],
+    "q3-laurent-spectral": ["spectral-radius", "--field", "q3", "--powers",
+                            "4", "--series", _laurent(3, 20)],
+    "q5-laurent-gauss-norm": ["gauss-norm", "--field", "q5", "--series",
+                              _laurent(5, 30)],
+    "f2t-tower": ["tower", "--field", "f2t", "--prime", "3", "--target",
+                  "1 + t + t^3", "--depth", "4"],
 }
 
 

@@ -1,5 +1,7 @@
-"""Exact norm-value arithmetic and interval-refined comparison."""
+"""Exact norm-value arithmetic and comparison: exact for quadratic radii,
+interval-refined otherwise."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from nonarch import (Cmp, LogNorm, RadiusDecl, UndecidableAtDepth,
                      in_value_group_rational, ln_compare, ln_mul, ln_pow)
-from nonarch.lognorm import log_q_interval, norm_exceeds
+from nonarch.lognorm import (INTERVAL_CACHE_SIZE, log_q_interval,
+                             norm_exceeds)
 
 R1 = RadiusDecl.default("r1")             # log_q(1/r) = sqrt(2)/2
 R06 = RadiusDecl.rational_stub("r06", Fraction(3, 5),
@@ -111,3 +114,122 @@ def test_order_respects_mul(a1, b1, a2, b2, a3, b3):
     c = LogNorm.of(a3, (b3,))
     cmp_xy = ln_compare(x, y, (R1,))
     assert ln_compare(ln_mul(x, c), ln_mul(y, c), (R1,)) is cmp_xy
+
+
+# ---------------------------------------------------------------------------
+# Exact quadratic decision against the interval-refinement oracle
+
+R_NEG = RadiusDecl.quadratic("rneg", 3, -1, 2, 2)     # (3 - sqrt(2))/2
+R_D5 = RadiusDecl.quadratic("rd5", 1, 1, 4, 5)        # (1 + sqrt(5))/4
+R_D9 = RadiusDecl.quadratic("rd9", 0, 1, 4, 9)        # sqrt(9)/4 = 3/4
+R1_TWIN = RadiusDecl.default("r1twin")                # r1's stream again
+RADIUS_SET = (R1, R_NEG, R_D5, R_D9, R06, R1_TWIN)
+
+
+def _oracle_compare(a, b, radii, max_depth=256):
+    """The interval loop on the uncached streams; None if undecided."""
+    if a == b:
+        return Cmp.EQ
+    d_base = a.base_exp - b.base_exp
+    d_rad = [x - y for x, y in zip(a.radius_exps, b.radius_exps)]
+    if not any(d_rad):
+        return Cmp.LT if d_base > 0 else Cmp.GT
+    depth = 8
+    while depth <= max_depth:
+        lo = hi = d_base
+        for e, decl in zip(d_rad, radii):
+            if e:
+                llo, lhi = decl._stream(depth)
+                lo, hi = ((lo + e * llo, hi + e * lhi) if e > 0
+                          else (lo + e * lhi, hi + e * llo))
+        if lo > 0:
+            return Cmp.LT
+        if hi < 0:
+            return Cmp.GT
+        depth *= 2
+    return None
+
+
+def _compare_or_none(a, b, radii):
+    try:
+        return ln_compare(a, b, radii)
+    except UndecidableAtDepth:
+        return None
+
+
+def _rand_exp(rng):
+    return Fraction(rng.randint(-12, 12), rng.choice([1, 1, 2, 3, 4]))
+
+
+def _tie(rng, a, radii):
+    """A norm whose log differs from a's by an exactly vanishing sum, when
+    the radii allow one (r06 against e0, r1 against its twin, the
+    rational d = 9 radius against e0); else a random norm."""
+    ids = [d.gen_id for d in radii]
+    exps = list(a.radius_exps)
+    base = a.base_exp
+    k = rng.randint(1, 3)
+    if "r06" in ids:
+        exps[ids.index("r06")] += 5 * k
+        base -= 3 * k
+    elif "r1" in ids and "r1twin" in ids:
+        exps[ids.index("r1")] += k
+        exps[ids.index("r1twin")] -= k
+    elif "rd9" in ids:
+        exps[ids.index("rd9")] += 4 * k
+        base -= 3 * k
+    else:
+        return LogNorm.of(_rand_exp(rng), [_rand_exp(rng) for _ in radii])
+    return LogNorm.of(base, exps)
+
+
+def test_exact_compare_agrees_with_interval_oracle():
+    rng = random.Random(20251)
+    undecided = 0
+    for _ in range(3000):
+        radii = tuple(rng.sample(RADIUS_SET, rng.randint(1, 3)))
+        a = LogNorm.of(_rand_exp(rng), [_rand_exp(rng) for _ in radii])
+        if rng.random() < 0.2:
+            b = _tie(rng, a, radii)
+        else:
+            b = LogNorm.of(_rand_exp(rng),
+                           [_rand_exp(rng) if rng.random() < 0.7 else e
+                            for e in a.radius_exps])
+        want = _oracle_compare(a, b, radii)
+        assert _compare_or_none(a, b, radii) is want, (a, b, radii)
+        undecided += want is None
+    assert undecided > 100      # the ties really were drawn
+
+
+def test_exact_compare_needs_no_interval_for_r1(monkeypatch):
+    calls = []
+    real = RadiusDecl.interval
+
+    def counting(self, depth):
+        calls.append(depth)
+        return real(self, depth)
+
+    monkeypatch.setattr(RadiusDecl, "interval", counting)
+    rng = random.Random(3)
+    for _ in range(200):
+        a = LogNorm.of(_rand_exp(rng), (_rand_exp(rng),))
+        b = LogNorm.of(_rand_exp(rng), (_rand_exp(rng),))
+        ln_compare(a, b, (R1,))
+    assert calls == []
+    # the rational stub still refines
+    ln_compare(LogNorm.of(1, (0,)), LogNorm.of(0, (1,)), (R06,))
+    assert calls
+
+
+def test_cached_interval_equals_fresh_stream():
+    for decl in RADIUS_SET:
+        fresh = RadiusDecl.from_json(decl.to_json())
+        for depth in (8, 16, 32, 48, 64, 128, 256):
+            first = fresh.interval(depth)
+            assert first == decl._stream(depth)
+            assert fresh.interval(depth) == first
+    # asked for many depths, the cache stays bounded and stays right
+    decl = RadiusDecl.default("r1")
+    for depth in range(1, 200):
+        assert decl.interval(depth) == decl._stream(depth)
+    assert len(decl._intervals) <= INTERVAL_CACHE_SIZE

@@ -181,3 +181,43 @@ def test_two_variable_series():
     ns, exact_s = gauss_norm(s)
     # |g| = r2 = 3^(-0.866...) beats |f| = 3^(-1 - 2*0.707 + 0.866)
     assert exact_s and ns == LogNorm.of(0, (0, 1))
+
+
+def _random_capped_series(rng, spec, kind):
+    """Series with some capped coefficients and tails, so that sums can
+    lose terms to the working precision and fold them into the tail."""
+    terms = {}
+    lo = 0 if kind == POWER else -3
+    for _ in range(rng.randint(0, 5)):
+        if spec.kind == PADIC:
+            c = Scalar._padic(spec, Fraction(rng.choice([1, -1, 2, 8, -8]),
+                                             rng.choice([1, 3])),
+                              rng.choice([None, None, 2, 4]))
+        else:
+            c = Scalar.t_power(spec, rng.randint(-2, 3))
+            if rng.random() < 0.3:
+                c = c + Scalar.t_power(spec, rng.randint(-2, 3))
+                if c.is_ring_zero():
+                    continue
+        terms[(rng.randint(lo, 4),)] = c
+    tail = None
+    if rng.random() < 0.3:
+        tail = LogNorm.of(rng.randint(0, 4), (rng.randint(4, 8),))
+    return TateSeries(spec, kind, (R1,), terms, tail)
+
+
+@pytest.mark.parametrize("spec", [Q3, F2T], ids=["Q3", "F2((t))"])
+@pytest.mark.parametrize("kind", [POWER, LAURENT])
+def test_trusted_results_match_validated_construction(spec, kind):
+    rng = random.Random(29)
+    for _ in range(150):
+        f = _random_capped_series(rng, spec, kind)
+        g = _random_capped_series(rng, spec, kind)
+        for r in (f * g, f + g, f - g, -f):
+            v = TateSeries(r.spec, r.kind, r.radii, r.support, r.tail)
+            assert (r.spec, r.kind, r.radii) == (v.spec, v.kind, v.radii)
+            assert r.support == v.support and r.tail == v.tail
+            assert all(type(e) is tuple and len(e) == 1
+                       and all(type(x) is int for x in e)
+                       for e in r.support)
+            assert not any(c.is_ring_zero() for c in r.support.values())
