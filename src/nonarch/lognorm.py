@@ -139,10 +139,6 @@ def in_value_group_rational(a: LogNorm) -> bool:
 # ---------------------------------------------------------------------------
 # Radius declarations
 
-# distinct depths whose interval a declaration keeps; the library itself
-# asks for seven (8, 16, ..., 256 and 48), so the cache stays small
-INTERVAL_CACHE_SIZE = 16
-
 
 def _sqrt_interval(d: int, depth: int):
     """Dyadic interval of width 2^-depth around sqrt(d)."""
@@ -167,16 +163,11 @@ class RadiusDecl:
                  note=""):
         self.gen_id = gen_id
         self._stream = stream
-        self._intervals = {}
         self.asserts_irrational = asserts_irrational
         self.kind = kind
         self.params = params
         self.note = note
         self.quadratic_parts = None
-        if kind == "quadratic":
-            c = params["c"]
-            self.quadratic_parts = (params["d"], Fraction(params["a"], c),
-                                    Fraction(params["b"], c))
 
     @classmethod
     def quadratic(cls, gen_id, a, b, c, d, note=""):
@@ -192,8 +183,10 @@ class RadiusDecl:
             return (Fraction(a) + b * lo) / c, (Fraction(a) + b * hi) / c
 
         irrational = b != 0 and isqrt(d) ** 2 != d
-        return cls(gen_id, stream, irrational, "quadratic",
+        decl = cls(gen_id, stream, irrational, "quadratic",
                    {"a": a, "b": b, "c": c, "d": d}, note)
+        decl.quadratic_parts = (d, Fraction(a, c), Fraction(b, c))
+        return decl
 
     @classmethod
     def rational_stub(cls, gen_id, value, asserts_irrational=False, note=""):
@@ -219,14 +212,10 @@ class RadiusDecl:
                              note="log_q(1/r) = sqrt(2)/2")
 
     def interval(self, depth: int):
-        iv = self._intervals.get(depth)
-        if iv is None:
-            iv = self._stream(depth)
-            if iv[0] > iv[1]:
-                raise ValueError("stream produced an inverted interval")
-            if len(self._intervals) < INTERVAL_CACHE_SIZE:
-                self._intervals[depth] = iv
-        return iv
+        lo, hi = self._stream(depth)
+        if lo > hi:
+            raise ValueError("stream produced an inverted interval")
+        return lo, hi
 
     def check_declaration(self, depth: int = 32) -> bool:
         """True iff the irrationality assertion is constructively verified.

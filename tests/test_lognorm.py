@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from nonarch import (Cmp, LogNorm, RadiusDecl, UndecidableAtDepth,
                      in_value_group_rational, ln_compare, ln_mul, ln_pow)
-from nonarch.lognorm import (INTERVAL_CACHE_SIZE, log_q_interval,
-                             norm_exceeds)
+from nonarch.lognorm import log_q_interval, norm_exceeds
 
 R1 = RadiusDecl.default("r1")             # log_q(1/r) = sqrt(2)/2
 R06 = RadiusDecl.rational_stub("r06", Fraction(3, 5),
@@ -127,7 +126,7 @@ RADIUS_SET = (R1, R_NEG, R_D5, R_D9, R06, R1_TWIN)
 
 
 def _oracle_compare(a, b, radii, max_depth=256):
-    """The interval loop on the uncached streams; None if undecided."""
+    """The interval loop on the raw streams; None if undecided."""
     if a == b:
         return Cmp.EQ
     d_base = a.base_exp - b.base_exp
@@ -220,16 +219,3 @@ def test_exact_compare_needs_no_interval_for_r1(monkeypatch):
     ln_compare(LogNorm.of(1, (0,)), LogNorm.of(0, (1,)), (R06,))
     assert calls
 
-
-def test_cached_interval_equals_fresh_stream():
-    for decl in RADIUS_SET:
-        fresh = RadiusDecl.from_json(decl.to_json())
-        for depth in (8, 16, 32, 48, 64, 128, 256):
-            first = fresh.interval(depth)
-            assert first == decl._stream(depth)
-            assert fresh.interval(depth) == first
-    # asked for many depths, the cache stays bounded and stays right
-    decl = RadiusDecl.default("r1")
-    for depth in range(1, 200):
-        assert decl.interval(depth) == decl._stream(depth)
-    assert len(decl._intervals) <= INTERVAL_CACHE_SIZE
