@@ -27,7 +27,8 @@ from .frobenius import PBasis, decomposition_artifact, verify_norm_bound
 from .lognorm import Cmp, RadiusDecl, ln_compare, ln_mul
 from .rootlift import build_tower, pth_root_near_one, verify_tower, \
     verify_trace, tower_unit_certificate
-from .series import LAURENT, TateSeries, spectral_power_estimate
+from .series import (LAURENT, TateSeries, check_series_json,
+                     spectral_power_estimate)
 from .squarezero import SquareZeroRing
 
 SCHEMA = "nonarch-artifact/1"
@@ -101,27 +102,15 @@ def _series_from_params(params):
 
 
 def _load_series_arg(arg):
-    """--series accepts a JSON file path or an inline JSON object with
-    optional "radius" ids and "terms" of the form {"exp": [int, ..],
-    "coeff": str}."""
+    """--series accepts a JSON file path or an inline JSON object in the
+    shape ``TateSeries.from_json`` reads (checked here already, because
+    the run path looks its "radius" ids up before building the series)."""
     text = arg
     if os.path.exists(arg):
         with open(arg) as fh:
             text = fh.read()
     obj = json.loads(text)
-    if not isinstance(obj, dict):
-        raise NonarchError("series must be a JSON object")
-    terms = obj.get("terms", [])
-    if not isinstance(terms, list) or not all(
-            isinstance(t, dict) and isinstance(t.get("exp"), list)
-            and all(type(x) is int for x in t["exp"])
-            and isinstance(t.get("coeff"), str) for t in terms):
-        raise NonarchError('series "terms" must be a list of '
-                           '{"exp": [int, ...], "coeff": str} objects')
-    radius = obj.get("radius", [])
-    if not isinstance(radius, list) or not all(
-            isinstance(r, str) for r in radius):
-        raise NonarchError('series "radius" must be a list of radius ids')
+    check_series_json(obj)
     return obj
 
 
@@ -417,6 +406,9 @@ def check_artifact(path):
     """Replay an artifact from its stored parameters; 0 iff it reproduces."""
     with open(path) as fh:
         stored = json.load(fh)
+    if not isinstance(stored, dict) or not isinstance(stored.get("params"),
+                                                      dict):
+        raise NonarchError("artifact and its params must be JSON objects")
     command = stored.get("command")
     if command not in RUNNERS:
         print(f"unknown artifact command {command!r}", file=sys.stderr)

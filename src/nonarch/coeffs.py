@@ -1,4 +1,4 @@
-"""Exact coefficient domains for Laurent-series fields.
+"""Exact coefficient fields for Laurent-series fields.
 
 Two backends live here:
 
@@ -6,7 +6,13 @@ Two backends live here:
   coefficient tuples over F_p (d = 1 degenerates to plain residues).
 * ``MPoly`` / ``RatFun`` -- multivariate polynomials and reduced rational
   functions over F_p in variables u1..uN, kept in a canonical form so that
-  equality is literal comparison.
+  equality is literal comparison; ``RatFunField`` is the field they form.
+
+``GF`` and ``RatFunField`` are the coefficient-field protocol that Laurent
+scalars compute on: ``zero``, ``one``, ``from_int`` (the ring map from Z),
+``is_zero``, ``add``, ``neg``, ``mul``, ``inv``, ``char_root``,
+``nth_roots``, ``to_str`` and ``atomic_str``.  Elements are canonical, so
+equal values have equal representations.
 """
 
 from __future__ import annotations
@@ -147,8 +153,7 @@ def _find_irreducible(p: int, d: int):
 class GF:
     """Arithmetic for F_{p^d}.  Elements are little-endian tuples over F_p.
 
-    The integer encoding sum(c_i * p^i) is used for deterministic ordering
-    and for compact literals.
+    The integer encoding sum(c_i * p^i) is used for deterministic ordering.
     """
 
     def __init__(self, p: int, d: int = 1):
@@ -164,15 +169,15 @@ class GF:
         self.one = (1,)
 
     def from_int(self, n: int):
+        """Image of n under the ring map Z -> F_{p^d} (in the prime field)."""
+        n %= self.p
+        return (n,) if n else ()
+
+    def generator(self):
+        """The class w of x generating F_{p^d} over F_p."""
         if self.d == 1:
-            n %= self.p
-            return (n,) if n else ()
-        digits = []
-        n %= self.order
-        while n:
-            digits.append(n % self.p)
-            n //= self.p
-        return _vec_trim(tuple(digits))
+            raise ValueError("prime fields have no extension generator")
+        return (0, 1)
 
     def to_int(self, a) -> int:
         return sum(c * self.p ** i for i, c in enumerate(a))
@@ -204,8 +209,13 @@ class GF:
         return _vec_trim(_poly_pow_mod(a, e, self.modulus, self.p))
 
     def elements(self):
+        """Every element, in the order of the integer encoding."""
         for n in range(self.order):
-            yield self.from_int(n)
+            digits = []
+            while n:
+                digits.append(n % self.p)
+                n //= self.p
+            yield tuple(digits)
 
     def char_root(self, a):
         """The unique x with x^p = a (p the characteristic)."""
@@ -216,6 +226,25 @@ class GF:
         """All x with x^n = a, sorted by integer encoding."""
         return sorted((x for x in self.elements() if self.pow(x, n) == a),
                       key=self.to_int)
+
+    def to_str(self, a) -> str:
+        if not a:
+            return "0"
+        parts = []
+        for i in range(len(a) - 1, -1, -1):
+            c = a[i]
+            if not c:
+                continue
+            if i == 0:
+                parts.append(str(c))
+            else:
+                w = "w" if i == 1 else f"w^{i}"
+                parts.append(w if c == 1 else f"{c}*{w}")
+        return " + ".join(parts)
+
+    def atomic_str(self, a) -> bool:
+        """True when to_str(a) needs no parentheses as a factor."""
+        return sum(1 for c in a if c) <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +610,64 @@ class RatFun:
         if rn is None or rd is None:
             return None
         return RatFun(rn, rd)
+
+
+class RatFunField:
+    """The field F_p(u1..uN) of ``RatFun`` elements, with the protocol of
+    ``GF`` plus ``var``."""
+
+    def __init__(self, p, nvars):
+        self.p = p
+        self.nvars = nvars
+        self.zero = RatFun.const(p, nvars, 0)
+        self.one = RatFun.const(p, nvars, 1)
+
+    def from_int(self, n):
+        return RatFun.const(self.p, self.nvars, n)
+
+    def var(self, i):
+        return RatFun.var(self.p, self.nvars, i)
+
+    def is_zero(self, a):
+        return a.is_zero()
+
+    def add(self, a, b):
+        return a + b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def inv(self, a):
+        return a.inv()
+
+    def char_root(self, a):
+        return a.char_root()
+
+    def nth_roots(self, a, n):
+        """Some x with x^n = a: [1] for a = 1, one root for a monomial
+        c*u^(n*e) with c an n-th power residue, [] otherwise.  That covers
+        the residues of the units that root towers start from."""
+        if a == self.one:
+            return [self.one]
+        if a.is_poly() and len(a.num.terms) == 1:
+            (e, c), = a.num.terms.items()
+            if all(k % n == 0 for k in e):
+                roots = [x for x in range(1, self.p)
+                         if pow(x, n, self.p) == c % self.p]
+                if roots:
+                    mono = MPoly(self.p, self.nvars,
+                                 {tuple(k // n for k in e): min(roots)})
+                    return [RatFun.from_poly(mono)]
+        return []
+
+    def to_str(self, a):
+        return str(a)
+
+    def atomic_str(self, a):
+        return a.is_poly() and len(a.num.terms) <= 1
 
 
 def _poly_char_root(a: MPoly):

@@ -13,6 +13,13 @@ precision: ``prec is None`` means the value is known exactly, ``prec = n``
 means it is known modulo q^(v+n) (resp. t^(v+n)).  Valuations of nonzero
 scalars are always exact; ultrametric precision propagation raises
 ``PrecisionExhausted`` rather than silently producing a fake zero.
+
+A nonzero Laurent scalar is t^val times a unit series {offset: coefficient}
+with a nonzero constant term and no offset at or beyond the precision.  The
+coefficients live in ``spec.domain()`` (``coeffs.GF`` or
+``coeffs.RatFunField``), and every unit-series operation (sums, products,
+both divisions, the Newton step of p-th roots) is built on one truncated
+multiply-add, ``_su_axpy``.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffs import GF, MPoly, RatFun, is_prime
+from .coeffs import GF, RatFunField, is_prime
 from .errors import (DivisionByZero, NoRootInField, PrecisionExhausted,
                      PreconditionFailed)
 from .lognorm import LogNorm
@@ -59,6 +66,13 @@ class FieldSpec:
                     f"field_size {size} is not a power of {q}")
         if self.kind == RATFUN_LAURENT and self.nvars < 0:
             raise ValueError("nvars must be >= 0")
+        if self.kind == FQ_LAURENT:
+            dom = GF(self.residue_prime, self.ext_degree)
+        elif self.kind == RATFUN_LAURENT:
+            dom = RatFunField(self.residue_prime, self.nvars)
+        else:
+            dom = None
+        object.__setattr__(self, "_domain", dom)
 
     @property
     def char(self) -> int:
@@ -75,7 +89,9 @@ class FieldSpec:
         return d
 
     def domain(self):
-        return _domain_for(self)
+        """The coefficient field of a Laurent kind (``GF`` or
+        ``RatFunField``); None for PADIC."""
+        return self._domain
 
     def to_json(self):
         obj = {"kind": self.kind, "residue_prime": self.residue_prime,
@@ -100,136 +116,6 @@ class FieldSpec:
             return f"F_{self.field_size}((t))"
         vs = ",".join(f"u{i + 1}" for i in range(self.nvars))
         return f"F_{self.residue_prime}({vs})((t))"
-
-
-# coefficient-domain adapters, cached per spec signature
-
-
-class _GFDomain:
-    def __init__(self, gf: GF):
-        self.gf = gf
-        self.zero = gf.zero
-        self.one = gf.one
-
-    def from_int(self, n):
-        # ring map Z -> F_{q^d}; the image lies in the prime field
-        n %= self.gf.p
-        return (n,) if n else ()
-
-    def generator(self):
-        if self.gf.d == 1:
-            raise ValueError("prime fields have no extension generator")
-        return (0, 1)
-
-    def is_zero(self, a):
-        return not a
-
-    def add(self, a, b):
-        return self.gf.add(a, b)
-
-    def neg(self, a):
-        return self.gf.neg(a)
-
-    def mul(self, a, b):
-        return self.gf.mul(a, b)
-
-    def inv(self, a):
-        return self.gf.inv(a)
-
-    def char_root(self, a):
-        return self.gf.char_root(a)
-
-    def aux_roots(self, a, p):
-        return self.gf.nth_roots(a, p)
-
-    def to_str(self, a):
-        if not a:
-            return "0"
-        parts = []
-        for i in range(len(a) - 1, -1, -1):
-            c = a[i]
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                w = "w" if i == 1 else f"w^{i}"
-                parts.append(w if c == 1 else f"{c}*{w}")
-        return " + ".join(parts)
-
-    def atomic_str(self, a):
-        return sum(1 for c in a if c) <= 1
-
-
-class _RatFunDomain:
-    def __init__(self, p, nvars):
-        self.p = p
-        self.nvars = nvars
-        self.zero = RatFun.const(p, nvars, 0)
-        self.one = RatFun.const(p, nvars, 1)
-
-    def from_int(self, n):
-        return RatFun.const(self.p, self.nvars, n)
-
-    def var(self, i):
-        return RatFun.var(self.p, self.nvars, i)
-
-    def is_zero(self, a):
-        return a.is_zero()
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        return a.inv()
-
-    def char_root(self, a):
-        return a.char_root()
-
-    def aux_roots(self, a, p):
-        # limited to constants and monomials; enough for units used in
-        # root-tower demonstrations (residues congruent to 1).
-        if a == self.one:
-            return [self.one]
-        if a.is_poly() and len(a.num.terms) == 1:
-            (e, c), = a.num.terms.items()
-            if all(k % p == 0 for k in e):
-                roots = [x for x in range(1, self.p)
-                         if pow(x, p, self.p) == c % self.p]
-                if roots:
-                    mono = MPoly(self.p, self.nvars,
-                                 {tuple(k // p for k in e): min(roots)})
-                    return [RatFun.from_poly(mono)]
-        return []
-
-    def to_str(self, a):
-        return str(a)
-
-    def atomic_str(self, a):
-        return a.is_poly() and len(a.num.terms) <= 1
-
-
-_DOMAINS = {}
-
-
-def _domain_for(spec: FieldSpec):
-    key = (spec.kind, spec.residue_prime, spec.field_size, spec.nvars)
-    dom = _DOMAINS.get(key)
-    if dom is None:
-        if spec.kind == FQ_LAURENT:
-            dom = _GFDomain(GF(spec.residue_prime, spec.ext_degree))
-        elif spec.kind == RATFUN_LAURENT:
-            dom = _RatFunDomain(spec.residue_prime, spec.nvars)
-        else:
-            dom = None
-        _DOMAINS[key] = dom
-    return dom
 
 
 def _padic_val(fr: Fraction, q: int) -> int:
@@ -420,24 +306,14 @@ class Scalar:
         dom = self.spec.domain()
         merged = {}
         for s in (self, other):
-            if s._val is None:
-                continue
-            for k, c in s._unit.items():
-                e = s._val + k
-                acc = merged.get(e)
-                merged[e] = c if acc is None else dom.add(acc, c)
-        merged = {e: c for e, c in merged.items() if not dom.is_zero(c)}
-        if known is not None:
-            merged = {e: c for e, c in merged.items() if e < known}
+            if s._val is not None:
+                _su_axpy(merged, None, s._val, s._unit, dom, known)
         if not merged:
             if known is None:
                 return Scalar.zero(self.spec)
             raise PrecisionExhausted(
                 "sum indistinguishable from zero at the cap")
-        v = min(merged)
-        prec = None if known is None else known - v
-        return Scalar._laurent(self.spec, v,
-                               {e - v: c for e, c in merged.items()}, prec)
+        return Scalar._laurent(self.spec, 0, merged, known)
 
     def __neg__(self):
         if self.kind == PADIC:
@@ -460,9 +336,10 @@ class Scalar:
             return Scalar(self.spec, frac=rep, prec=prec if rep else None)
         if self._val is None or other._val is None:
             return Scalar.zero(self.spec)
-        dom = self.spec.domain()
-        unit = _su_mul(dom, self._unit, other._unit, prec)
-        return Scalar._laurent(self.spec, self._val + other._val, unit, prec)
+        # the constant terms multiply to a nonzero constant term: a unit
+        unit = _su_mul(self._unit, other._unit, self.spec.domain(), prec)
+        return Scalar(self.spec, val=self._val + other._val, unit=unit,
+                      prec=prec)
 
     def __truediv__(self, other):
         self._check(other)
@@ -475,11 +352,11 @@ class Scalar:
                                  None if rep == 0 else prec)
         if self._val is None:
             return self
-        dom = self.spec.domain()
-        prec = _pmin(self._prec, other._prec)
-        unit, prec = _su_div(dom, self._unit, other._unit, prec,
+        unit, prec = _su_div(self._unit, other._unit, self.spec.domain(),
+                             _pmin(self._prec, other._prec),
                              self.spec.precision_cap)
-        return Scalar._laurent(self.spec, self._val - other._val, unit, prec)
+        return Scalar(self.spec, val=self._val - other._val, unit=unit,
+                      prec=prec)
 
     def invert(self):
         return Scalar.one(self.spec) / self
@@ -498,9 +375,6 @@ class Scalar:
 
     def div_int(self, n: int):
         return self / Scalar.from_int(self.spec, n)
-
-    def ring_int(self, n: int):
-        return Scalar.from_int(self.spec, n)
 
     def ring_one(self):
         return Scalar.one(self.spec)
@@ -627,82 +501,81 @@ class Scalar:
         return hash((self.spec, self._val, unit, self._prec))
 
 
-# -- truncated unit-series helpers (offset dicts over a domain) ----------
+# -- unit series: {offset: nonzero coefficient} over the coefficient field
 
 
-def _su_mul(dom, a, b, prec):
+def _su_axpy(out, c, shift, b, dom, limit):
+    """out += c * t^shift * b in place, and return out.
+
+    c None means unscaled.  Sums that vanish are dropped, and exponents
+    >= limit are skipped (limit None: no truncation).
+    """
+    add, mul, is_zero = dom.add, dom.mul, dom.is_zero
+    for j, y in b.items():
+        k = j + shift
+        if limit is not None and k >= limit:
+            continue
+        if c is not None:
+            y = mul(c, y)
+        acc = out.get(k)
+        if acc is not None:
+            y = add(acc, y)
+            if is_zero(y):
+                del out[k]
+                continue
+        out[k] = y
+    return out
+
+
+def _su_mul(a, b, dom, limit):
     out = {}
     for i, x in a.items():
-        if prec is not None and i >= prec:
-            continue
-        for j, y in b.items():
-            k = i + j
-            if prec is not None and k >= prec:
-                continue
-            acc = out.get(k)
-            v = dom.mul(x, y)
-            out[k] = v if acc is None else dom.add(acc, v)
-    return {k: c for k, c in out.items() if not dom.is_zero(c)}
+        if limit is None or i < limit:
+            _su_axpy(out, x, i, b, dom, limit)
+    return out
 
 
-def _su_div(dom, a, b, prec, cap):
-    """Divide unit series a by b.  Returns (unit, prec)."""
-    if len(b) == 1 and 0 in b:
-        inv = dom.inv(b[0])
-        return {k: dom.mul(c, inv) for k, c in a.items()}, prec
+def _su_pow(a, e, dom, limit):
+    out = {0: dom.one}
+    while e:
+        if e & 1:
+            out = _su_mul(out, a, dom, limit)
+        e >>= 1
+        if e:
+            a = _su_mul(a, a, dom, limit)
+    return out
+
+
+def _su_div(a, b, dom, prec, cap):
+    """Unit series a / b, with its relative precision.
+
+    Exact when b is a constant or divides a; otherwise power-series long
+    division to prec terms (cap terms when both inputs are exact).
+    """
+    if len(b) == 1:
+        return _su_axpy({}, dom.inv(b[0]), 0, a, dom, prec), prec
     if prec is None:
-        q, r = _su_polydiv(dom, a, b)
-        if r is None:
-            return q, None
+        # polynomial division by the leading term
+        rem, out = dict(a), {}
+        db = max(b)
+        lead_inv = dom.inv(b[db])
+        while rem:
+            dr = max(rem)
+            if dr < db:
+                break
+            c = out[dr - db] = dom.mul(rem[dr], lead_inv)
+            _su_axpy(rem, dom.neg(c), dr - db, b, dom, None)
+        if not rem:
+            return out, None
         prec = cap
-    # power-series long division to relative length prec
     binv0 = dom.inv(b[0])
-    out = {}
-    rem = dict(a)
+    rem, out = dict(a), {}
     for k in range(prec):
         c = rem.get(k)
-        if c is None or dom.is_zero(c):
-            continue
-        qc = dom.mul(c, binv0)
-        out[k] = qc
-        for j, y in b.items():
-            if k + j >= prec:
-                continue
-            t = dom.mul(qc, y)
-            acc = rem.get(k + j)
-            s = dom.add(acc, dom.neg(t)) if acc is not None else dom.neg(t)
-            if dom.is_zero(s):
-                rem.pop(k + j, None)
-            else:
-                rem[k + j] = s
+        if c is not None:
+            c = out[k] = dom.mul(c, binv0)
+            _su_axpy(rem, dom.neg(c), k, b, dom, prec)
     return out, prec
-
-
-def _su_polydiv(dom, a, b):
-    """Exact polynomial division of units; returns (quotient, None) or
-    (None, remainder-marker) encoded as (quotient, leftovers)."""
-    rem = dict(a)
-    out = {}
-    db = max(b)
-    lead = b[db]
-    lead_inv = dom.inv(lead)
-    while rem:
-        dr = max(rem)
-        if dr < db:
-            return None, rem
-        c = dom.mul(rem[dr], lead_inv)
-        off = dr - db
-        out[off] = c
-        for j, y in b.items():
-            t = dom.mul(c, y)
-            k = off + j
-            acc = rem.get(k)
-            s = dom.add(acc, dom.neg(t)) if acc is not None else dom.neg(t)
-            if dom.is_zero(s):
-                rem.pop(k, None)
-            else:
-                rem[k] = s
-    return out, None
 
 
 # ---------------------------------------------------------------------------
@@ -789,53 +662,30 @@ def _laurent_root(a: Scalar, p: int, v: int) -> Scalar:
                                                        spec.precision_cap)
     unit = a._unit
     c0 = unit[0]
-    roots = dom.aux_roots(c0, p)
+    roots = dom.nth_roots(c0, p)
     if not roots:
         raise NoRootInField(
             f"residue coefficient has no {p}-th root in the residue field")
     r0 = dom.one if (c0 == dom.one and dom.one in roots) else roots[0]
     r = {0: r0}
+    minus_one, p_dom = dom.neg(dom.one), dom.from_int(p)
     length = 1
     while length < L:
         length = min(2 * length, L)
-        rp = _su_pow(dom, r, p, length)
-        diff = _su_sub(dom, rp, unit, length)
+        # Newton step r -= (r^p - unit) / (p * r^(p-1)) at this length
+        diff = _su_axpy(_su_pow(r, p, dom, length), minus_one, 0, unit,
+                        dom, length)
         if not diff:
             continue
-        dpow = _su_pow(dom, r, p - 1, length)
-        deriv = {k: dom.mul(c, dom.from_int(p)) for k, c in dpow.items()}
-        inv_deriv, _ = _su_div(dom, {0: dom.one}, deriv, length,
+        deriv = _su_axpy({}, p_dom, 0, _su_pow(r, p - 1, dom, length), dom,
+                         None)
+        inv_deriv, _ = _su_div({0: dom.one}, deriv, dom, length,
                                spec.precision_cap)
-        corr = _su_mul(dom, diff, inv_deriv, length)
-        r = _su_sub(dom, r, corr, length)
-    rp = _su_pow(dom, r, p, L)
-    if _su_sub(dom, rp, unit, L):
+        for i, x in diff.items():
+            _su_axpy(r, dom.neg(x), i, inv_deriv, dom, length)
+    if _su_axpy(_su_pow(r, p, dom, L), minus_one, 0, unit, dom, L):
         raise NoRootInField("t-adic Newton lifting failed to converge")
     return Scalar._laurent(spec, v // p, r, L)
-
-
-def _su_pow(dom, a, e, prec):
-    out = {0: dom.one}
-    base = dict(a)
-    while e:
-        if e & 1:
-            out = _su_mul(dom, out, base, prec)
-        e >>= 1
-        if e:
-            base = _su_mul(dom, base, base, prec)
-    return out
-
-
-def _su_sub(dom, a, b, prec):
-    out = dict(a)
-    for k, c in b.items():
-        acc = out.get(k)
-        s = dom.add(acc, dom.neg(c)) if acc is not None else dom.neg(c)
-        if dom.is_zero(s):
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return {k: c for k, c in out.items() if prec is None or k < prec}
 
 
 # ---------------------------------------------------------------------------

@@ -94,14 +94,6 @@ def _obj_json(x):
     return x.to_json()
 
 
-def _norm_of(x) -> LogNorm:
-    return x.norm_ln()
-
-
-def _ctx(x):
-    return x.radius_ctx()
-
-
 def pth_root_near_one(f, p: int, max_steps: int = DEFAULT_MAX_STEPS,
                       tol: LogNorm = None,
                       work_depth: int = DEFAULT_WORK_DEPTH):
@@ -120,7 +112,7 @@ def pth_root_near_one(f, p: int, max_steps: int = DEFAULT_MAX_STEPS,
     if not check_aux_prime(spec, p):
         raise PreconditionFailed(
             f"prime {p} does not have norm 1 in {spec.describe()}")
-    radii = _ctx(f)
+    radii = f.radius_ctx()
     one = f.ring_one()
     diff = f - one
     if diff.is_ring_zero():
@@ -128,8 +120,8 @@ def pth_root_near_one(f, p: int, max_steps: int = DEFAULT_MAX_STEPS,
                           "target is 1; root is 1")
         return one, trace
     g1 = _tame(diff.div_int(p), work_depth)
-    g1n = _norm_of(g1)
-    diffn = _norm_of(diff)
+    g1n = g1.norm_ln()
+    diffn = diff.norm_ln()
     if g1n != diffn:
         raise PreconditionFailed("|p| = 1 failed to hold on this input")
     ident = LogNorm.identity(len(radii))
@@ -143,8 +135,8 @@ def pth_root_near_one(f, p: int, max_steps: int = DEFAULT_MAX_STEPS,
     g = g1
     for m in range(1, max_steps + 1):
         h = partial.pow_int(p) - f
-        gn = _norm_of(g)
-        hn = _norm_of(h) if not h.is_ring_zero() else LogNorm.zero(len(radii))
+        gn = g.norm_ln()
+        hn = h.norm_ln() if not h.is_ring_zero() else LogNorm.zero(len(radii))
         ok_g = ln_le(gn, ln_pow(g1n, m), radii)
         ok_h = hn.is_zero or ln_le(hn, ln_pow(g1n, m + 1), radii)
         trace.steps.append(RootStep(m, g, h, gn, hn, ok_g, ok_h))
@@ -169,21 +161,21 @@ def verify_trace(trace: RootTrace) -> bool:
     """Exact replay of identity (1) and conditions (2)-(4) for every step."""
     f = trace.target
     one = f.ring_one()
-    radii = _ctx(f)
+    radii = f.radius_ctx()
     if not trace.steps:
         return trace.result is not None and trace.result.equals(one)
     partial = one
     g1n = trace.contraction
     diff = f - one
-    if diff.is_ring_zero() or _norm_of(diff) != g1n:
+    if diff.is_ring_zero() or diff.norm_ln() != g1n:
         return False
     for s in trace.steps:
         partial = partial + s.g
         lhs = partial.pow_int(trace.prime)
         if not lhs.equals(f + s.h):
             return False
-        gn = _norm_of(s.g)
-        hn = _norm_of(s.h) if not s.h.is_ring_zero() \
+        gn = s.g.norm_ln()
+        hn = s.h.norm_ln() if not s.h.is_ring_zero() \
             else LogNorm.zero(len(radii))
         if gn != s.norm_g or hn != s.norm_h:
             return False
@@ -204,7 +196,7 @@ class NearRootResult:
 def pth_root_near(f, g, g_root, p: int, max_steps: int = DEFAULT_MAX_STEPS,
                   tol: LogNorm = None) -> NearRootResult:
     """Root of f from a known root of a nearby unit g (|f - g| < |f|)."""
-    radii = _ctx(f)
+    radii = f.radius_ctx()
     if not g_root.pow_int(p).equals(g):
         raise PreconditionFailed("g_root is not a p-th root of g")
     diff = f - g
@@ -212,15 +204,15 @@ def pth_root_near(f, g, g_root, p: int, max_steps: int = DEFAULT_MAX_STEPS,
         trace = RootTrace(p, f, LogNorm.zero(len(radii)), [], g_root, True,
                           "f = g; root reused")
         return NearRootResult(g_root, trace, True)
-    fn = _norm_of(f)
-    if ln_compare(_norm_of(diff), fn, radii) is not Cmp.LT:
+    fn = f.norm_ln()
+    if ln_compare(diff.norm_ln(), fn, radii) is not Cmp.LT:
         raise PreconditionFailed("|f - g| < |f| fails; cannot recentre")
     u = g.invert() * f
     unit_root, trace = pth_root_near_one(u, p, max_steps, tol)
     root = g_root * unit_root
     sep = root - g_root
     recentred = sep.is_ring_zero() or \
-        ln_compare(_norm_of(sep), _norm_of(root), radii) is Cmp.LT
+        ln_compare(sep.norm_ln(), root.norm_ln(), radii) is Cmp.LT
     return NearRootResult(root, trace, recentred)
 
 
@@ -281,7 +273,7 @@ def tower_unit_certificate(tower: RootTower):
     base = tower.elements[0]
     if base.is_ring_zero():
         return False, None
-    if _norm_of(base).is_zero:
+    if base.norm_ln().is_zero:
         return False, None
     inv = base.invert()
     ok = (base * inv).equals(base.ring_one())

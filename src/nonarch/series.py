@@ -10,6 +10,7 @@ dropped mass into the tail so that every norm claim stays honest.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 
 from .errors import (IncompatibleContext, PrecisionExhausted,
                      PreconditionFailed, SupportCapExceeded)
@@ -228,10 +229,6 @@ class TateSeries:
                           {e: c.reduce_representative(depth)
                            for e, c in self.support.items()}, self.tail)
 
-    def ring_int(self, n: int):
-        return TateSeries.constant(self.spec, self.radii,
-                                   Scalar.from_int(self.spec, n), self.kind)
-
     def ring_one(self):
         return TateSeries.one(self.spec, self.radii, self.kind)
 
@@ -301,7 +298,8 @@ class TateSeries:
             keyed.append((self.term_norm(e), e))
         # smallest norms first; lexicographic exponent order breaks ties
         order = sorted(keyed, key=lambda t: t[1])
-        order.sort(key=_NormKey(self.radii))
+        order.sort(key=cmp_to_key(
+            lambda x, y: ln_compare(x[0], y[0], self.radii).value))
         drop = len(self.support) - cap
         tail = self.tail
         support = dict(self.support)
@@ -343,6 +341,7 @@ class TateSeries:
 
     @classmethod
     def from_json(cls, spec, radii, obj):
+        check_series_json(obj)
         terms = [(tuple(t["exp"]), scalar_from_literal(spec, t["coeff"]))
                  for t in obj.get("terms", [])]
         tail = LogNorm.from_json(obj["tail"]) if "tail" in obj else None
@@ -361,25 +360,32 @@ class TateSeries:
         return f"<series [{terms}] tail={self.tail}>"
 
 
-class _NormKey:
-    """Sort adapter: orders LogNorms ascending via ln_compare."""
+def check_series_json(obj):
+    """Raise ValueError unless obj has the shape ``from_json`` reads: an
+    object with optional "radius" (a list of radius ids), "terms" (a list
+    of {"exp": [int, ...], "coeff": str}) and "tail" ({"zero": true} or
+    {"e0": str, "radius": [str, ...]})."""
+    if not isinstance(obj, dict):
+        raise ValueError("series must be a JSON object")
+    terms = obj.get("terms", [])
+    if not isinstance(terms, list) or not all(
+            isinstance(t, dict) and isinstance(t.get("exp"), list)
+            and all(type(x) is int for x in t["exp"])
+            and isinstance(t.get("coeff"), str) for t in terms):
+        raise ValueError('series "terms" must be a list of '
+                         '{"exp": [int, ...], "coeff": str} objects')
+    if not _str_list(obj.get("radius", [])):
+        raise ValueError('series "radius" must be a list of radius ids')
+    tail = obj.get("tail", {"zero": True})
+    if not (tail == {"zero": True} or isinstance(tail, dict)
+            and set(tail) == {"e0", "radius"}
+            and isinstance(tail["e0"], str) and _str_list(tail["radius"])):
+        raise ValueError('series "tail" must be {"zero": true} or '
+                         '{"e0": str, "radius": [str, ...]}')
 
-    def __init__(self, radii):
-        self.radii = radii
 
-    def __call__(self, item):
-        return _Wrapped(item[0], self.radii)
-
-
-class _Wrapped:
-    __slots__ = ("n", "radii")
-
-    def __init__(self, n, radii):
-        self.n = n
-        self.radii = radii
-
-    def __lt__(self, other):
-        return ln_compare(self.n, other.n, self.radii) is Cmp.LT
+def _str_list(x):
+    return isinstance(x, list) and all(isinstance(s, str) for s in x)
 
 
 def _accumulate(out, lost, e, c):

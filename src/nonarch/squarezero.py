@@ -39,9 +39,6 @@ class SquareZeroRing:
         """The isometric section a -> (a, 0)."""
         return SquareZeroElem(self, a, self.base_zero)
 
-    def epsilon(self) -> "SquareZeroElem":
-        return SquareZeroElem(self, self.base_zero, self.base_one)
-
     def one(self) -> "SquareZeroElem":
         return self.embed(self.base_one)
 

@@ -208,7 +208,7 @@ def _random_fq_scalar(rng, spec):
     dom = spec.domain()
     out = Scalar.zero(spec)
     for e, code in sorted(terms.items()):
-        gf = spec.domain().gf
+        gf = spec.domain()
         coeff = gf.from_int(code) if gf.d == 1 else _decode(gf, code)
         out = out + Scalar(spec, val=e, unit={0: coeff})
     return out if not out.is_ring_zero() else Scalar.one(spec)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from nonarch.cli import main
 
 SER_Q3 = json.dumps({"kind": "laurent", "radius": ["r1"],
@@ -236,3 +238,41 @@ def test_config_caps_rejected(tmp_path, capsys):
                                       "--field", "q3", "--prime", "2",
                                       "--target", "4",
                                       "--out", str(tmp_path)])
+
+
+def _ser_with_tail(tail):
+    return json.dumps({"kind": "power", "radius": ["r1"],
+                       "terms": [{"exp": [1], "coeff": "1"}], "tail": tail})
+
+
+@pytest.mark.parametrize("tail", [5, [], "abc", {"radius": ["1"]}],
+                         ids=["int", "list", "str", "no-e0"])
+def test_malformed_series_tail_rejected(tail, tmp_path, capsys):
+    _fails_with_one_line(capsys, ["gauss-norm", "--field", "q3", "--series",
+                                  _ser_with_tail(tail),
+                                  "--out", str(tmp_path)])
+    assert not list(tmp_path.iterdir())
+
+
+def _coeff_5(art):
+    art["params"]["series"]["terms"][0]["coeff"] = 5
+
+
+def _terms_7(art):
+    art["params"]["series"]["terms"] = 7
+
+
+def _params_zz(art):
+    art["params"] = "zz"
+
+
+@pytest.mark.parametrize("edit", [_coeff_5, _terms_7, _params_zz],
+                         ids=["coeff-int", "terms-int", "params-str"])
+def test_malformed_replay_rejected(edit, tmp_path, capsys):
+    assert main(["gauss-norm", "--field", "q3", "--series", SER_Q3,
+                 "--out", str(tmp_path)]) == 0
+    art = _read(tmp_path, "gauss-norm")
+    edit(art)
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(art))
+    _fails_with_one_line(capsys, ["gauss-norm", "--check", str(edited)])

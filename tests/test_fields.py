@@ -258,3 +258,127 @@ def test_padic_fast_paths_match_validated(spec, a, pa, b, pb):
     assert (got, got.precision, got.valuation()) \
         == (want, want.precision, want.valuation())
     assert type(got._frac) is Fraction
+
+
+# Laurent unit-series kernel against schoolbook arithmetic built from
+# GF.mul and GF.add alone, on exact and capped scalars
+
+KERNEL_SPECS = {f"F{q}": FieldSpec(FQ_LAURENT, p, field_size=q,
+                                   precision_cap=16)
+                for p, q in ((2, 2), (3, 3), (2, 4))}
+
+
+@st.composite
+def _laurent_scalars(draw, spec):
+    elems = list(spec.domain().elements())
+    coeffs = draw(st.lists(st.sampled_from(elems), min_size=1, max_size=8))
+    coeffs[0] = draw(st.sampled_from(elems[1:]))
+    prec = draw(st.one_of(st.none(), st.integers(1, 10)))
+    unit = {k: c for k, c in enumerate(coeffs)
+            if c and (prec is None or k < prec)}
+    return Scalar(spec, val=draw(st.integers(-4, 4)), unit=unit, prec=prec)
+
+
+def _schoolbook(gf, a, b, limit):
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = gf.add(out.get(i + j, gf.zero), gf.mul(x, y))
+    return {k: c for k, c in out.items() if c and (limit is None or k < limit)}
+
+
+def _truncated(unit, limit):
+    return {k: c for k, c in unit.items() if limit is None or k < limit}
+
+
+def _known_abs(x):
+    return None if x.exact else x.valuation() + x.precision
+
+
+def _oracle_sum(gf, x, y):
+    """(valuation, unit, precision) of x + y; None for an exact zero and
+    PrecisionExhausted when nothing is left below the known precision."""
+    known = [k for k in (_known_abs(x), _known_abs(y)) if k is not None]
+    merged = {}
+    for s in (x, y):
+        for k, c in s.unit_part().items():
+            e = s.valuation() + k
+            merged[e] = gf.add(merged.get(e, gf.zero), c)
+    merged = {e: c for e, c in merged.items()
+              if c and (not known or e < min(known))}
+    if not merged:
+        return PrecisionExhausted if known else None
+    v = min(merged)
+    return (v, {e - v: c for e, c in merged.items()},
+            min(known) - v if known else None)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_laurent_kernel_matches_schoolbook(name, data):
+    spec = KERNEL_SPECS[name]
+    gf = spec.domain()
+    a = data.draw(_laurent_scalars(spec))
+    b = data.draw(_laurent_scalars(spec))
+    if data.draw(st.booleans()):
+        # b starts like -a, so a + b cancels its leading terms
+        k = data.draw(st.integers(1, 8))
+        unit = {i: c for i, c in b.unit_part().items() if i >= k}
+        unit.update({i: gf.neg(c) for i, c in a.unit_part().items()
+                     if i < k})
+        b = Scalar._laurent(spec, a.valuation(), unit, b.precision)
+    limit = (min(x.precision for x in (a, b) if not x.exact)
+             if not (a.exact and b.exact) else None)
+
+    prod = a * b
+    assert (prod.valuation(), prod.precision) \
+        == (a.valuation() + b.valuation(), limit)
+    assert prod.unit_part() == _schoolbook(gf, a.unit_part(), b.unit_part(),
+                                           limit)
+
+    want = _oracle_sum(gf, a, b)
+    if want is PrecisionExhausted:
+        with pytest.raises(PrecisionExhausted):
+            a + b
+    elif want is None:
+        assert (a + b).is_ring_zero()
+    else:
+        s = a + b
+        assert (s.valuation(), s.unit_part(), s.precision) == want
+
+    quo = a / b
+    assert quo.valuation() == a.valuation() - b.valuation()
+    # exact operands give an exact quotient, or one capped when b does not
+    # divide a
+    assert quo.precision in ((limit,) if limit is not None else (None, 16))
+    back = quo * b
+    assert back.valuation() == a.valuation()
+    assert back.unit_part() == _truncated(a.unit_part(), back.precision)
+
+    p = 2 if spec.char == 3 else 3
+    c = a.pow_int(p)
+    root = scalar_pth_root(c, p)
+    assert root.precision == (16 if c.exact else min(c.precision, 16))
+    again = root.pow_int(p)
+    assert again.valuation() == c.valuation()
+    assert again.unit_part() == _truncated(c.unit_part(), again.precision)
+
+
+@pytest.mark.parametrize("name", ["F2", "F3"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_laurent_product_matches_sympy(name, data):
+    sympy = pytest.importorskip("sympy")
+    spec = KERNEL_SPECS[name]
+    p = spec.char
+    x = sympy.Symbol("x")
+    a = data.draw(_laurent_scalars(spec))
+    b = data.draw(_laurent_scalars(spec))
+    pa, pb = (sympy.Poly.from_dict({(k,): c[0] for k, c in
+                                    s.unit_part().items()}, x, modulus=p)
+              for s in (a, b))
+    prod = a * b
+    want = {k: (v % p,) for (k,), v in (pa * pb).as_dict().items()
+            if v % p and (prod.exact or k < prod.precision)}
+    assert prod.unit_part() == want

@@ -85,6 +85,17 @@ CASES = {
                               _laurent(5, 30)],
     "f2t-tower": ["tower", "--field", "f2t", "--prime", "3", "--target",
                   "1 + t + t^3", "--depth", "4"],
+    # Laurent unit-series paths: GF(4) and RatFun Newton towers, division
+    # at the cap, characteristic roots with series division
+    "f4t-tower": ["tower", "--field", "f4t", "--prime", "3", "--target",
+                  "1 + w*t + t^2", "--depth", "3"],
+    "ratfun2-tower": ["tower", "--field", "ratfun2", "--prime", "3",
+                      "--target", "1 + u1*t", "--depth", "2"],
+    "f4t-pth-root-division": ["pth-root", "--field", "f4t", "--prime", "3",
+                              "--target", "w/(w + t)"],
+    "f4t-ffinite-decompose": ["ffinite-decompose", "--field", "f4t",
+                              "--series", _series((0, "w/(1 + w*t)"),
+                                                  (1, "w + t^-1"))],
 }
 
 
