@@ -13,18 +13,15 @@ from .errors import (DivisionByZero, IncompatibleContext, MaxStepsExceeded,
                      SupportCapExceeded, TowerObstruction,
                      UndecidableAtDepth)
 from .fields import (FQ_LAURENT, PADIC, RATFUN_LAURENT, FieldSpec, Scalar,
-                     check_aux_prime, field_arith, norm, scalar_from_literal,
-                     scalar_pth_root)
+                     check_aux_prime, scalar_from_literal, scalar_pth_root)
 from .lognorm import (Cmp, LogNorm, RadiusDecl, in_value_group_rational,
                       ln_compare, ln_mul, ln_pow)
-from .series import (LAURENT, POWER, TateSeries, gauss_norm,
-                     spectral_power_estimate, spectral_radius_laurent,
-                     truncate)
+from .series import (LAURENT, POWER, TateSeries, spectral_power_estimate,
+                     spectral_radius_laurent)
 from .rootlift import (NearRootResult, RootTower, RootTrace, build_tower,
                        pth_root_near, pth_root_near_one,
                        tower_unit_certificate, verify_tower, verify_trace)
-from .squarezero import (SquareZeroElem, SquareZeroRing, reduction, sz_mul,
-                         sz_norm)
+from .squarezero import SquareZeroElem, SquareZeroRing
 from .derivlab import (Certificate, PolyInTF, deriv_eval,
                        nonintegral_certificate, p_independence_certificate,
                        pbasis_series, phi, sparse_indices, sparse_series,

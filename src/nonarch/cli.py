@@ -97,6 +97,8 @@ def _radius_from_cfg(cfg, radius_id):
 
 def _series_from_params(params):
     spec = FieldSpec.from_json(params["field"])
+    if not isinstance(params["radii"], list):
+        raise NonarchError("params 'radii' must be a list")
     radii = tuple(RadiusDecl.from_json(r) for r in params["radii"])
     return TateSeries.from_json(spec, radii, params["series"]), spec, radii
 
@@ -243,6 +245,9 @@ def run_pbasis_cert(params):
 
 def run_ffinite_decompose(params):
     f, spec, radii = _series_from_params(params)
+    # VERIFIED of 0 would rest on an empty decomposition
+    if f.is_ring_zero():
+        raise NonarchError("ffinite-decompose needs a nonzero series")
     basis = PBasis(spec, spec.char)
     art = decomposition_artifact(f, basis)
     ratios = []
@@ -388,6 +393,22 @@ def _summary_lines(command, result):
         yield f"{result['trials']} trials, {len(result['failures'])} failures"
 
 
+# the scalar params of each command, with the types the argument parser
+# gives them; a replayed artifact must carry the same types
+_INT, _STR, _OPT_INT = (int,), (str,), (int, type(None))
+PARAM_TYPES = {
+    "spectral-radius": {"powers": _INT},
+    "pth-root": {"prime": _INT, "target": _STR, "max_steps": _OPT_INT},
+    "tower": {"prime": _INT, "target": _STR, "depth": _INT},
+    "sparse-series": {"terms": _INT},
+    "nonintegral-cert": {"n_max": _INT, "d_max": _INT, "terms": _OPT_INT},
+    "unbounded-demo": {"terms": _INT, "bound": _STR},
+    "pbasis-cert": {"prime": _INT, "num_pbasis_vars": _INT, "terms": _INT,
+                    "T_deg_max": _INT, "coeff_deg_max": _INT},
+    "sz-check": {"count": _INT, "seed": _INT},
+}
+
+
 def make_artifact(command, params, result, claim, verdict):
     return {"schema": SCHEMA, "command": command, "params": params,
             "claim": claim, "verdict": verdict, "result": result}
@@ -413,6 +434,13 @@ def check_artifact(path):
     if command not in RUNNERS:
         print(f"unknown artifact command {command!r}", file=sys.stderr)
         return 1
+    params = stored["params"]
+    for key, types in PARAM_TYPES.get(command, {}).items():
+        if key in params and type(params[key]) not in types:
+            raise NonarchError(
+                f"artifact param {key!r} must be "
+                f"{' or '.join(t.__name__ for t in types)}, not "
+                f"{type(params[key]).__name__}")
     result, claim, verdict, _ = RUNNERS[command](stored["params"])
     fresh = make_artifact(command, stored["params"], result, claim, verdict)
     same = json.dumps(fresh, sort_keys=True) == \
@@ -584,10 +612,7 @@ def main(argv=None):
             return 1
         try:
             return check_artifact(argv[i + 1])
-        except NonarchError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+        except (NonarchError, ValueError, OSError, KeyError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     ap = build_parser()
@@ -604,10 +629,7 @@ def main(argv=None):
             print("  " + line)
         print(f"{args.command}: {verdict}  ->  {path}")
         return code
-    except NonarchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (NonarchError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

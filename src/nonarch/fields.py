@@ -104,6 +104,16 @@ class FieldSpec:
 
     @classmethod
     def from_json(cls, obj):
+        """Spec from its JSON object (config entry or artifact param); a
+        malformed object raises ValueError."""
+        if not isinstance(obj, dict) or not isinstance(obj.get("kind"), str):
+            raise ValueError('a field must be a JSON object with a string '
+                             '"kind"')
+        for key in ("residue_prime", "field_size", "num_pbasis_vars", "nvars",
+                    "precision_cap"):
+            if (key in obj or key == "residue_prime") \
+                    and type(obj.get(key)) is not int:
+                raise ValueError(f"field {key!r} must be an integer")
         return cls(kind=obj["kind"], residue_prime=obj["residue_prime"],
                    field_size=obj.get("field_size", 0),
                    nvars=obj.get("num_pbasis_vars", obj.get("nvars", 0)),
@@ -580,22 +590,6 @@ def _su_div(a, b, dom, prec, cap):
 
 # ---------------------------------------------------------------------------
 # Module-level operations (the field API surface)
-
-
-def field_arith(x: Scalar, y: Scalar, op: str) -> Scalar:
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise ValueError(f"unknown op {op!r}")
-
-
-def norm(x: Scalar) -> LogNorm:
-    return x.norm_ln()
 
 
 def check_aux_prime(spec: FieldSpec, p: int) -> bool:

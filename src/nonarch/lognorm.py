@@ -242,14 +242,27 @@ class RadiusDecl:
 
     @classmethod
     def from_json(cls, obj):
-        kind = obj["kind"]
+        """Declaration from its JSON object (config entry or artifact
+        param); a malformed object raises ValueError."""
+        if not (isinstance(obj, dict) and isinstance(obj.get("gen_id"), str)
+                and isinstance(obj.get("params"), dict)
+                and isinstance(obj.get("note", ""), str)
+                and type(obj.get("asserts_irrational", False)) is bool):
+            raise ValueError('a radius must be a JSON object with a string '
+                             '"gen_id", a "params" object, a string "note" '
+                             'and a boolean "asserts_irrational"')
+        kind, p = obj.get("kind"), obj["params"]
         if kind == "quadratic":
-            p = obj["params"]
+            if any(type(p.get(k)) is not int for k in "abcd"):
+                raise ValueError('quadratic radius params "a", "b", "c", "d" '
+                                 'must be integers')
             decl = cls.quadratic(obj["gen_id"], p["a"], p["b"], p["c"],
                                  p["d"], obj.get("note", ""))
         elif kind == "rational":
-            decl = cls.rational_stub(obj["gen_id"],
-                                     Fraction(obj["params"]["value"]),
+            if type(p.get("value")) not in (str, int):
+                raise ValueError('rational radius param "value" must be a '
+                                 'string or an integer')
+            decl = cls.rational_stub(obj["gen_id"], Fraction(p["value"]),
                                      obj.get("asserts_irrational", False),
                                      obj.get("note", ""))
         else:

@@ -20,6 +20,7 @@ Compatible towers stack roots: tower[e+1]^p = tower[e].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import ceil
 
 from .errors import (MaxStepsExceeded, NoRootInField, PreconditionFailed,
                      TowerObstruction)
@@ -28,11 +29,11 @@ from .lognorm import Cmp, LogNorm, ln_compare, ln_le, ln_pow
 
 DEFAULT_MAX_STEPS = 64
 DEFAULT_TOL_EXPONENT = 40
-# absolute digit depth kept in exact representatives between steps; must
-# dominate tolerance exponent + step count so no certified valuation is
-# disturbed (the exact p-adic iteration otherwise doubles its
-# representation size at every step)
-DEFAULT_WORK_DEPTH = 3 * DEFAULT_TOL_EXPONENT + 16
+# absolute digit depth kept in exact representatives between steps: 3*e0+16
+# for a tolerance q^(-e0)*..., never below this; it must dominate tolerance
+# exponent + step count so no certified valuation is disturbed (the exact
+# p-adic iteration otherwise doubles its representation size at every step)
+MIN_WORK_DEPTH = 3 * DEFAULT_TOL_EXPONENT + 16
 # exact representatives below this bit size are never rewritten, so small
 # traces show the textbook rationals verbatim
 REDUCE_THRESHOLD_BITS = 4096
@@ -95,18 +96,17 @@ def _obj_json(x):
 
 
 def pth_root_near_one(f, p: int, max_steps: int = DEFAULT_MAX_STEPS,
-                      tol: LogNorm = None,
-                      work_depth: int = DEFAULT_WORK_DEPTH):
+                      tol: LogNorm = None):
     """Root of f with |f - 1| < 1; returns (root, RootTrace).
 
     Runs on exact representations; the caller caps the output if a capped
     scalar is wanted.  Stops once |h_m| <= tol (default |g_1|^40).
 
     Each correction g_{m+1} = -h_m/p is replaced by an exact representative
-    agreeing with it to absolute digit depth ``work_depth``; the recorded
-    conditions (1)-(4) are exact identities of the stored values, and the
-    perturbation (below digit ``work_depth``) is invisible at every
-    certified valuation.
+    agreeing with it to an absolute digit depth set by the tolerance (see
+    ``MIN_WORK_DEPTH``); the recorded conditions (1)-(4) are exact
+    identities of the stored values, and the perturbation (below that
+    digit) is invisible at every certified valuation.
     """
     spec = f.spec
     if not check_aux_prime(spec, p):
@@ -119,7 +119,7 @@ def pth_root_near_one(f, p: int, max_steps: int = DEFAULT_MAX_STEPS,
         trace = RootTrace(p, f, LogNorm.zero(len(radii)), [], one, True,
                           "target is 1; root is 1")
         return one, trace
-    g1 = _tame(diff.div_int(p), work_depth)
+    g1 = diff.div_int(p)
     g1n = g1.norm_ln()
     diffn = diff.norm_ln()
     if g1n != diffn:
@@ -130,6 +130,8 @@ def pth_root_near_one(f, p: int, max_steps: int = DEFAULT_MAX_STEPS,
             f"|f - 1| = {g1n} is not < 1; the iteration does not contract")
     if tol is None:
         tol = ln_pow(g1n, DEFAULT_TOL_EXPONENT)
+    work_depth = max(MIN_WORK_DEPTH, 3 * ceil(tol.base_exp) + 16)
+    g1 = _tame(g1, work_depth)
     trace = RootTrace(p, f, g1n)
     partial = one + g1
     g = g1

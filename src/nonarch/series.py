@@ -427,10 +427,6 @@ def _ln_max2(a: LogNorm, b: LogNorm, radii) -> LogNorm:
 # Module-level operations (spec surface)
 
 
-def gauss_norm(f: TateSeries):
-    return f.gauss_norm()
-
-
 def spectral_radius_laurent(f: TateSeries):
     """Spectral radius on the Laurent algebra: the closed-form term maximum.
 
@@ -459,7 +455,3 @@ def spectral_power_estimate(f: TateSeries, power: int) -> LogNorm:
     if n.is_zero:
         return n
     return ln_pow(n, Fraction(1, power))
-
-
-def truncate(f: TateSeries, degree_bound):
-    return f.truncate(degree_bound)

@@ -95,16 +95,3 @@ class SquareZeroElem:
 
     def __repr__(self):
         return f"({self.a!r}, {self.b!r})"
-
-
-def sz_mul(x: SquareZeroElem, y: SquareZeroElem) -> SquareZeroElem:
-    return x * y
-
-
-def sz_norm(x: SquareZeroElem) -> LogNorm:
-    return x.norm_ln()
-
-
-def reduction(x: SquareZeroElem):
-    """Projection to the reduced quotient: (a, b) -> a."""
-    return x.a

@@ -266,8 +266,13 @@ def _params_zz(art):
     art["params"] = "zz"
 
 
-@pytest.mark.parametrize("edit", [_coeff_5, _terms_7, _params_zz],
-                         ids=["coeff-int", "terms-int", "params-str"])
+def _radii_5(art):
+    art["params"]["radii"] = 5
+
+
+@pytest.mark.parametrize("edit", [_coeff_5, _terms_7, _params_zz, _radii_5],
+                         ids=["coeff-int", "terms-int", "params-str",
+                              "radii-int"])
 def test_malformed_replay_rejected(edit, tmp_path, capsys):
     assert main(["gauss-norm", "--field", "q3", "--series", SER_Q3,
                  "--out", str(tmp_path)]) == 0
@@ -276,3 +281,65 @@ def test_malformed_replay_rejected(edit, tmp_path, capsys):
     edited = tmp_path / "edited.json"
     edited.write_text(json.dumps(art))
     _fails_with_one_line(capsys, ["gauss-norm", "--check", str(edited)])
+
+
+def _replay_edited(tmp_path, capsys, argv, edit):
+    """Run argv (exit 0), apply edit to the artifact's params, and expect
+    the replay to exit 1 with one line."""
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    art = _read(tmp_path, argv[0])
+    edit(art["params"])
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(art))
+    _fails_with_one_line(capsys, [argv[0], "--check", str(edited)])
+
+
+# inputs whose positive verdict rested on no evidence: a span of 0 products,
+# a decomposition with no parts
+@pytest.mark.parametrize("argv,good,key,value", [
+    (["pbasis-cert", "--tdeg", "-1"], ["pbasis-cert"], "T_deg_max", -1),
+    (["pbasis-cert", "--cdeg", "-1"], ["pbasis-cert"], "coeff_deg_max", -1),
+    (["ffinite-decompose", "--field", "f2t", "--series", SER_ZERO],
+     ["ffinite-decompose", "--field", "f2t", "--series", SER_F2],
+     "series", json.loads(SER_ZERO)),
+], ids=["tdeg", "cdeg", "zero-series"])
+def test_vacuous_positive_verdicts_rejected(argv, good, key, value, tmp_path,
+                                            capsys):
+    _fails_with_one_line(capsys, argv + ["--out", str(tmp_path)])
+    assert not list(tmp_path.iterdir())
+    _replay_edited(tmp_path, capsys, good,
+                   lambda params: params.update({key: value}))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("depth", "x"), ("field", 5), ("prime", "2"), ("target", 7)])
+def test_malformed_tower_params_rejected(key, value, tmp_path, capsys):
+    _replay_edited(tmp_path, capsys,
+                   ["tower", "--field", "q3", "--prime", "2", "--target",
+                    "4", "--depth", "1"],
+                   lambda params: params.update({key: value}))
+
+
+@pytest.mark.parametrize("field,cfg", [
+    ("q7", {"fields": {"q7": {"residue_prime": 7, "precision_cap": 30}}}),
+    ("q3", {"radii": {"r1": {"gen_id": "r1", "kind": "quadratic",
+                             "params": {"a": 0, "c": 2, "d": 2}}}}),
+], ids=["field-without-kind", "quadratic-without-b"])
+def test_malformed_config_entries_rejected(field, cfg, tmp_path, capsys):
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps(cfg))
+    _fails_with_one_line(capsys, ["--config", str(path), "sparse-series",
+                                  "--field", field, "--terms", "3",
+                                  "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("target", ["82", "98/17"])
+def test_deep_padic_pth_root_certified(target, tmp_path):
+    # |f - 1| = 3^-4 makes the tolerance 3^-160, so the corrections must
+    # keep more than the 136 digits that suffice for |f - 1| = 1/3
+    assert main(["pth-root", "--field", "q3", "--prime", "2", "--target",
+                 target, "--out", str(tmp_path)]) == 0
+    assert _read(tmp_path, "pth-root")["verdict"] == "CERTIFIED"
+    assert main(["pth-root", "--check",
+                 str(tmp_path / "pth-root.json")]) == 0

@@ -109,7 +109,7 @@ def test_phi_homomorphism():
     for _ in range(25):
         P = _rand_poly(rng)
         Q = _rand_poly(rng)
-        # ring homomorphism and the Leibniz rule, exercised through sz_mul
+        # ring homomorphism and the Leibniz rule, exercised through the ring product
         assert phi(P * Q, f, cert, ring).equals(
             phi(P, f, cert, ring) * phi(Q, f, cert, ring))
         assert phi(P + Q, f, cert, ring).equals(
@@ -210,3 +210,128 @@ def test_p_independence_mixed_dependent():
     # series is certified independent of relations omitting u1
     assert cert.verdict == "P_INDEPENDENT"
     assert [o["lambda"] for o in cert.witness["obstructions"]] == ["u1"]
+
+
+def _enumerated_certificate(f, T_deg_max, coeff_deg_max):
+    """The p-independence certificate by explicit enumeration of every
+    product m * m'^p inside the bounds: the reference for the
+    per-coordinate check in ``p_independence_certificate``."""
+    from itertools import product
+    from nonarch.derivlab import (Certificate, _coefficient_monomials,
+                                  series_fingerprint)
+    claim = "p-basis-independence-of-series-coefficients"
+    spec = f.spec
+    p, nv = spec.residue_prime, spec.nvars + 1
+    monos = _coefficient_monomials(f)
+    names = ["t"] + [f"u{i + 1}" for i in range(spec.nvars)]
+    params = {"p": p, "num_pbasis_vars": spec.nvars,
+              "T_deg_max": T_deg_max, "coeff_deg_max": coeff_deg_max,
+              "series": series_fingerprint(f)}
+    ranges = [range(T_deg_max + 1)] + [range(coeff_deg_max + 1)] * nv
+
+    def patterns(skip=None):
+        pats, count = set(), 0
+        for g in product(*ranges):
+            if skip is not None and g[1 + skip]:
+                continue
+            for h in product(*ranges):
+                count += 1
+                pats.add(tuple(a + p * b for a, b in zip(g, h)))
+        return pats, count
+
+    present = [i for i in range(nv)
+               if any(exps[i] % p for _, exps, _ in monos)]
+    witness = {"obstructions": [], "products_enumerated": 0}
+    if present:
+        for var in present:
+            pats, count = patterns(var)
+            witness["products_enumerated"] += count
+            assert not any(pat[1 + var] % p for pat in pats)
+            T, exps, resid = next(m for m in monos if m[1][var] % p)
+            witness["obstructions"].append({
+                "lambda": names[var], "span_products_checked": count,
+                "span_parity_ok": True,
+                "obstruction_monomial": {"T": T, "exps": list(exps),
+                                         "coeff": resid}})
+        witness["conclusion"] = (
+            "every generator-omitting relation forces f0^p*g0*f = 0; "
+            "polynomial rings over a field have no zero divisors")
+        return Certificate("P_INDEPENDENT", "P_INDEPENDENT", params, witness,
+                           claim).to_json()
+    pats, count = patterns()
+    witness["products_enumerated"] = count
+    decomposition = []
+    for T, exps, resid in monos:
+        full = (T,) + exps
+        if full not in pats:
+            witness["missing_monomial"] = {"T": T, "exps": list(exps)}
+            return Certificate("P_INDEPENDENT", "NOT_CERTIFIED", params,
+                               witness, claim).to_json()
+        # the smallest m-side exponent in each coordinate
+        g = [min(a for a in r if (x - a) % p == 0 and (x - a) // p in r)
+             for x, r in zip(full, ranges)]
+        decomposition.append({
+            "monomial": {"T": T, "exps": list(exps), "coeff": resid},
+            "g_monomial": {"T": g[0], "exps": g[1:]},
+            "pth_power_monomial": {
+                "T": (full[0] - g[0]) // p,
+                "exps": [(x - a) // p for x, a in zip(full[1:], g[1:])]}})
+    witness["relation"] = decomposition
+    return Certificate("P_INDEPENDENT", "RELATION_FOUND", params, witness,
+                       claim).to_json()
+
+
+def _planted_series(spec, rng):
+    """1-3 monomials c * t^a u^b T^e, mostly with coefficient exponents
+    divisible by p (the relation branch), some beyond small bounds."""
+    p = spec.residue_prime
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        c = Scalar.from_int(spec, rng.randint(1, p - 1))
+        s = p if rng.random() < 0.7 else 1
+        c = c * Scalar.t_power(spec, s * rng.randint(0, 3))
+        for i in range(spec.nvars):
+            c = c * Scalar.uvar(spec, i).pow_int(s * rng.randint(0, 3))
+        e = rng.randint(0, 9)
+        terms[e] = terms[e] + c if e in terms else c
+    return TateSeries.from_terms(spec, (R1,), terms.items())
+
+
+def test_p_independence_matches_product_enumeration():
+    rng = random.Random(5)
+    branches = set()
+    for p in (2, 3):
+        for nvars in range(3):
+            spec = FieldSpec(RATFUN_LAURENT, p, nvars=nvars,
+                             precision_cap=64)
+            inputs = [pbasis_series(p, nvars, m, spec, R1)
+                      for m in range(1, min(3, nvars + 1) + 1)]
+            inputs += [_planted_series(spec, rng) for _ in range(6)]
+            for f in inputs:
+                if not f.support:
+                    continue
+                for tdeg in range(4):
+                    for cdeg in range(3):
+                        cert = p_independence_certificate(f, tdeg, cdeg)
+                        assert cert.to_json() == \
+                            _enumerated_certificate(f, tdeg, cdeg)
+                        branches.add(cert.verdict)
+    assert branches == {"P_INDEPENDENT", "RELATION_FOUND", "NOT_CERTIFIED"}
+
+
+def test_p_independence_beyond_the_old_enumeration():
+    # 6480^2 / 6 products per generator: the enumeration refused this span
+    cert = p_independence_certificate(pbasis_series(2, 3, 4, RF2, R1), 4, 5)
+    assert cert.verdict == "P_INDEPENDENT"
+    m_side = 5 * 6 ** 4
+    obs = cert.witness["obstructions"]
+    assert [o["span_products_checked"] for o in obs] == \
+        [m_side // 6 * m_side] * 4
+    assert cert.witness["products_enumerated"] == 4 * m_side // 6 * m_side
+
+
+@pytest.mark.parametrize("tdeg,cdeg", [(-1, 2), (4, -1)])
+def test_p_independence_rejects_negative_bounds(tdeg, cdeg):
+    with pytest.raises(ValueError):
+        p_independence_certificate(pbasis_series(2, 3, 4, RF2, R1), tdeg,
+                                   cdeg)

@@ -7,8 +7,8 @@ import pytest
 
 from nonarch import (Cmp, FieldSpec, IncompatibleContext, LogNorm,
                      PreconditionFailed, RadiusDecl, Scalar, TateSeries,
-                     gauss_norm, ln_compare, ln_mul, spectral_power_estimate,
-                     spectral_radius_laurent, truncate)
+                     ln_compare, ln_mul, spectral_power_estimate,
+                     spectral_radius_laurent)
 from nonarch.fields import FQ_LAURENT, PADIC
 from nonarch.series import LAURENT, POWER
 
@@ -46,23 +46,24 @@ def test_power_series_reject_negative_exponents():
 
 
 def test_gauss_norm_examples():
-    z, exact = gauss_norm(TateSeries.zero(Q3, (R1,)))
+    z, exact = TateSeries.zero(Q3, (R1,)).gauss_norm()
     assert z.is_zero and exact
     f = mono(1, 3) + mono(2, 1)
-    n, exact = gauss_norm(f)
+    n, exact = f.gauss_norm()
     assert exact and n == LogNorm.of(0, (2,))
-    c, exact = gauss_norm(TateSeries.constant(Q3, (R1,), Scalar.from_int(Q3, 3)))
+    c, exact = TateSeries.constant(
+        Q3, (R1,), Scalar.from_int(Q3, 3)).gauss_norm()
     assert exact and c == LogNorm.of(1, (0,))
 
 
 def test_gauss_norm_inexact_flag():
     f = TateSeries(Q3, POWER, (R1,), {(2,): Scalar.one(Q3)},
                    LogNorm.of(0, (1,)))
-    n, exact = gauss_norm(f)
+    n, exact = f.gauss_norm()
     assert n == LogNorm.of(0, (2,)) and not exact
     g = TateSeries(Q3, POWER, (R1,), {(1,): Scalar.one(Q3)},
                    LogNorm.of(0, (5,)))
-    n2, exact2 = gauss_norm(g)
+    n2, exact2 = g.gauss_norm()
     assert n2 == LogNorm.of(0, (1,)) and exact2
 
 
@@ -92,11 +93,11 @@ def test_spectral_power_estimates():
 
 def test_truncate_examples():
     f = mono(2, 1) + mono(4, 1) + mono(11, 1)
-    head, tail = truncate(f, 4)
+    head, tail = f.truncate(4)
     assert sorted(e[0] for e in head.support) == [2, 4]
-    n, exact = gauss_norm(tail)
+    n, exact = tail.gauss_norm()
     assert exact and n == LogNorm.of(0, (11,))
-    full, rest = truncate(f, 10 ** 9)
+    full, rest = f.truncate(10 ** 9)
     assert full.equals(f) and rest.is_ring_zero()
 
 
@@ -107,7 +108,7 @@ def test_pruning_folds_into_tail():
     # dropped terms have the smallest norms (largest exponents for r < 1)
     assert sorted(e[0] for e in pr.support) == [0, 1]
     assert pr.tail == LogNorm.of(0, (2,))
-    n, exact = gauss_norm(pr)
+    n, exact = pr.gauss_norm()
     assert exact and n == LogNorm.identity(1)
 
 
@@ -116,9 +117,9 @@ def test_add_norm_bounded_by_max():
     for _ in range(60):
         f = _random_series(rng, Q3)
         g = _random_series(rng, Q3)
-        nf, _ = gauss_norm(f)
-        ng, _ = gauss_norm(g)
-        ns, _ = gauss_norm(f + g)
+        nf, _ = f.gauss_norm()
+        ng, _ = g.gauss_norm()
+        ns, _ = (f + g).gauss_norm()
         if ns.is_zero:
             continue
         bound = nf if (ng.is_zero or (not nf.is_zero and ln_compare(
@@ -147,9 +148,9 @@ def test_gauss_multiplicative_random(spec):
         g = _random_series(rng, spec)
         if f.is_ring_zero() or g.is_ring_zero():
             continue
-        nf, _ = gauss_norm(f)
-        ng, _ = gauss_norm(g)
-        nfg, _ = gauss_norm(f * g)
+        nf, _ = f.gauss_norm()
+        ng, _ = g.gauss_norm()
+        nfg, _ = (f * g).gauss_norm()
         assert nfg == ln_mul(nf, ng)
         done += 1
 
@@ -173,12 +174,12 @@ def test_two_variable_series():
     for power in (1, 2, 3):
         assert spectral_power_estimate(f, power) == n
     g = TateSeries.monomial(Q3, radii, (0, 1), Scalar.one(Q3), kind=LAURENT)
-    nf, _ = gauss_norm(f)
-    ng, _ = gauss_norm(g)
-    nfg, _ = gauss_norm(f * g)
+    nf, _ = f.gauss_norm()
+    ng, _ = g.gauss_norm()
+    nfg, _ = (f * g).gauss_norm()
     assert nfg == ln_mul(nf, ng) == LogNorm.of(1, (2, 0))
     s = f + g
-    ns, exact_s = gauss_norm(s)
+    ns, exact_s = s.gauss_norm()
     # |g| = r2 = 3^(-0.866...) beats |f| = 3^(-1 - 2*0.707 + 0.866)
     assert exact_s and ns == LogNorm.of(0, (0, 1))
 
