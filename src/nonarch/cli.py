@@ -159,9 +159,10 @@ def run_pth_root(params):
     spec = FieldSpec.from_json(params["field"])
     target = scalar_from_literal(spec, params["target"])
     p = params["prime"]
-    kwargs = {}
-    if params.get("max_steps"):
-        kwargs["max_steps"] = params["max_steps"]
+    max_steps = params.get("max_steps")
+    if max_steps is not None and max_steps < 1:
+        raise NonarchError("pth-root needs --max-steps >= 1")
+    kwargs = {} if max_steps is None else {"max_steps": max_steps}
     root, trace = pth_root_near_one(target, p, **kwargs)
     capped = root.cap()
     replay = verify_trace(trace)

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from fractions import Fraction
 
-from .errors import (MissingCertificate, PreconditionFailed)
+from .errors import (MissingCertificate, PreconditionFailed,
+                     UndecidableAtDepth)
 from .fields import (PADIC, RATFUN_LAURENT, FieldSpec, Scalar)
 from .lognorm import (Cmp, LogNorm, RadiusDecl, ln_compare, ln_mul, ln_pow,
                       log_q_interval, norm_exceeds)
@@ -405,9 +406,13 @@ def unboundedness_table(terms: int, spec: FieldSpec, radius: RadiusDecl,
     f = sp.series
     radii = f.radii
     q = spec.residue_prime
-    # r < 1 must be certified: log_q(1/r) > 0
-    lo, _ = radius.interval(48)
-    if lo <= 0:
+    # r < 1 must be certified
+    try:
+        below_one = ln_compare(LogNorm.of(0, (1,)), LogNorm.identity(1),
+                               (radius,)) is Cmp.LT
+    except UndecidableAtDepth:
+        below_one = False
+    if not below_one:
         raise PreconditionFailed("table needs a radius r < 1")
     cert = nonintegral_certificate(f, 1, sp.indices[-2], sparse=sp)
     if not cert.positive:

@@ -424,10 +424,7 @@ class Scalar:
             if self._prec is not None or v >= depth:
                 return self
             q = self.spec.residue_prime
-            rel = depth - v
-            unit = self._frac / Fraction(q) ** v
-            qm = q ** rel
-            u = unit.numerator * pow(unit.denominator, -1, qm) % qm
+            u = _unit_mod(self._frac, q, v, depth - v)
             return Scalar._padic(self.spec, Fraction(u) * Fraction(q) ** v)
         if self._prec is not None or self._val >= depth:
             return self
@@ -445,9 +442,7 @@ class Scalar:
             q = self.spec.residue_prime
             v = self.valuation()
             prec = cap if self._prec is None else min(self._prec, cap)
-            unit = self._frac / Fraction(q) ** v
-            qm = q ** prec
-            u = unit.numerator * pow(unit.denominator, -1, qm) % qm
+            u = _unit_mod(self._frac, q, v, prec)
             return Scalar._padic(self.spec, Fraction(u) * Fraction(q) ** v,
                                  prec)
         prec = cap if self._prec is None else min(self._prec, cap)
@@ -624,14 +619,21 @@ def scalar_pth_root(a: Scalar, p: int) -> Scalar:
     return _laurent_root(a, p, v)
 
 
+def _unit_mod(frac: Fraction, q: int, v: int, m: int) -> int:
+    """The unit frac / q^v of a p-adic value of valuation v, as an
+    integer reduced modulo q^m."""
+    unit = frac / Fraction(q) ** v
+    qm = q ** m
+    return unit.numerator * pow(unit.denominator, -1, qm) % qm
+
+
 def _padic_root(a: Scalar, p: int, v: int) -> Scalar:
     spec = a.spec
     q = spec.residue_prime
     m = spec.precision_cap if a._prec is None else min(a._prec,
                                                        spec.precision_cap)
     qm = q ** m
-    unit = a._frac / Fraction(q) ** v
-    u = unit.numerator * pow(unit.denominator, -1, qm) % qm
+    u = _unit_mod(a._frac, q, v, m)
     u0 = u % q
     roots = sorted(x for x in range(1, q) if pow(x, p, q) == u0)
     if not roots:

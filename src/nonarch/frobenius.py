@@ -13,11 +13,10 @@ relative differentials on truncations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import PrecisionExhausted, PreconditionFailed
 from .fields import FQ_LAURENT, FieldSpec, Scalar
-from .lognorm import Cmp, LogNorm, ln_compare, ln_mul, ln_pow
+from .lognorm import Cmp, LogNorm, ln_compare, ln_max, ln_mul, ln_pow
 from .series import TateSeries
 
 
@@ -144,35 +143,21 @@ def series_reconstruct(parts, basis: PBasis, like: TateSeries) -> TateSeries:
     return acc
 
 
-def verify_norm_bound(a: Scalar, basis: PBasis, declared_c=1):
+def verify_norm_bound(a: Scalar, basis: PBasis):
     """Two-sided comparison of max_i |a_i^p x_i| against |a|.
 
     For t-adic fields the decomposition groups by valuation residue, so
-    the basis-weighted maximum equals |a| exactly and the observed ratio
-    is 1; `pass` reports whether the ratio lies within [1/C, C]."""
+    the basis-weighted maximum equals |a| exactly; `pass` reports whether
+    the observed ratio is 1 (the bound with C = 1)."""
     if a.is_ring_zero():
         raise PreconditionFailed("norm bound needs a nonzero scalar")
-    parts = scalar_decompose(a, basis)
-    best = None
-    for i, ai in enumerate(parts):
-        if ai.is_ring_zero():
-            continue
-        n = ln_mul(ln_pow(ai.norm_ln(), basis.prime),
-                   basis.element(i).norm_ln())
-        if best is None or ln_compare(n, best) is Cmp.GT:
-            best = n
+    best = LogNorm.zero()
+    for i, ai in enumerate(scalar_decompose(a, basis)):
+        if not ai.is_ring_zero():
+            best = ln_max(best, ln_mul(ln_pow(ai.norm_ln(), basis.prime),
+                                       basis.element(i).norm_ln()), ())
     ratio = ln_mul(best, ln_pow(a.norm_ln(), -1))
-    if declared_c == 1:
-        ok = ratio == LogNorm.identity(0)
-    else:
-        # ratio = q^(-e); within [1/C, C] iff q^|e| <= C, exact on rationals
-        q = basis.spec.residue_prime
-        c = Fraction(declared_c)
-        e = ratio.base_exp
-        ok = e == 0 or (q ** abs(e.numerator)
-                        <= (c.numerator ** abs(e.denominator))
-                        / (c.denominator ** abs(e.denominator)))
-    return ratio, ok
+    return ratio, ratio == LogNorm.identity(0)
 
 
 def termwise_tail_bound(f: TateSeries, basis: PBasis) -> bool:

@@ -13,6 +13,10 @@ stubs) the intervals are refined until the sign is decided; that fallback
 gives up with ``UndecidableAtDepth`` when the difference vanishes exactly
 (dependent radius declarations, a stub pinned at a tie) or is too small
 to separate from zero by depth 256.
+
+Every other norm decision goes through ``ln_compare``: ``ln_max`` is the
+one norm maximum, and ``norm_exceeds`` decides value > bound by
+comparing against the powers of q that bracket the bound.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, log
 
 from .errors import UndecidableAtDepth
 
@@ -319,8 +323,7 @@ def _quadratic_sign(d_base, d_rad, radii):
     return sa if lhs > rhs else sb if lhs < rhs else 0
 
 
-def ln_compare(a: LogNorm, b: LogNorm, radii=(),
-               max_depth: int = MAX_REFINE_DEPTH) -> Cmp:
+def ln_compare(a: LogNorm, b: LogNorm, radii=()) -> Cmp:
     """Total comparison of two norm values.
 
     EQ only for structurally equal inputs.  A difference whose radius
@@ -351,7 +354,7 @@ def ln_compare(a: LogNorm, b: LogNorm, radii=(),
         return Cmp.LT if sign > 0 else Cmp.GT
     diff = LogNorm(d_base, d_rad)
     depth = 8
-    while depth <= max_depth:
+    while depth <= MAX_REFINE_DEPTH:
         lo, hi = _log_interval(diff, radii, depth)
         if lo > 0:
             return Cmp.LT
@@ -359,43 +362,62 @@ def ln_compare(a: LogNorm, b: LogNorm, radii=(),
             return Cmp.GT
         depth *= 2
     raise UndecidableAtDepth(
-        f"norm comparison undecided after depth {max_depth}: {a} vs {b}")
+        f"norm comparison undecided after depth {MAX_REFINE_DEPTH}: "
+        f"{a} vs {b}")
 
 
-def ln_le(a, b, radii=(), max_depth=MAX_REFINE_DEPTH) -> bool:
-    return ln_compare(a, b, radii, max_depth) is not Cmp.GT
+def ln_le(a, b, radii=()) -> bool:
+    return ln_compare(a, b, radii) is not Cmp.GT
 
 
-def norm_exceeds(a: LogNorm, radii, q: int, bound: Fraction,
-                 depth: int = 48) -> bool:
-    """Certified check that value(a) > bound, by interval evaluation.
+def ln_max(a: LogNorm, b: LogNorm, radii) -> LogNorm:
+    """The larger of two norm values; ``a`` on a tie."""
+    return a if ln_compare(a, b, radii) is not Cmp.LT else b
 
-    Uses a dyadic lower bound for the value q^(-L): coarsen the upper end
-    of the L-interval to denominator D and compare q and bound as exact
-    integers.  A False return means "not certified at this depth", not a
-    disproof.
+
+def norm_exceeds(a: LogNorm, radii, q: int, bound: Fraction) -> bool:
+    """Certified check that value(a) > bound.
+
+    Brackets the bound between powers of q, q^(m/D) <= bound <
+    q^((m+1)/D), by exact integer comparisons, and asks ``ln_compare``
+    whether a >= q^((m+1)/D) (True) or a <= q^(m/D) (False).  D doubles
+    from 1 while a lies strictly between the two, up to 2^16.  A False
+    return means "not certified": a <= bound, a too close to the bound
+    at D = 2^16, or a comparison that gave up.
     """
     if a.is_zero:
         return False
     bound = Fraction(bound)
     if bound <= 0:
         return True
-    _, hi = _log_interval(a, radii, depth)
-    # value >= q^(-hi); certify q^(-hi) > bound
-    for denom_bits in (6, 12, 16):
-        D = 1 << denom_bits
-        neg_hi_floor = (-hi * D).__floor__()  # q^(neg/D) <= q^(-hi)
-        if neg_hi_floor <= 0:
-            return False
-        lhs = q ** neg_hi_floor
-        rhs_num = bound.numerator ** D
-        rhs_den = bound.denominator ** D
-        if lhs * rhs_den > rhs_num:
-            return True
-    return False
+    num, den = bound.numerator, bound.denominator
+    # rn/rd = bound^D / q^m, kept in [1, q); m starts from a float estimate
+    m = int((log(num) - log(den)) / log(q))
+    rn, rd = (num, den * q ** m) if m >= 0 else (num * q ** -m, den)
+    while rn < rd:
+        m, rn = m - 1, rn * q
+    while rn >= q * rd:
+        m, rd = m + 1, rd * q
+    zeros = (Fraction(0),) * a.arity
+    D = 1
+    try:
+        while True:
+            if ln_compare(a, LogNorm(Fraction(-(m + 1), D), zeros),
+                          radii) is not Cmp.LT:
+                return True
+            if D == 1 << 16 or ln_compare(
+                    a, LogNorm(Fraction(-m, D), zeros), radii) is not Cmp.GT:
+                return False
+            # at 2D the ratio bound^2D / q^2m = (rn/rd)^2 lies in [1, q^2)
+            D, m, rn, rd = 2 * D, 2 * m, rn * rn, rd * rd
+            if rn >= q * rd:
+                m, rd = m + 1, rd * q
+    except UndecidableAtDepth:
+        return False
 
 
-def log_q_interval(a: LogNorm, radii, depth: int = 48):
-    """Interval [lo, hi] for log_q(value) = -(e0 + sum e_j L_j)."""
-    lo, hi = _log_interval(a, radii, depth)
+def log_q_interval(a: LogNorm, radii):
+    """Interval [lo, hi] for log_q(value) = -(e0 + sum e_j L_j), at the
+    fixed refinement depth 48 (artifacts print it)."""
+    lo, hi = _log_interval(a, radii, 48)
     return -hi, -lo

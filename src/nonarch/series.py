@@ -15,7 +15,7 @@ from functools import cmp_to_key
 from .errors import (IncompatibleContext, PrecisionExhausted,
                      PreconditionFailed, SupportCapExceeded)
 from .fields import Scalar, _pmin, scalar_from_literal
-from .lognorm import Cmp, LogNorm, ln_compare, ln_mul, ln_pow
+from .lognorm import Cmp, LogNorm, ln_compare, ln_max, ln_mul, ln_pow
 
 POWER = "power"
 LAURENT = "laurent"
@@ -139,9 +139,9 @@ class TateSeries:
         lost = []
         for e, c in other.support.items():
             _accumulate(out, lost, e, c)
-        tail = _ln_max2(self.tail, other.tail, self.radii)
+        tail = ln_max(self.tail, other.tail, self.radii)
         for b in lost:
-            tail = _ln_max2(tail, b, self.radii)
+            tail = ln_max(tail, b, self.radii)
         result = TateSeries._make(self.spec, self.kind, self.radii, out, tail)
         if len(result.support) > SUPPORT_CAP:
             result = result.pruned(SUPPORT_CAP)
@@ -165,19 +165,12 @@ class TateSeries:
                 _accumulate(out, lost, e, c1 * c2)
         tail = LogNorm.zero(self.nvars)
         if not self.tail.is_zero or not other.tail.is_zero:
-            mag_self = self._magnitude_bound()
-            mag_other = other._magnitude_bound()
-            cands = []
-            if not self.tail.is_zero and not mag_other.is_zero:
-                cands.append(ln_mul(self.tail, mag_other))
-            if not other.tail.is_zero and not mag_self.is_zero:
-                cands.append(ln_mul(other.tail, mag_self))
-            if cands:
-                tail = cands[0]
-                for c in cands[1:]:
-                    tail = _ln_max2(tail, c, self.radii)
+            # |f g - stored product| <= max(tail_f |g|, tail_g |f|)
+            tail = ln_max(ln_mul(self.tail, other._term_max(other.tail)),
+                          ln_mul(other.tail, self._term_max(self.tail)),
+                          self.radii)
         for b in lost:
-            tail = _ln_max2(tail, b, self.radii)
+            tail = ln_max(tail, b, self.radii)
         result = TateSeries._make(self.spec, self.kind, self.radii, out, tail)
         if len(result.support) > SUPPORT_CAP:
             result = result.pruned(SUPPORT_CAP)
@@ -243,14 +236,13 @@ class TateSeries:
 
     # -- norms -------------------------------------------------------------
 
-    def _magnitude_bound(self) -> LogNorm:
-        """Upper bound max(term norms, tail) for |f|."""
-        best = self.tail
+    def _term_max(self, start: LogNorm) -> LogNorm:
+        """max(start, every stored term norm), terms in exponent order;
+        with start = tail it is an upper bound for |f|."""
+        mx = start
         for e in sorted(self.support):
-            n = self.term_norm(e)
-            if best.is_zero or ln_compare(n, best, self.radii) is Cmp.GT:
-                best = n
-        return best
+            mx = ln_max(mx, self.term_norm(e), self.radii)
+        return mx
 
     def gauss_norm(self):
         """(max over stored terms of |a_e| r^e, exactness flag).
@@ -258,11 +250,7 @@ class TateSeries:
         The flag is True when the stored maximum strictly dominates the
         tail bound, hence equals the Gauss norm of any completion.
         """
-        mx = LogNorm.zero(self.nvars)
-        for e in sorted(self.support):
-            n = self.term_norm(e)
-            if mx.is_zero or ln_compare(n, mx, self.radii) is Cmp.GT:
-                mx = n
+        mx = self._term_max(LogNorm.zero(self.nvars))
         if self.tail.is_zero:
             return mx, True
         exact = (not mx.is_zero
@@ -304,7 +292,7 @@ class TateSeries:
         tail = self.tail
         support = dict(self.support)
         for n, e in order[:drop]:
-            tail = _ln_max2(tail, n, self.radii)
+            tail = ln_max(tail, n, self.radii)
             del support[e]
         return TateSeries(self.spec, self.kind, self.radii, support, tail)
 
@@ -413,14 +401,6 @@ def _accumulate(out, lost, e, c):
         del out[e]
     else:
         out[e] = s
-
-
-def _ln_max2(a: LogNorm, b: LogNorm, radii) -> LogNorm:
-    if a.is_zero:
-        return b
-    if b.is_zero:
-        return a
-    return a if ln_compare(a, b, radii) is not Cmp.LT else b
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ epsilon = (0, 1) has norm 1.
 from __future__ import annotations
 
 from .errors import IncompatibleContext
-from .lognorm import Cmp, LogNorm, ln_compare
+from .lognorm import LogNorm, ln_max
 
 
 class SquareZeroRing:
@@ -81,12 +81,8 @@ class SquareZeroElem:
     def norm_ln(self) -> LogNorm:
         na = self.a.norm_ln() if not self.a.is_ring_zero() \
             else LogNorm.zero(len(self.ring.radii))
-        nb = self.ring.quotient_norm(self.b)
-        if na.is_zero:
-            return nb
-        if nb.is_zero:
-            return na
-        return na if ln_compare(na, nb, self.ring.radii) is not Cmp.LT else nb
+        # nb first, so that a zero b keeps its own ZERO when a is zero too
+        return ln_max(self.ring.quotient_norm(self.b), na, self.ring.radii)
 
     def to_json(self):
         def enc(x):

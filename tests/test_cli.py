@@ -343,3 +343,37 @@ def test_deep_padic_pth_root_certified(target, tmp_path):
     assert _read(tmp_path, "pth-root")["verdict"] == "CERTIFIED"
     assert main(["pth-root", "--check",
                  str(tmp_path / "pth-root.json")]) == 0
+
+
+@pytest.mark.parametrize("steps", [0, -2])
+def test_pth_root_step_budget_below_one_rejected(steps, tmp_path, capsys):
+    # 0 used to run the default budget, -2 to fail after "-2 steps"
+    argv = ["pth-root", "--field", "q3", "--prime", "2", "--target", "4"]
+    want = "error: pth-root needs --max-steps >= 1\n"
+    capsys.readouterr()
+    assert main(argv + ["--max-steps", str(steps),
+                        "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == want
+    assert not (tmp_path / "run").exists()
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    art = _read(tmp_path, "pth-root")
+    art["params"]["max_steps"] = steps
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(art))
+    capsys.readouterr()
+    assert main(["pth-root", "--check", str(edited)]) == 1
+    assert capsys.readouterr().err == want
+
+
+@pytest.mark.parametrize("value", ["-1/2", "0"])
+def test_unbounded_demo_needs_radius_below_one(value, tmp_path, capsys):
+    # r = q^(1/2) > 1, and r = 1 exactly, which no refinement decides
+    cfg = tmp_path / "session.json"
+    cfg.write_text(json.dumps({"radii": {"rs": {
+        "gen_id": "rs", "kind": "rational", "params": {"value": value},
+        "asserts_irrational": True}}}))
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "unbounded-demo", "--terms", "3",
+                 "--radius", "rs", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: table needs a radius r < 1\n"
+    assert not (tmp_path / "out").exists()

@@ -44,6 +44,9 @@ CASES = {
                      "4", "--depth", "2"],
     "readme-unbounded-demo": ["unbounded-demo", "--terms", "6", "--radius",
                               "r1", "--bound", "1e6"],
+    # the acceptance table: every row decided against powers of q
+    "unbounded-demo-1e30": ["unbounded-demo", "--terms", "6", "--radius",
+                            "r1", "--bound", "1e30"],
     "readme-nonintegral-cert": ["nonintegral-cert", "--terms", "3",
                                 "--nmax", "2", "--dmax", "3"],
     "readme-pbasis-cert": ["pbasis-cert", "--prime", "2", "--nvars", "3",

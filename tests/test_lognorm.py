@@ -2,7 +2,9 @@
 interval-refined otherwise."""
 
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,3 +221,100 @@ def test_exact_compare_needs_no_interval_for_r1(monkeypatch):
     ln_compare(LogNorm.of(1, (0,)), LogNorm.of(0, (1,)), (R06,))
     assert calls
 
+
+# ---------------------------------------------------------------------------
+# norm_exceeds through ln_compare against the interval ladder it replaced
+
+
+@cache
+def _ipow(b, e):
+    return b ** e
+
+
+def _oracle_norm_exceeds(a, radii, q, bound, depth=48):
+    """The former body: interval upper end hi of log_q(1/value) at depth
+    48, then q^floor(-hi*D) > bound^D for D = 2^6, 2^12, 2^16.  (The
+    powers of the bound are cached; every row reuses them.)"""
+    if a.is_zero:
+        return False
+    bound = Fraction(bound)
+    if bound <= 0:
+        return True
+    hi = a.base_exp
+    for e, decl in zip(a.radius_exps, radii):
+        if e:
+            llo, lhi = decl._stream(depth)
+            hi += e * (lhi if e > 0 else llo)
+    for denom_bits in (6, 12, 16):
+        D = 1 << denom_bits
+        neg_hi_floor = (-hi * D).__floor__()
+        if neg_hi_floor <= 0:
+            return False
+        if (q ** neg_hi_floor * _ipow(bound.denominator, D)
+                > _ipow(bound.numerator, D)):
+            return True
+    return False
+
+
+EXCEED_BOUNDS = (Fraction(10) ** 6, Fraction(10) ** 12, Fraction(10) ** 30,
+                 Fraction(27), Fraction(3) ** 26, Fraction(7, 3),
+                 Fraction(1, 2))
+
+
+@pytest.mark.parametrize("radius", [R1, R06, R_NEG],
+                         ids=lambda d: d.gen_id)
+def test_norm_exceeds_agrees_with_interval_oracle(radius):
+    got = []
+    for i in (4, 11, 37, 153, 771):
+        ratio = LogNorm.of(0, (-i,))
+        for bound in EXCEED_BOUNDS:
+            want = _oracle_norm_exceeds(ratio, (radius,), 3, bound)
+            assert norm_exceeds(ratio, (radius,), 3, bound) is want, \
+                (i, bound)
+            got.append(want)
+    assert True in got and False in got
+
+
+def test_norm_exceeds_edges():
+    ratio = LogNorm.of(0, (-37,))
+    assert norm_exceeds(ratio, (R1,), 3, 0)
+    assert norm_exceeds(ratio, (R1,), 3, Fraction(-5, 2))
+    assert not norm_exceeds(LogNorm.zero(1), (R1,), 3, Fraction(1, 2))
+    # a bound exactly at a power of q: value 27 does not exceed 27
+    q3 = LogNorm.of(-3, (0,))
+    assert not norm_exceeds(q3, (R1,), 3, 27)
+    assert norm_exceeds(q3, (R1,), 3, Fraction(269, 10))
+    # 243 = 3^5, where the float estimate of log_3 243 falls just below 5
+    q5 = LogNorm.of(-5, (0,))
+    assert not norm_exceeds(q5, (R1,), 3, 243)
+    assert norm_exceeds(q5, (R1,), 3, 242)
+    # r06^-5 = 3^3 exactly: the tie with the bracket's lower end gives up,
+    # which is "not certified"
+    assert not norm_exceeds(LogNorm.of(0, (-5,)), (R06,), 3, 27)
+    # values below 1 against bounds below 1 (the ladder never certified
+    # a value <= q^(1/64), so these have no oracle)
+    half = LogNorm.of(Fraction(1, 2), (0,))        # 3^(-1/2) = 0.577...
+    assert norm_exceeds(half, (R1,), 3, Fraction(1, 2))
+    assert not norm_exceeds(half, (R1,), 3, Fraction(3, 5))
+    r = LogNorm.of(0, (1,))                         # 3^(-sqrt(2)/2) = 0.459...
+    assert not norm_exceeds(r, (R1,), 3, Fraction(1, 2))
+    assert norm_exceeds(r, (R1,), 3, Fraction(1, 4))
+    # far above the bound, where the interval ladder builds an 18.6M-bit
+    # power of q at D = 64
+    assert norm_exceeds(LogNorm.of(0, (-259521,)), (R1,), 3,
+                        Fraction(10) ** 30)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_norm_exceeds_close_calls(k):
+    # bounds within a factor 1 +- 10^-k of r^-37 = 3^(37 sqrt(2)/2): they
+    # need D up to about 2^14 before the bracket separates
+    with localcontext() as ctx:
+        ctx.prec = 50
+        value = Decimal(3) ** (37 * Decimal(2).sqrt() / 2)
+        eps = Decimal(10) ** -k
+        below = Fraction(value * (1 - eps)).limit_denominator(10 ** 6)
+        above = Fraction(value * (1 + eps)).limit_denominator(10 ** 6)
+    ratio = LogNorm.of(0, (-37,))
+    assert norm_exceeds(ratio, (R1,), 3, below)
+    assert not norm_exceeds(ratio, (R1,), 3, above)
