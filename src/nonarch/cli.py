@@ -219,11 +219,26 @@ def run_nonintegral_cert(params):
     return result, cert.claim, cert.verdict, code
 
 
+def _table_bound(text):
+    """The bound of an unboundedness table: a finite number > 1.  Every
+    ratio r^(-i) with r < 1 exceeds 1, so a smaller bound certifies
+    nothing."""
+    try:
+        bound = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise NonarchError(f"bound {text!r} is not a finite number") \
+            from None
+    if bound <= 1:
+        raise NonarchError(f"bound {text} is not > 1: every ratio r^(-i) "
+                           "with r < 1 exceeds it")
+    return bound
+
+
 def run_unbounded_demo(params):
     spec = FieldSpec.from_json(params["field"])
     radius = RadiusDecl.from_json(params["radius"])
     cert = unboundedness_table(params["terms"], spec, radius,
-                               Fraction(params["bound"]))
+                               _table_bound(params["bound"]))
     code = 0 if cert.verdict == "UNBOUNDED" else 2
     return cert.to_json(), cert.claim, cert.verdict, code
 
@@ -582,7 +597,11 @@ def _params_for(args, cfg):
         bound = args.bound
         if isinstance(bound, str) and ("e" in bound or "E" in bound):
             mant, _, exp = bound.lower().partition("e")
-            bound = str(Fraction(mant) * Fraction(10) ** int(exp))
+            try:
+                bound = str(Fraction(mant) * Fraction(10) ** int(exp))
+            except ZeroDivisionError:
+                raise NonarchError(f"bound {bound!r} is not a finite "
+                                   "number") from None
         return {"field": _field_json(cfg, args), "terms": args.terms,
                 "radius": _radius_from_cfg(cfg, args.radius),
                 "bound": str(bound)}

@@ -12,7 +12,15 @@ A ``Scalar`` stores an exact representative plus an optional relative
 precision: ``prec is None`` means the value is known exactly, ``prec = n``
 means it is known modulo q^(v+n) (resp. t^(v+n)).  Valuations of nonzero
 scalars are always exact; ultrametric precision propagation raises
-``PrecisionExhausted`` rather than silently producing a fake zero.
+``PrecisionExhausted`` rather than silently producing a fake zero.  A p-adic
+scalar computes its valuation at most once, on first use, into the ``_val``
+slot (which a Laurent scalar uses for its exponent of t); results whose
+valuation is known from their operands are built with it.
+
+Powers of an exact p-adic series are computed over the integers
+(``padic_support_pow``): one common denominator, then integer
+square-and-multiply, giving the same ``Fraction`` coefficients as the
+scalar products.
 
 A nonzero Laurent scalar is t^val times a unit series {offset: coefficient}
 with a nonzero constant term and no offset at or beyond the precision.  The
@@ -26,6 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 from .coeffs import GF, RatFunField, is_prime
 from .errors import (DivisionByZero, NoRootInField, PrecisionExhausted,
@@ -131,16 +141,34 @@ class FieldSpec:
 def _padic_val(fr: Fraction, q: int) -> int:
     if fr == 0:
         raise ValueError("valuation of zero")
+    # a reduced fraction has q in at most one of its two parts
+    if fr.numerator % q == 0:
+        return _int_val(fr.numerator, q)
+    if fr.denominator % q == 0:
+        return -_int_val(fr.denominator, q)
+    return 0
+
+
+def _int_val(n: int, q: int) -> int:
+    """Exponent of q in n (n divisible by q): the powers q, q^2, q^4, ...
+    bracket it, then its binary digits are read off from the top."""
+    powers = [q]
+    while n % (sq := powers[-1] * powers[-1]) == 0:
+        powers.append(sq)
     v = 0
-    n = fr.numerator
-    while n % q == 0:
-        n //= q
-        v += 1
-    d = fr.denominator
-    while d % q == 0:
-        d //= q
-        v -= 1
+    for i in range(len(powers) - 1, -1, -1):
+        if n % powers[i] == 0:
+            n //= powers[i]
+            v += 1 << i
     return v
+
+
+def _vsum(a, b, sign):
+    """v(a) + sign * v(b) for nonzero p-adic a and b when both are cached,
+    else None (left to be computed on use)."""
+    if a._val is None or b._val is None:
+        return None
+    return a._val + sign * b._val
 
 
 def _pmin(a, b):
@@ -211,10 +239,6 @@ class Scalar:
         return cls(spec, val=0, unit={0: spec.domain().var(i)})
 
     @classmethod
-    def _padic(cls, spec, frac, prec=None):
-        return cls(spec, frac=Fraction(frac), prec=prec)
-
-    @classmethod
     def _laurent(cls, spec, val, unit, prec=None):
         dom = spec.domain()
         unit = {k: c for k, c in unit.items() if not dom.is_zero(c)}
@@ -257,11 +281,11 @@ class Scalar:
 
     def valuation(self):
         """Exact valuation; None encodes +infinity (the zero element)."""
-        if self.kind == PADIC:
-            if self._frac == 0:
-                return None
-            return _padic_val(self._frac, self.spec.residue_prime)
-        return self._val
+        v = self._val
+        if v is None and self.kind == PADIC and self._frac:
+            # computed once, on first use
+            v = self._val = _padic_val(self._frac, self.spec.residue_prime)
+        return v
 
     def norm_ln(self, arity: int = 0) -> LogNorm:
         v = self.valuation()
@@ -277,8 +301,8 @@ class Scalar:
         if self.kind == PADIC:
             if self._frac == 0:
                 raise ValueError("zero has no unit part")
-            q = self.spec.residue_prime
-            return self._frac / Fraction(q) ** _padic_val(self._frac, q)
+            return self._frac / Fraction(self.spec.residue_prime) \
+                ** self.valuation()
         if self._val is None:
             raise ValueError("zero has no unit part")
         return dict(self._unit)
@@ -302,17 +326,13 @@ class Scalar:
         known = _pmin(self._known_abs(), other._known_abs())
         if self.kind == PADIC:
             rep = self._frac + other._frac
-            if rep == 0:
-                if known is None:
-                    return Scalar.zero(self.spec)
+            if known is None:
+                return Scalar(self.spec, frac=rep)
+            v = _padic_val(rep, self.spec.residue_prime) if rep else None
+            if v is None or v >= known:
                 raise PrecisionExhausted(
                     "sum indistinguishable from zero at the cap")
-            v = _padic_val(rep, self.spec.residue_prime)
-            if known is not None and v >= known:
-                raise PrecisionExhausted(
-                    "sum indistinguishable from zero at the cap")
-            prec = None if known is None else known - v
-            return Scalar(self.spec, frac=rep, prec=prec)
+            return Scalar(self.spec, frac=rep, val=v, prec=known - v)
         dom = self.spec.domain()
         merged = {}
         for s in (self, other):
@@ -327,7 +347,8 @@ class Scalar:
 
     def __neg__(self):
         if self.kind == PADIC:
-            return Scalar._padic(self.spec, -self._frac, self._prec)
+            return Scalar(self.spec, frac=-self._frac, val=self._val,
+                          prec=self._prec)
         if self._val is None:
             return self
         dom = self.spec.domain()
@@ -343,7 +364,10 @@ class Scalar:
         prec = _pmin(self._prec, other._prec)
         if self.kind == PADIC:
             rep = self._frac * other._frac
-            return Scalar(self.spec, frac=rep, prec=prec if rep else None)
+            if not rep:
+                return Scalar(self.spec, frac=rep)
+            return Scalar(self.spec, frac=rep, val=_vsum(self, other, 1),
+                          prec=prec)
         if self._val is None or other._val is None:
             return Scalar.zero(self.spec)
         # the constant terms multiply to a nonzero constant term: a unit
@@ -357,9 +381,10 @@ class Scalar:
             raise DivisionByZero("scalar division by zero")
         if self.kind == PADIC:
             rep = self._frac / other._frac
-            prec = _pmin(self._prec, other._prec)
-            return Scalar._padic(self.spec, rep,
-                                 None if rep == 0 else prec)
+            if not rep:
+                return Scalar(self.spec, frac=rep)
+            return Scalar(self.spec, frac=rep, val=_vsum(self, other, -1),
+                          prec=_pmin(self._prec, other._prec))
         if self._val is None:
             return self
         unit, prec = _su_div(self._unit, other._unit, self.spec.domain(),
@@ -374,6 +399,11 @@ class Scalar:
     def pow_int(self, k: int):
         if k < 0:
             return self.invert().pow_int(-k)
+        if self.kind == PADIC and k and self._frac:
+            # a reduced fraction's power needs no gcd, unlike its products
+            v = self._val
+            return Scalar(self.spec, frac=self._frac ** k,
+                          val=None if v is None else k * v, prec=self._prec)
         out = Scalar.one(self.spec)
         base = self
         while k:
@@ -425,7 +455,8 @@ class Scalar:
                 return self
             q = self.spec.residue_prime
             u = _unit_mod(self._frac, q, v, depth - v)
-            return Scalar._padic(self.spec, Fraction(u) * Fraction(q) ** v)
+            return Scalar(self.spec, frac=Fraction(u) * Fraction(q) ** v,
+                          val=v)
         if self._prec is not None or self._val >= depth:
             return self
         rel = depth - self._val
@@ -443,8 +474,8 @@ class Scalar:
             v = self.valuation()
             prec = cap if self._prec is None else min(self._prec, cap)
             u = _unit_mod(self._frac, q, v, prec)
-            return Scalar._padic(self.spec, Fraction(u) * Fraction(q) ** v,
-                                 prec)
+            return Scalar(self.spec, frac=Fraction(u) * Fraction(q) ** v,
+                          val=v, prec=prec)
         prec = cap if self._prec is None else min(self._prec, cap)
         return Scalar._laurent(self.spec, self._val,
                                {k: c for k, c in self._unit.items()
@@ -583,6 +614,59 @@ def _su_div(a, b, dom, prec, cap):
     return out, prec
 
 
+# -- powers of exact p-adic series, over the integers
+
+
+def padic_support_pow(spec, support, k, arity, cap):
+    """The support {exponent: Scalar} of f^k (k >= 0) for the exact series
+    f with the given support, or None when this kernel does not apply.
+
+    f = F/D with D the lcm of the coefficient denominators; F^k runs the
+    square-and-multiply schedule of ``TateSeries.pow_int`` on {exponent:
+    int} dicts, and each term of the result is one Fraction(n, D^k).
+    None (the caller multiplies scalars instead) for a Laurent field, a
+    capped coefficient, or an intermediate support above ``cap``, which is
+    where the scalar path starts pruning.
+    """
+    if spec.kind != PADIC or any(c._prec is not None
+                                 for c in support.values()):
+        return None
+    den = lcm(*(c._frac.denominator for c in support.values()))
+    base = {e: c._frac.numerator * (den // c._frac.denominator)
+            for e, c in support.items()}
+    out = {(0,) * arity: 1}
+    bits = k
+    while bits:
+        if bits & 1:
+            out = _int_support_mul(out, base)
+            if len(out) > cap:
+                return None
+        if bits > 1:
+            base = _int_support_mul(base, base)
+            if len(base) > cap:
+                return None
+        bits >>= 1
+    dk = den ** k
+    return {e: Scalar(spec, frac=Fraction(n, dk)) for e, n in out.items()}
+
+
+def _int_support_mul(a, b):
+    """Product of {exponent tuple: nonzero int} dicts; cancelled sums are
+    dropped."""
+    out = {}
+    for e1, x in a.items():
+        for e2, y in b.items():
+            e = tuple(map(add, e1, e2))
+            acc = out.get(e)
+            if acc is None:
+                out[e] = x * y
+            elif acc := acc + x * y:
+                out[e] = acc
+            else:
+                del out[e]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Module-level operations (the field API surface)
 
@@ -648,7 +732,8 @@ def _padic_root(a: Scalar, p: int, v: int) -> Scalar:
         r = (r - fr * pow(dr, -1, qm)) % qm
     if (pow(r, p, qm) - u) % qm != 0:
         raise NoRootInField("Hensel lifting failed to converge")
-    return Scalar._padic(spec, Fraction(r) * Fraction(q) ** (v // p), m)
+    return Scalar(spec, frac=Fraction(r) * Fraction(q) ** (v // p),
+                  val=v // p, prec=m)
 
 
 def _laurent_root(a: Scalar, p: int, v: int) -> Scalar:

@@ -14,7 +14,7 @@ from functools import cmp_to_key
 
 from .errors import (IncompatibleContext, PrecisionExhausted,
                      PreconditionFailed, SupportCapExceeded)
-from .fields import Scalar, _pmin, scalar_from_literal
+from .fields import Scalar, _pmin, padic_support_pow, scalar_from_literal
 from .lognorm import Cmp, LogNorm, ln_compare, ln_max, ln_mul, ln_pow
 
 POWER = "power"
@@ -188,6 +188,12 @@ class TateSeries:
     def pow_int(self, k: int):
         if k < 0:
             return self.invert().pow_int(-k)
+        if self.tail.is_zero:
+            support = padic_support_pow(self.spec, self.support, k,
+                                        self.nvars, SUPPORT_CAP)
+            if support is not None:
+                return TateSeries._make(self.spec, self.kind, self.radii,
+                                        support, self.tail)
         out = TateSeries.one(self.spec, self.radii, self.kind)
         base = self
         while k:

@@ -377,3 +377,23 @@ def test_unbounded_demo_needs_radius_below_one(value, tmp_path, capsys):
                  "--radius", "rs", "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == "error: table needs a radius r < 1\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bound", ["1/0", "-5", "0", "1"])
+def test_unbounded_demo_vacuous_bound_rejected(bound, tmp_path, capsys):
+    # every ratio r^(-i) with r < 1 exceeds a bound <= 1, and 1/0 is no
+    # number at all: neither is evidence of unboundedness
+    _fails_with_one_line(capsys, [
+        "unbounded-demo", "--terms", "4", "--radius", "r1",
+        f"--bound={bound}", "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+def test_unbounded_demo_replay_of_infinite_bound_rejected(tmp_path, capsys):
+    assert main(["unbounded-demo", "--terms", "4", "--radius", "r1",
+                 "--bound", "1e6", "--out", str(tmp_path)]) == 0
+    art = _read(tmp_path, "unbounded-demo")
+    art["params"]["bound"] = "1/0"
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(art))
+    _fails_with_one_line(capsys, ["unbounded-demo", "--check", str(edited)])

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from nonarch import (DivisionByZero, FieldSpec, NoRootInField,
                      PrecisionExhausted, Scalar, check_aux_prime,
                      scalar_from_literal, scalar_pth_root)
-from nonarch.fields import FQ_LAURENT, PADIC, RATFUN_LAURENT
+from nonarch.fields import FQ_LAURENT, PADIC, RATFUN_LAURENT, _padic_val
 
 Q3 = FieldSpec(PADIC, 3, precision_cap=40)
 F2T = FieldSpec(FQ_LAURENT, 2, field_size=2, precision_cap=64)
@@ -221,7 +221,7 @@ _prec = st.one_of(st.none(), st.integers(1, 12))
 
 
 def _capped(spec, fr, prec):
-    return Scalar._padic(spec, fr, prec if fr else None)
+    return Scalar(spec, frac=fr, prec=prec if fr else None)
 
 
 def _expected_sum(spec, x, y, rep):
@@ -233,7 +233,7 @@ def _expected_sum(spec, x, y, rep):
     v = Scalar.from_fraction(spec, rep).valuation()
     if v is None or v >= min(known):
         return None
-    return Scalar._padic(spec, rep, min(known) - v)
+    return Scalar(spec, frac=rep, prec=min(known) - v)
 
 
 @pytest.mark.parametrize("spec", [Q3, Q5], ids=["Q3", "Q5"])
@@ -245,7 +245,7 @@ def test_padic_fast_paths_match_validated(spec, a, pa, b, pb):
     x, y = _capped(spec, a, pa), _capped(spec, b, pb)
     precs = [p for p in (x.precision, y.precision) if p is not None]
     want = (Scalar.from_fraction(spec, a * b) if not precs or a * b == 0
-            else Scalar._padic(spec, a * b, min(precs)))
+            else Scalar(spec, frac=a * b, prec=min(precs)))
     got = x * y
     assert (got, got.precision, got.valuation()) \
         == (want, want.precision, want.valuation())
@@ -259,6 +259,91 @@ def test_padic_fast_paths_match_validated(spec, a, pa, b, pb):
     assert (got, got.precision, got.valuation()) \
         == (want, want.precision, want.valuation())
     assert type(got._frac) is Fraction
+
+
+# p-adic valuations: the repeated-squaring search against one division per
+# digit, and the cached valuation against a fresh one
+
+
+def _digit_loop_val(fr, q):
+    v, n, d = 0, fr.numerator, fr.denominator
+    while n % q == 0:
+        n //= q
+        v += 1
+    while d % q == 0:
+        d //= q
+        v -= 1
+    return v
+
+
+# around every power of two the binary search walks through
+_EDGE_EXPS = sorted({0, 599, 600} | {
+    e for i in range(10) for e in (2 ** i - 1, 2 ** i, 2 ** i + 1)})
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_padic_val_at_power_of_two_edges(q):
+    for a in _EDGE_EXPS:
+        for b in (0, a, 600 - a):
+            for n, m in ((1, 1), (-7, 11), (q + 1, 2 * q - 1)):
+                fr = Fraction(n * q ** a, m * q ** b)
+                assert _padic_val(fr, q) == _digit_loop_val(fr, q) == a - b
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 10 ** 9), m=st.integers(1, 10 ** 9),
+       a=st.one_of(st.integers(0, 600), st.sampled_from(_EDGE_EXPS)),
+       b=st.one_of(st.integers(0, 600), st.sampled_from(_EDGE_EXPS)),
+       sign=st.sampled_from([1, -1]))
+def test_padic_val_matches_digit_loop(q, n, m, a, b, sign):
+    fr = Fraction(sign * n * q ** a, m * q ** b)
+    assert _padic_val(fr, q) == _digit_loop_val(fr, q)
+
+
+def _assert_fresh_valuation(s):
+    q = s.spec.residue_prime
+    want = None if s._frac == 0 else _digit_loop_val(s._frac, q)
+    assert s.valuation() == want
+    assert s.valuation() == want      # the cached value, on a second read
+
+
+@pytest.mark.parametrize("spec", [Q3, Q5], ids=["Q3", "Q5"])
+@settings(max_examples=150, deadline=None)
+@given(a=_pfrac, pa=_prec, b=_pfrac, pb=_prec, warm=st.booleans())
+def test_cached_valuation_matches_fresh(spec, a, pa, b, pb, warm):
+    x, y = _capped(spec, a, pa), _capped(spec, b, pb)
+    if warm:                          # operands with and without a cache
+        x.valuation()
+    out = [x * y, -x, x.cap(), y.cap(), x.reduce_representative(3),
+           y.reduce_representative(9), (x * y).cap()]
+    if not y.is_ring_zero():
+        out += [x / y, (x / y).reduce_representative(4)]
+    try:
+        out.append(x + y)
+        out.append((x + y).cap())
+    except PrecisionExhausted:
+        pass
+    for s in out:
+        _assert_fresh_valuation(s)
+
+
+@pytest.mark.parametrize("spec", [Q3, Q5], ids=["Q3", "Q5"])
+@settings(max_examples=100, deadline=None)
+@given(a=_pfrac, pa=_prec, k=st.integers(-4, 6), warm=st.booleans())
+def test_padic_pow_matches_repeated_products(spec, a, pa, k, warm):
+    x = _capped(spec, a, pa)
+    if k < 0 and x.is_ring_zero():
+        return
+    if warm:
+        x.valuation()
+    base = x if k >= 0 else x.invert()
+    want = Scalar.one(spec)
+    for _ in range(abs(k)):
+        want = want * base
+    got = x.pow_int(k)
+    assert (got, got.precision) == (want, want.precision)
+    _assert_fresh_valuation(got)
 
 
 # Laurent unit-series kernel against schoolbook arithmetic built from

@@ -36,6 +36,18 @@ def _laurent(q, n):
         for i in range(n)]})
 
 
+def _mixed_laurent(q, n):
+    """n-term Laurent series over Q_q with exponents in [-n, n) and
+    coefficients +-a/b*q^v, a in {1, 2, 3, 7}, b in {1, 2, 3, 7, 9} and v
+    in [-2, 2]: the common denominator mixes primes other than q."""
+    nums, dens = [1, 2, 3, 7], [1, 2, 3, 7, 9]
+    return json.dumps({"kind": "laurent", "radius": ["r1"], "terms": [
+        {"exp": [i * 7 % (2 * n) - n],
+         "coeff": f"{'-' if i % 3 == 1 else ''}{nums[i % 4]}/"
+                  f"{dens[(2 * i + 1) % 5]}*{q}^{i * 3 % 5 - 2}"}
+        for i in range(n)]})
+
+
 CASES = {
     # the README CLI examples
     "readme-pth-root": ["pth-root", "--field", "q3", "--prime", "2",
@@ -86,6 +98,9 @@ CASES = {
                             "4", "--series", _laurent(3, 20)],
     "q5-laurent-gauss-norm": ["gauss-norm", "--field", "q5", "--series",
                               _laurent(5, 30)],
+    "q5-mixed-denominator-spectral": ["spectral-radius", "--field", "q5",
+                                      "--powers", "6", "--series",
+                                      _mixed_laurent(5, 24)],
     "f2t-tower": ["tower", "--field", "f2t", "--prime", "3", "--target",
                   "1 + t + t^3", "--depth", "4"],
     # Laurent unit-series paths: GF(4) and RatFun Newton towers, division

@@ -4,15 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nonarch import (Cmp, FieldSpec, IncompatibleContext, LogNorm,
                      PreconditionFailed, RadiusDecl, Scalar, TateSeries,
                      ln_compare, ln_mul, spectral_power_estimate,
                      spectral_radius_laurent)
 from nonarch.fields import FQ_LAURENT, PADIC
-from nonarch.series import LAURENT, POWER
+from nonarch.series import LAURENT, POWER, SUPPORT_CAP
 
 Q3 = FieldSpec(PADIC, 3, precision_cap=40)
+Q5 = FieldSpec(PADIC, 5, precision_cap=40)
 F2T = FieldSpec(FQ_LAURENT, 2, field_size=2, precision_cap=64)
 R1 = RadiusDecl.default("r1")
 
@@ -191,9 +193,9 @@ def _random_capped_series(rng, spec, kind):
     lo = 0 if kind == POWER else -3
     for _ in range(rng.randint(0, 5)):
         if spec.kind == PADIC:
-            c = Scalar._padic(spec, Fraction(rng.choice([1, -1, 2, 8, -8]),
-                                             rng.choice([1, 3])),
-                              rng.choice([None, None, 2, 4]))
+            c = Scalar(spec, frac=Fraction(rng.choice([1, -1, 2, 8, -8]),
+                                           rng.choice([1, 3])),
+                       prec=rng.choice([None, None, 2, 4]))
         else:
             c = Scalar.t_power(spec, rng.randint(-2, 3))
             if rng.random() < 0.3:
@@ -222,3 +224,98 @@ def test_trusted_results_match_validated_construction(spec, kind):
                        and all(type(x) is int for x in e)
                        for e in r.support)
             assert not any(c.is_ring_zero() for c in r.support.values())
+
+
+# ---------------------------------------------------------------------------
+# TateSeries.pow_int against scalar-by-scalar powers
+
+
+def _oracle_pow(f, k):
+    """f^k by TateSeries products, as pow_int computed it before exact
+    p-adic series got their integer kernel."""
+    if k < 0:
+        return _oracle_pow(f.invert(), -k)
+    out = TateSeries.one(f.spec, f.radii, f.kind)
+    base = f
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base if k > 1 else base
+        k >>= 1
+    return out
+
+
+def _assert_same_power(f, k):
+    got, want = f.pow_int(k), _oracle_pow(f, k)
+    assert list(got.support) == list(want.support)
+    assert got.support == want.support     # values and precisions
+    assert got.tail == want.tail
+    assert (got.spec, got.kind, got.radii) == (want.spec, want.kind,
+                                               want.radii)
+
+
+R2 = RadiusDecl.quadratic("r2", 0, 1, 2, 3)     # log_q(1/r2) = sqrt(3)/2
+# log_q(1/r1s) = 1/2 + log_q(1/r1): comparisons over r1 and r1s are exact
+R1S = RadiusDecl.quadratic("r1s", 1, 1, 2, 2)
+
+
+@st.composite
+def _exact_padic_series(draw):
+    spec = draw(st.sampled_from([Q3, Q5]))
+    kind = draw(st.sampled_from([POWER, LAURENT]))
+    radii = draw(st.sampled_from([(R1,), (R1, R2)]))
+    lo = 0 if kind == POWER else -3
+    exps = st.tuples(*[st.integers(lo, lo + 6) for _ in radii])
+    terms = draw(st.dictionaries(exps, st.tuples(
+        st.integers(-20, 20).filter(bool), st.sampled_from([1, 2, 3, 7, 9]),
+        st.integers(-3, 3)), max_size=25))
+    q = spec.residue_prime
+    return TateSeries(spec, kind, radii, {
+        e: Scalar.from_fraction(spec, Fraction(n, d) * Fraction(q) ** v)
+        for e, (n, d, v) in terms.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=_exact_padic_series(), k=st.integers(0, 6))
+def test_pow_matches_scalar_products(f, k):
+    _assert_same_power(f, k)
+
+
+def test_pow_drops_cancelled_terms():
+    x = TateSeries.from_terms(Q3, (R1,), [(0, 1), (1, 2), (2, -2)])
+    sq = x.pow_int(2)
+    assert (2,) not in sq.support                  # 2*(1*-2) + 2^2 = 0
+    _assert_same_power(x, 2)
+    _assert_same_power(x, 5)
+
+
+def test_pow_of_capped_or_tailed_series_keeps_scalar_path():
+    capped = TateSeries(Q3, POWER, (R1,), {
+        (0,): Scalar.one(Q3), (1,): Scalar(Q3, frac=Fraction(2, 7), prec=3)})
+    tailed = TateSeries(Q3, POWER, (R1,), {
+        (0,): Scalar.one(Q3), (1,): Scalar.from_int(Q3, 2)},
+        LogNorm.of(1, (3,)))
+    for f in (capped, tailed):
+        for k in (1, 2, 3):
+            _assert_same_power(f, k)
+    assert not capped.pow_int(3).support[(3,)].exact
+    assert not tailed.pow_int(2).tail.is_zero
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_pow_of_zero_series(k):
+    z = TateSeries.zero(Q5, (R1,), LAURENT)
+    _assert_same_power(z, k)
+    assert z.pow_int(k).is_ring_zero() is (k > 0)
+
+
+def test_pow_past_support_cap_prunes_like_scalar_path():
+    # the exponents (i, i^2) have pairwise distinct sums, so the square has
+    # 91 * 92 / 2 > SUPPORT_CAP terms, each c^2 or 2*c*c' and so a unit;
+    # then no two terms tie over r1 and r1s, and the pruning decides every
+    # comparison exactly
+    f = TateSeries.from_terms(Q3, (R1, R1S), [
+        ((i, i * i), Fraction(1, 2 + 5 * (i % 2))) for i in range(91)])
+    sq = f.pow_int(2)
+    assert len(sq.support) == SUPPORT_CAP and not sq.tail.is_zero
+    _assert_same_power(f, 2)
