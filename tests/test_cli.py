@@ -397,3 +397,12 @@ def test_unbounded_demo_replay_of_infinite_bound_rejected(tmp_path, capsys):
     edited = tmp_path / "edited.json"
     edited.write_text(json.dumps(art))
     _fails_with_one_line(capsys, ["unbounded-demo", "--check", str(edited)])
+
+
+@pytest.mark.parametrize("bound", ["1/0e3", "1e6.5"])
+def test_unbounded_demo_malformed_exponent_bound_rejected(bound, tmp_path,
+                                                          capsys):
+    _fails_with_one_line(capsys, [
+        "unbounded-demo", "--terms", "4", "--bound", bound,
+        "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()

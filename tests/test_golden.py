@@ -114,6 +114,26 @@ CASES = {
     "f4t-ffinite-decompose": ["ffinite-decompose", "--field", "f4t",
                               "--series", _series((0, "w/(1 + w*t)"),
                                                   (1, "w + t^-1"))],
+    # the parameter paths of every command: defaults, overrides, optional
+    # flags and a series without "radius" ids
+    "sparse-series-default-field": ["sparse-series", "--terms", "4"],
+    "q3-pth-root-precision": ["pth-root", "--field", "q3", "--prime", "2",
+                              "--target", "7", "--precision", "9"],
+    "q5-pth-root-max-steps": ["pth-root", "--field", "q5", "--prime", "2",
+                              "--target", "6", "--max-steps", "50"],
+    "pbasis-cert-explicit-series": [
+        "pbasis-cert", "--nvars", "1", "--tdeg", "2", "--cdeg", "1",
+        "--series", json.dumps({"kind": "power", "radius": ["r1"], "terms": [
+            {"exp": [0], "coeff": "t"}, {"exp": [1], "coeff": "u1"}]})],
+    "gauss-norm-default-radius": [
+        "gauss-norm", "--field", "q3", "--series",
+        '{"kind":"power","terms":[{"exp":[1],"coeff":"3"},'
+        '{"exp":[2],"coeff":"1/3"}]}'],
+    "nonintegral-cert-terms-and-series": [
+        "nonintegral-cert", "--field", "q3", "--terms", "3", "--series",
+        _series((1, "1")), "--nmax", "1", "--dmax", "1"],
+    "unbounded-demo-decimal-bound": ["unbounded-demo", "--terms", "4",
+                                     "--bound", "2.5e3"],
 }
 
 
