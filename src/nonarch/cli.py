@@ -5,16 +5,23 @@ short human summary.  Artifacts embed their full parameters (field spec,
 radius declarations, series data), so ``--check`` can replay the verdict
 from the artifact alone and compare byte-for-byte.
 
-Exit status: 0 verified/pass, 2 verdict-negative, 1 error.
+A command is declared once, as a row of ``COMMANDS``: the argument parser,
+the params an artifact stores and the types a replay checks are all built
+from that row.
+
+Exit status: 0 for a verdict in ``POSITIVE``, 2 for any other verdict, 1
+for an error, a usage error included.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from .derivlab import (nonintegral_certificate,
@@ -79,20 +86,13 @@ def load_config(path=None):
     return cfg
 
 
-def _field_from_cfg(cfg, field_id):
+def _declared(decls, what, key):
+    """The declaration of field or radius ``key`` in a config section."""
     try:
-        return cfg["fields"][field_id]
+        return decls[key]
     except KeyError:
-        raise NonarchError(f"field {field_id!r} is not declared; "
-                           f"known: {sorted(cfg['fields'])}")
-
-
-def _radius_from_cfg(cfg, radius_id):
-    try:
-        return cfg["radii"][radius_id]
-    except KeyError:
-        raise NonarchError(f"radius {radius_id!r} is not declared; "
-                           f"known: {sorted(cfg['radii'])}")
+        raise NonarchError(f"{what} {key!r} is not declared; "
+                           f"known: {sorted(decls)}")
 
 
 def _series_from_params(params):
@@ -117,7 +117,7 @@ def _load_series_arg(arg):
 
 
 # ---------------------------------------------------------------------------
-# Runners: pure functions params -> (result dict, claim, verdict, exit code)
+# Runners: pure functions params -> (result dict, claim, verdict)
 
 
 def run_gauss_norm(params):
@@ -125,7 +125,7 @@ def run_gauss_norm(params):
     n, exact = f.gauss_norm()
     result = {"norm": n.to_json(), "exact": exact}
     return result, "stored-term-maximum-is-gauss-norm", \
-        "EXACT" if exact else "BOUND_ONLY", 0
+        "EXACT" if exact else "BOUND_ONLY"
 
 
 def run_spectral_radius(params):
@@ -152,24 +152,22 @@ def run_spectral_radius(params):
     result = {"spectral_radius": n.to_json(), "exact": exact,
               "power_estimates": checks, "all_match": agree}
     return result, "spectral-radius-equals-weighted-term-maximum", \
-        ("VERIFIED" if agree else "MISMATCH"), (0 if agree else 2)
+        "VERIFIED" if agree else "MISMATCH"
 
 
 def run_pth_root(params):
     spec = FieldSpec.from_json(params["field"])
     target = scalar_from_literal(spec, params["target"])
-    p = params["prime"]
     max_steps = params.get("max_steps")
     if max_steps is not None and max_steps < 1:
         raise NonarchError("pth-root needs --max-steps >= 1")
     kwargs = {} if max_steps is None else {"max_steps": max_steps}
-    root, trace = pth_root_near_one(target, p, **kwargs)
-    capped = root.cap()
+    root, trace = pth_root_near_one(target, params["prime"], **kwargs)
     replay = verify_trace(trace)
-    result = {"trace": trace.to_json(), "root_capped": capped.to_literal(),
-              "replay_ok": replay}
-    verdict = "CERTIFIED" if trace.certified and replay else "NOT_CERTIFIED"
-    return result, "pth-root-iteration", verdict, 0 if verdict == "CERTIFIED" else 2
+    result = {"trace": trace.to_json(),
+              "root_capped": root.cap().to_literal(), "replay_ok": replay}
+    return result, "pth-root-iteration", \
+        "CERTIFIED" if trace.certified and replay else "NOT_CERTIFIED"
 
 
 def run_tower(params):
@@ -181,16 +179,15 @@ def run_tower(params):
         tower = build_tower(target, params["prime"], params["depth"])
     except TowerObstruction as exc:
         result = {"obstruction_depth": exc.depth, "message": str(exc)}
-        return result, "compatible-p-power-root-tower", "OBSTRUCTED", 2
+        return result, "compatible-p-power-root-tower", "OBSTRUCTED"
     ok = verify_tower(tower)
     unit_ok, inv = tower_unit_certificate(tower)
     result = {"tower": tower.to_json(), "verified": ok,
               "base_is_unit": unit_ok,
               "base_inverse": inv.cap().to_literal() if inv is not None
               else None}
-    verdict = "VERIFIED" if ok and unit_ok else "FAILED"
-    return result, "compatible-p-power-root-tower", verdict, \
-        0 if verdict == "VERIFIED" else 2
+    return result, "compatible-p-power-root-tower", \
+        "VERIFIED" if ok and unit_ok else "FAILED"
 
 
 def run_sparse_series(params):
@@ -202,7 +199,7 @@ def run_sparse_series(params):
               "series": sp.series.to_json(),
               "completion_tail": sp.completion_tail.to_json(),
               "gauss_norm": n.to_json(), "gauss_exact": exact}
-    return result, "sparse-gap-series", "BUILT", 0
+    return result, "sparse-gap-series", "BUILT"
 
 
 def run_nonintegral_cert(params):
@@ -210,13 +207,12 @@ def run_nonintegral_cert(params):
     radius = RadiusDecl.from_json(params["radius"])
     if params.get("series") is not None:
         f = TateSeries.from_json(spec, (radius,), params["series"])
-        cert = nonintegral_certificate(f, params["n_max"], params["d_max"])
+    elif params["terms"] is None:
+        raise NonarchError("need --terms or --series")
     else:
-        sp = sparse_series(params["terms"], spec, radius)
-        cert = nonintegral_certificate(sp, params["n_max"], params["d_max"])
-    result = cert.to_json()
-    code = 0 if cert.verdict == "NON_INTEGRAL" else 2
-    return result, cert.claim, cert.verdict, code
+        f = sparse_series(params["terms"], spec, radius)
+    cert = nonintegral_certificate(f, params["n_max"], params["d_max"])
+    return cert.to_json(), cert.claim, cert.verdict
 
 
 def _table_bound(text):
@@ -239,8 +235,7 @@ def run_unbounded_demo(params):
     radius = RadiusDecl.from_json(params["radius"])
     cert = unboundedness_table(params["terms"], spec, radius,
                                _table_bound(params["bound"]))
-    code = 0 if cert.verdict == "UNBOUNDED" else 2
-    return cert.to_json(), cert.claim, cert.verdict, code
+    return cert.to_json(), cert.claim, cert.verdict
 
 
 def run_pbasis_cert(params):
@@ -255,8 +250,7 @@ def run_pbasis_cert(params):
                                       params["coeff_deg_max"])
     result = cert.to_json()
     result["series"] = f.to_json()
-    code = 0 if cert.verdict == "P_INDEPENDENT" else 2
-    return result, cert.claim, cert.verdict, code
+    return result, cert.claim, cert.verdict
 
 
 def run_ffinite_decompose(params):
@@ -273,7 +267,7 @@ def run_ffinite_decompose(params):
     art["norm_bounds"] = ratios
     ok = art["round_trip_exact"] and art["derivative_span"] \
         and all(r["pass"] for r in ratios)
-    return art, art["claim"], "VERIFIED" if ok else "FAILED", 0 if ok else 2
+    return art, art["claim"], "VERIFIED" if ok else "FAILED"
 
 
 def run_sz_check(params):
@@ -336,22 +330,66 @@ def run_sz_check(params):
             if len(failures) >= 5:
                 break
     result = {"trials": count, "failures": failures}
-    verdict = "PASS" if not failures else "FAIL"
-    return result, "square-zero-extension-ring-axioms", verdict, \
-        0 if verdict == "PASS" else 2
+    return result, "square-zero-extension-ring-axioms", \
+        "PASS" if not failures else "FAIL"
 
 
-RUNNERS = {
-    "gauss-norm": run_gauss_norm,
-    "spectral-radius": run_spectral_radius,
-    "pth-root": run_pth_root,
-    "tower": run_tower,
-    "sparse-series": run_sparse_series,
-    "nonintegral-cert": run_nonintegral_cert,
-    "unbounded-demo": run_unbounded_demo,
-    "pbasis-cert": run_pbasis_cert,
-    "ffinite-decompose": run_ffinite_decompose,
-    "sz-check": run_sz_check,
+# the verdicts that exit 0; every other verdict exits 2
+POSITIVE = frozenset({"EXACT", "BOUND_ONLY", "VERIFIED", "CERTIFIED", "BUILT",
+                      "NON_INTEGRAL", "UNBOUNDED", "P_INDEPENDENT", "PASS"})
+
+REQUIRED = ...      # the default of a flag that must be given
+
+# a subcommand: runner, help, default field, whether it reads --radius, how
+# it reads --series (None; "radius": required, its "radius" ids naming the
+# radii; "optional") and its flags, each (flag, key, type, default|REQUIRED)
+Command = namedtuple("Command", "run help field radius series flags",
+                     defaults=("q3", True, None, ()))
+
+
+COMMANDS = {
+    "gauss-norm": Command(run_gauss_norm, "Gauss norm of a series",
+                          series="radius"),
+    "spectral-radius": Command(
+        run_spectral_radius, "spectral radius with power-estimate oracle",
+        series="radius", flags=(("--powers", "powers", int, 6),)),
+    "pth-root": Command(
+        run_pth_root, "certified p-th root iteration", radius=False,
+        flags=(("--prime", "prime", int, REQUIRED),
+               ("--target", "target", str, REQUIRED),
+               ("--max-steps", "max_steps", int, None))),
+    "tower": Command(
+        run_tower, "compatible p-power root tower", radius=False,
+        flags=(("--prime", "prime", int, REQUIRED),
+               ("--target", "target", str, REQUIRED),
+               ("--depth", "depth", int, REQUIRED))),
+    "sparse-series": Command(
+        run_sparse_series, "gap series with certificates",
+        flags=(("--terms", "terms", int, REQUIRED),)),
+    "nonintegral-cert": Command(
+        run_nonintegral_cert, "bounded-degree relation refutation",
+        series="optional",
+        flags=(("--terms", "terms", int, None),
+               ("--nmax", "n_max", int, REQUIRED),
+               ("--dmax", "d_max", int, REQUIRED))),
+    "unbounded-demo": Command(
+        run_unbounded_demo, "norm-ratio divergence of the dual-number map",
+        flags=(("--terms", "terms", int, REQUIRED),
+               ("--bound", "bound", str, "1e6"))),
+    "pbasis-cert": Command(
+        run_pbasis_cert, "p-independence of series coefficients",
+        field="ratfun2", series="optional",
+        flags=(("--prime", "prime", int, 2),
+               ("--nvars", "num_pbasis_vars", int, 3),
+               ("--terms", "terms", int, 4),
+               ("--tdeg", "T_deg_max", int, 4),
+               ("--cdeg", "coeff_deg_max", int, 2))),
+    "ffinite-decompose": Command(
+        run_ffinite_decompose, "p-th power basis decomposition",
+        field="f2t", series="radius"),
+    "sz-check": Command(
+        run_sz_check, "randomized square-zero ring axioms",
+        flags=(("--count", "count", int, 1000), ("--seed", "seed", int, 7))),
 }
 
 
@@ -409,20 +447,11 @@ def _summary_lines(command, result):
         yield f"{result['trials']} trials, {len(result['failures'])} failures"
 
 
-# the scalar params of each command, with the types the argument parser
-# gives them; a replayed artifact must carry the same types
-_INT, _STR, _OPT_INT = (int,), (str,), (int, type(None))
-PARAM_TYPES = {
-    "spectral-radius": {"powers": _INT},
-    "pth-root": {"prime": _INT, "target": _STR, "max_steps": _OPT_INT},
-    "tower": {"prime": _INT, "target": _STR, "depth": _INT},
-    "sparse-series": {"terms": _INT},
-    "nonintegral-cert": {"n_max": _INT, "d_max": _INT, "terms": _OPT_INT},
-    "unbounded-demo": {"terms": _INT, "bound": _STR},
-    "pbasis-cert": {"prime": _INT, "num_pbasis_vars": _INT, "terms": _INT,
-                    "T_deg_max": _INT, "coeff_deg_max": _INT},
-    "sz-check": {"count": _INT, "seed": _INT},
-}
+def param_types(command):
+    """The types of a command's scalar params, which a replayed artifact
+    must carry: the flag's type, or None where that is the default."""
+    return {key: (typ,) if default is not None else (typ, type(None))
+            for _, key, typ, default in COMMANDS[command].flags}
 
 
 def make_artifact(command, params, result, claim, verdict):
@@ -447,18 +476,17 @@ def check_artifact(path):
                                                       dict):
         raise NonarchError("artifact and its params must be JSON objects")
     command = stored.get("command")
-    if command not in RUNNERS:
-        print(f"unknown artifact command {command!r}", file=sys.stderr)
-        return 1
+    if not isinstance(command, str) or command not in COMMANDS:
+        raise NonarchError(f"unknown artifact command {command!r}")
     params = stored["params"]
-    for key, types in PARAM_TYPES.get(command, {}).items():
+    for key, types in param_types(command).items():
         if key in params and type(params[key]) not in types:
             raise NonarchError(
                 f"artifact param {key!r} must be "
                 f"{' or '.join(t.__name__ for t in types)}, not "
                 f"{type(params[key]).__name__}")
-    result, claim, verdict, _ = RUNNERS[command](stored["params"])
-    fresh = make_artifact(command, stored["params"], result, claim, verdict)
+    result, claim, verdict = COMMANDS[command].run(params)
+    fresh = make_artifact(command, params, result, claim, verdict)
     same = json.dumps(fresh, sort_keys=True) == \
         json.dumps(stored, sort_keys=True)
     print(f"{command}: replay {'matches' if same else 'DIFFERS'} "
@@ -470,186 +498,98 @@ def check_artifact(path):
 # Argument parsing
 
 
-def _add_common(sp, field_default=None, radius_default="r1"):
-    sp.add_argument("--field", default=field_default)
-    sp.add_argument("--radius", default=radius_default)
-    sp.add_argument("--precision", type=int, default=None,
-                    help="override the field's precision cap")
-    sp.add_argument("--check", metavar="ARTIFACT", default=None,
-                    help="replay a stored artifact instead of running")
-    sp.add_argument("--out", default=None)
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as NonarchError: one line, exit status 1."""
+
+    def error(self, message):
+        raise NonarchError(message)
 
 
+@functools.cache
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="nonarch",
-        description="exact demonstrations in non-archimedean Banach rings")
+        description="exact demonstrations in non-archimedean Banach rings",
+        epilog="nonarch --check ARTIFACT (or --check=ARTIFACT) replays a "
+               "stored artifact instead of running")
     ap.add_argument("--config", default=None,
                     help="session config JSON (fields, radii, out)")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("gauss-norm", help="Gauss norm of a series")
-    _add_common(sp, "q3")
-    sp.add_argument("--series", required=True,
-                    help="series JSON (inline or file path)")
-
-    sp = sub.add_parser("spectral-radius",
-                        help="spectral radius with power-estimate oracle")
-    _add_common(sp, "q3")
-    sp.add_argument("--series", required=True)
-    sp.add_argument("--powers", type=int, default=6)
-
-    sp = sub.add_parser("pth-root", help="certified p-th root iteration")
-    _add_common(sp, "q3")
-    sp.add_argument("--prime", type=int, required=True)
-    sp.add_argument("--target", required=True)
-    sp.add_argument("--max-steps", type=int, default=None)
-
-    sp = sub.add_parser("tower", help="compatible p-power root tower")
-    _add_common(sp, "q3")
-    sp.add_argument("--prime", type=int, required=True)
-    sp.add_argument("--target", required=True)
-    sp.add_argument("--depth", type=int, required=True)
-
-    sp = sub.add_parser("sparse-series", help="gap series with certificates")
-    _add_common(sp, "q3")
-    sp.add_argument("--terms", type=int, required=True)
-
-    sp = sub.add_parser("nonintegral-cert",
-                        help="bounded-degree relation refutation")
-    _add_common(sp, "q3")
-    sp.add_argument("--terms", type=int, default=None,
-                    help="build the gap series with this many terms")
-    sp.add_argument("--series", default=None,
-                    help="explicit series JSON (control cases)")
-    sp.add_argument("--nmax", type=int, required=True)
-    sp.add_argument("--dmax", type=int, required=True)
-
-    sp = sub.add_parser("unbounded-demo",
-                        help="norm-ratio divergence of the dual-number map")
-    _add_common(sp, "q3")
-    sp.add_argument("--terms", type=int, required=True)
-    sp.add_argument("--bound", default="1e6")
-
-    sp = sub.add_parser("pbasis-cert",
-                        help="p-independence of series coefficients")
-    _add_common(sp, "ratfun2")
-    sp.add_argument("--prime", type=int, default=2)
-    sp.add_argument("--nvars", type=int, default=3)
-    sp.add_argument("--terms", type=int, default=4)
-    sp.add_argument("--series", default=None,
-                    help="explicit series JSON (control cases)")
-    sp.add_argument("--tdeg", type=int, default=4)
-    sp.add_argument("--cdeg", type=int, default=2)
-
-    sp = sub.add_parser("ffinite-decompose",
-                        help="p-th power basis decomposition")
-    _add_common(sp, "f2t")
-    sp.add_argument("--series", required=True)
-
-    sp = sub.add_parser("sz-check",
-                        help="randomized square-zero ring axioms")
-    _add_common(sp, "q3")
-    sp.add_argument("--count", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=7)
-
+    for name, cmd in COMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.help)
+        sp.add_argument("--field", default=cmd.field)
+        if cmd.radius:
+            sp.add_argument("--radius", default="r1")
+        sp.add_argument("--precision", type=int, default=None,
+                        help="override the field's precision cap")
+        sp.add_argument("--out", default=None)
+        if cmd.series:
+            sp.add_argument("--series", required=cmd.series == "radius",
+                            help="series JSON (inline or file path)")
+        for flag, key, typ, default in cmd.flags:
+            sp.add_argument(flag, dest=key, metavar=flag[2:].upper(),
+                            type=typ, required=default is REQUIRED,
+                            default=None if default is REQUIRED else default)
     return ap
 
 
-def _field_json(cfg, args):
-    fj = dict(_field_from_cfg(cfg, args.field))
-    if getattr(args, "precision", None):
-        fj["precision_cap"] = args.precision
-    return fj
+def _expand_exponent(bound):
+    """A bound in e-notation as an exact number: "2.5e3" -> "2500"."""
+    mant, e, exp = bound.lower().partition("e")
+    if not e:
+        return bound
+    try:
+        return str(Fraction(mant) * Fraction(10) ** int(exp))
+    except ZeroDivisionError:
+        raise NonarchError(f"bound {bound!r} is not a finite number") \
+            from None
 
 
 def _params_for(args, cfg):
-    cmd = args.command
-    if cmd in ("gauss-norm", "spectral-radius", "ffinite-decompose"):
-        series = _load_series_arg(args.series)
-        radii_ids = series.get("radius", [args.radius])
-        params = {"field": _field_json(cfg, args),
-                  "radii": [_radius_from_cfg(cfg, r) for r in radii_ids],
-                  "series": series}
-        if cmd == "spectral-radius":
-            params["powers"] = args.powers
-        return params
-    if cmd == "pth-root":
-        return {"field": _field_json(cfg, args), "prime": args.prime,
-                "target": args.target, "max_steps": args.max_steps}
-    if cmd == "tower":
-        return {"field": _field_json(cfg, args), "prime": args.prime,
-                "target": args.target, "depth": args.depth}
-    if cmd == "sparse-series":
-        return {"field": _field_json(cfg, args), "terms": args.terms,
-                "radius": _radius_from_cfg(cfg, args.radius)}
-    if cmd == "nonintegral-cert":
-        params = {"field": _field_json(cfg, args),
-                  "radius": _radius_from_cfg(cfg, args.radius),
-                  "n_max": args.nmax, "d_max": args.dmax,
-                  "terms": args.terms, "series": None}
-        if args.series is not None:
-            params["series"] = _load_series_arg(args.series)
-        elif args.terms is None:
-            raise NonarchError("need --terms or --series")
-        return params
-    if cmd == "unbounded-demo":
-        bound = args.bound
-        if isinstance(bound, str) and ("e" in bound or "E" in bound):
-            mant, _, exp = bound.lower().partition("e")
-            try:
-                bound = str(Fraction(mant) * Fraction(10) ** int(exp))
-            except ZeroDivisionError:
-                raise NonarchError(f"bound {bound!r} is not a finite "
-                                   "number") from None
-        return {"field": _field_json(cfg, args), "terms": args.terms,
-                "radius": _radius_from_cfg(cfg, args.radius),
-                "bound": str(bound)}
-    if cmd == "pbasis-cert":
-        fj = _field_json(cfg, args)
-        fj["num_pbasis_vars"] = args.nvars
-        params = {"field": fj, "prime": args.prime,
-                  "num_pbasis_vars": args.nvars, "terms": args.terms,
-                  "radius": _radius_from_cfg(cfg, args.radius),
-                  "T_deg_max": args.tdeg, "coeff_deg_max": args.cdeg,
-                  "series": None}
-        if args.series is not None:
-            params["series"] = _load_series_arg(args.series)
-        return params
-    if cmd == "sz-check":
-        return {"field": _field_json(cfg, args),
-                "radius": _radius_from_cfg(cfg, args.radius),
-                "count": args.count, "seed": args.seed}
-    raise NonarchError(f"unhandled command {cmd!r}")
+    cmd = COMMANDS[args.command]
+    params = {"field": dict(_declared(cfg["fields"], "field", args.field))}
+    if args.precision is not None:
+        params["field"]["precision_cap"] = args.precision
+    if cmd.series == "radius":
+        params["series"] = _load_series_arg(args.series)
+        params["radii"] = [_declared(cfg["radii"], "radius", r) for r in
+                           params["series"].get("radius", [args.radius])]
+    elif cmd.radius:
+        params["radius"] = _declared(cfg["radii"], "radius", args.radius)
+    if cmd.series == "optional":
+        params["series"] = None if args.series is None \
+            else _load_series_arg(args.series)
+    params.update((key, getattr(args, key)) for _, key, _, _ in cmd.flags)
+    if args.command == "pbasis-cert":
+        params["field"]["num_pbasis_vars"] = params["num_pbasis_vars"]
+    if args.command == "unbounded-demo":
+        params["bound"] = _expand_exponent(params["bound"])
+    return params
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--check" in argv:
-        i = argv.index("--check")
-        if i + 1 >= len(argv):
-            print("error: --check needs an artifact path", file=sys.stderr)
-            return 1
-        try:
-            return check_artifact(argv[i + 1])
-        except (NonarchError, ValueError, OSError, KeyError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        for i, arg in enumerate(argv):      # --check PATH or --check=PATH
+            flag, eq, path = arg.partition("=")
+            if flag == "--check":
+                if not eq:
+                    path = argv[i + 1] if i + 1 < len(argv) else ""
+                if not path:
+                    raise NonarchError("--check needs an artifact path")
+                return check_artifact(path)
+        args = build_parser().parse_args(argv)
         cfg = load_config(args.config)
         params = _params_for(args, cfg)
-        result, claim, verdict, code = RUNNERS[args.command](params)
+        result, claim, verdict = COMMANDS[args.command].run(params)
         artifact = make_artifact(args.command, params, result, claim,
                                  verdict)
-        out_dir = args.out or cfg["out"]
-        path = write_artifact(artifact, out_dir, args.command)
+        path = write_artifact(artifact, args.out or cfg["out"], args.command)
         for line in _summary_lines(args.command, result):
             print("  " + line)
         print(f"{args.command}: {verdict}  ->  {path}")
-        return code
-    except (NonarchError, ValueError, OSError) as exc:
+        return 0 if verdict in POSITIVE else 2
+    except (NonarchError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from nonarch import cli
 from nonarch.cli import main
 
 SER_Q3 = json.dumps({"kind": "laurent", "radius": ["r1"],
@@ -406,3 +407,92 @@ def test_unbounded_demo_malformed_exponent_bound_rejected(bound, tmp_path,
         "unbounded-demo", "--terms", "4", "--bound", bound,
         "--out", str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()
+
+
+def test_precision_zero_rejected(tmp_path, capsys):
+    # a falsy 0 used to fall back to the field's cap of 40
+    capsys.readouterr()
+    assert main(["pth-root", "--field", "q3", "--prime", "2", "--target",
+                 "7", "--precision", "0", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == \
+        "error: precision_cap must be >= 1\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_check_with_equals_sign_replays(tmp_path, capsys):
+    argv = ["pth-root", "--field", "q3", "--prime", "2", "--target", "7"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    path = tmp_path / "pth-root.json"
+    capsys.readouterr()
+    assert main(argv + [f"--check={path}"]) == 0
+    assert capsys.readouterr().out == \
+        "pth-root: replay matches (verdict CERTIFIED)\n"
+    art = _read(tmp_path, "pth-root")
+    art["result"]["root_capped"] = "1"
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(art))
+    assert main([f"--check={tampered}"]) == 2
+    _fails_with_one_line(capsys, ["--check="])
+
+
+@pytest.mark.parametrize("argv", [
+    ["tower", "--field", "q3", "--prime", "2", "--target", "4",
+     "--depth", "x"],
+    ["tower", "--field", "q3", "--target", "4", "--depth", "1"],
+    ["sz-check", "--count", "3", "--no-such-flag"],
+    ["pth-root", "--field", "q3", "--prime", "2", "--target", "4",
+     "--radius", "r1"],
+    ["tower", "--field", "q3", "--prime", "2", "--target", "4",
+     "--depth", "1", "--radius", "nosuch"],
+    ["no-such-command"],
+    [],
+], ids=["bad-int", "missing-prime", "unknown-flag", "pth-root-radius",
+        "tower-radius", "unknown-command", "no-command"])
+def test_usage_errors_exit_1_with_one_line(argv, tmp_path, capsys):
+    # exit status 2 is a negative verdict; a usage error is an error
+    _fails_with_one_line(capsys, argv + ["--out", str(tmp_path)])
+    assert not list(tmp_path.iterdir())
+
+
+def test_help_exits_0_and_names_check(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "--check=ARTIFACT" in capsys.readouterr().out
+
+
+def test_nonintegral_replay_without_terms_or_series_rejected(tmp_path,
+                                                            capsys):
+    # the run path asks for --terms or --series; so must the replay
+    _replay_edited(tmp_path, capsys,
+                   ["nonintegral-cert", "--terms", "3", "--nmax", "2",
+                    "--dmax", "3"],
+                   lambda params: params.update({"terms": None}))
+
+
+def test_replay_of_non_string_command_rejected(tmp_path, capsys):
+    assert main(["sz-check", "--count", "4", "--out", str(tmp_path)]) == 0
+    art = _read(tmp_path, "sz-check")
+    art["command"] = ["sz-check"]
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(art))
+    _fails_with_one_line(capsys, ["--check", str(edited)])
+
+
+def test_replay_types_derived_from_command_table():
+    # the hand-written table these types replace
+    i, s, opt_i = (int,), (str,), (int, type(None))
+    want = {
+        "spectral-radius": {"powers": i},
+        "pth-root": {"prime": i, "target": s, "max_steps": opt_i},
+        "tower": {"prime": i, "target": s, "depth": i},
+        "sparse-series": {"terms": i},
+        "nonintegral-cert": {"n_max": i, "d_max": i, "terms": opt_i},
+        "unbounded-demo": {"terms": i, "bound": s},
+        "pbasis-cert": {"prime": i, "num_pbasis_vars": i, "terms": i,
+                        "T_deg_max": i, "coeff_deg_max": i},
+        "sz-check": {"count": i, "seed": i},
+    }
+    got = {name: cli.param_types(name) for name in cli.COMMANDS}
+    assert {name: t for name, t in got.items() if t} == want
+    assert sorted(got) == sorted([*want, "ffinite-decompose", "gauss-norm"])
