@@ -242,6 +242,10 @@ def run_pbasis_cert(params):
     p, nvars = params["prime"], params["num_pbasis_vars"]
     spec = FieldSpec.from_json(params["field"])
     radius = RadiusDecl.from_json(params["radius"])
+    if (spec.residue_prime, spec.nvars) != (p, nvars):
+        raise NonarchError(f"--prime {p} and --nvars {nvars} disagree with "
+                           f"the field's p = {spec.residue_prime} and "
+                           f"N = {spec.nvars}")
     if params.get("series") is not None:
         f = TateSeries.from_json(spec, (radius,), params["series"])
     else:
@@ -454,6 +458,17 @@ def param_types(command):
             for _, key, typ, default in COMMANDS[command].flags}
 
 
+def param_keys(command):
+    """The params keys every artifact of a command carries."""
+    cmd = COMMANDS[command]
+    keys = ["field"] + [key for _, key, _, _ in cmd.flags]
+    if cmd.series == "radius":
+        keys.append("radii")
+    elif cmd.radius:
+        keys.append("radius")
+    return keys + ["series"] * bool(cmd.series)
+
+
 def make_artifact(command, params, result, claim, verdict):
     return {"schema": SCHEMA, "command": command, "params": params,
             "claim": claim, "verdict": verdict, "result": result}
@@ -479,6 +494,9 @@ def check_artifact(path):
     if not isinstance(command, str) or command not in COMMANDS:
         raise NonarchError(f"unknown artifact command {command!r}")
     params = stored["params"]
+    for key in param_keys(command):
+        if key not in params:
+            raise NonarchError(f"artifact params lack {key!r}")
     for key, types in param_types(command).items():
         if key in params and type(params[key]) not in types:
             raise NonarchError(

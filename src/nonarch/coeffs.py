@@ -13,11 +13,18 @@ scalars compute on: ``zero``, ``one``, ``from_int`` (the ring map from Z),
 ``is_zero``, ``add``, ``neg``, ``mul``, ``inv``, ``char_root``,
 ``nth_roots``, ``to_str`` and ``atomic_str``.  Elements are canonical, so
 equal values have equal representations.
+
+The lowest layer also holds the shared kernels of exact arithmetic over Z,
+Q and F_p: ``poly_axpy`` (out += c * b on {exponent: coefficient} dicts)
+and ``poly_mul``, which ``MPoly``, the relation systems of ``linalg`` and
+``derivlab`` and the integer powers of p-adic series run on, and
+``power``, the one square-and-multiply loop.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 
 from .errors import DivisionByZero
 
@@ -33,6 +40,56 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+# ---------------------------------------------------------------------------
+# Shared kernels: sparse polynomials {exponent: coefficient} whose
+# coefficients are ints or Fractions (p falsy: over Z or Q) or residues mod
+# p, and powers in any ring
+
+
+def poly_axpy(out, c, b, p):
+    """out += c * b in place, and return out; sums that vanish are
+    dropped."""
+    for k, v in b.items():
+        s = out.get(k, 0) + c * v
+        if p:
+            s %= p
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+def poly_mul(a, b, p):
+    """Product of two polynomials with exponent tuples."""
+    out = {}
+    for e1, x in a.items():
+        for e2, y in b.items():
+            e = tuple(map(add, e1, e2))
+            s = out.get(e, 0) + x * y
+            if p:
+                s %= p
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def power(x, k, mul, one):
+    """x^k for k >= 0 by square-and-multiply from the low bit, through
+    ``mul(a, b)`` with identity ``one``; x is not squared after the top
+    bit."""
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, x)
+        k >>= 1
+        if k:
+            x = mul(x, x)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +110,7 @@ def _vec_trim(a):
 
 
 def _poly_mulmod(a, b, modulus, p):
-    # modulus is monic, little-endian, degree d
+    # not poly_mul: a dense GF product, reduced by the monic degree-d modulus
     d = len(modulus) - 1
     out = [0] * (len(a) + len(b) - 1 if a and b else 0)
     for i, x in enumerate(a):
@@ -73,60 +130,25 @@ def _poly_mulmod(a, b, modulus, p):
 
 
 def _poly_pow_mod(a, e, modulus, p):
-    result = (1,)
-    base = a
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, modulus, p)
-        base = _poly_mulmod(base, base, modulus, p)
-        e >>= 1
-    return result
+    return power(a, e, lambda x, y: _poly_mulmod(x, y, modulus, p), (1,))
 
 
 def _is_irreducible(poly, p):
-    """poly: monic little-endian tuple over F_p, degree >= 1."""
+    """Rabin's test for a monic little-endian poly of degree d >= 2 over
+    F_p: x^(p^d) = x mod poly, and x^(p^(d/l)) - x is prime to poly for
+    every prime l | d."""
     d = len(poly) - 1
-    if d == 1:
-        return True
     x = (0, 1)
-    # x^(p^d) == x mod poly, and x^(p^(d/l)) != x for prime l | d
-    xp = _poly_pow_mod(x, p ** d, poly, p)
-    if _vec_trim(xp) != _vec_trim(x):
+    if _vec_trim(_poly_pow_mod(x, p ** d, poly, p)) != x:
         return False
-    dd = d
+    f = MPoly(p, 1, {(i,): c for i, c in enumerate(poly)})
     for l in range(2, d + 1):
-        if dd % l == 0 and is_prime(l):
+        if d % l == 0 and is_prime(l):
             sub = _poly_pow_mod(x, p ** (d // l), poly, p)
-            diff = _vec_trim(tuple((a - b) % p for a, b in
-                                   zip(sub + (0,) * d, x + (0,) * d)))
-            if not diff:
+            diff = MPoly(p, 1, {(i,): c for i, c in enumerate(sub)})
+            if not mpoly_gcd(diff - MPoly.var(p, 1, 0), f).is_one():
                 return False
-            # gcd(sub - x, poly) must be 1; since poly is a candidate
-            # irreducible, a nontrivial common factor shows up as a
-            # repeated-root situation.  Cheap check: diff invertible mod poly.
-            if _poly_gcd_deg(diff, poly, p) != 0:
-                return False
-            while dd % l == 0:
-                dd //= l
     return True
-
-
-def _poly_gcd_deg(a, b, p):
-    a, b = list(_vec_trim(tuple(a))), list(_vec_trim(tuple(b)))
-    while b:
-        # a mod b with b made monic
-        inv = pow(b[-1], p - 2, p)
-        b = [(c * inv) % p for c in b]
-        while len(a) >= len(b) and a:
-            if a[-1]:
-                c = a[-1]
-                off = len(a) - len(b)
-                for j, y in enumerate(b):
-                    a[off + j] = (a[off + j] - c * y) % p
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
-    return len(a) - 1 if a else -1
 
 
 @lru_cache(maxsize=None)
@@ -134,18 +156,11 @@ def _find_irreducible(p: int, d: int):
     """Smallest monic irreducible of degree d over F_p, little-endian."""
     if d == 1:
         return (0, 1)
-    # enumerate constant..x^{d-1} coefficient vectors lexicographically
-    total = p ** d
-    for code in range(total):
-        coeffs = []
-        c = code
-        for _ in range(d):
-            coeffs.append(c % p)
-            c //= p
-        poly = tuple(coeffs) + (1,)
-        if poly[0] == 0:
-            continue  # reducible: divisible by x
-        if _is_irreducible(poly, p):
+    # constant..x^{d-1} coefficients are the base-p digits of code; x
+    # divides poly when its constant term is 0
+    for code in range(p ** d):
+        poly = tuple(code // p ** i % p for i in range(d)) + (1,)
+        if poly[0] and _is_irreducible(poly, p):
             return poly
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
@@ -305,39 +320,22 @@ class MPoly:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = (out.get(e, 0) + c) % self.p
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return MPoly(self.p, self.nvars, out)
+        return MPoly(self.p, self.nvars,
+                     poly_axpy(dict(self.terms), 1, other.terms, self.p))
 
     def __neg__(self):
-        return MPoly(self.p, self.nvars,
-                     {e: (-c) % self.p for e, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = (out.get(e, 0) + c1 * c2) % self.p
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return MPoly(self.p, self.nvars, out)
+        return MPoly(self.p, self.nvars,
+                     poly_mul(self.terms, other.terms, self.p))
 
     def scale(self, c):
-        c %= self.p
-        return MPoly(self.p, self.nvars,
-                     {e: (v * c) % self.p for e, v in self.terms.items()})
+        return MPoly(self.p, self.nvars, poly_axpy({}, c, self.terms, self.p))
 
     def __eq__(self, other):
         return (isinstance(other, MPoly) and self.p == other.p
@@ -483,21 +481,19 @@ def mpoly_exact_div(a: MPoly, b: MPoly) -> MPoly:
     if b.is_const():
         inv = pow(b.const_value(), b.p - 2, b.p)
         return a.scale(inv)
-    p, nvars = a.p, a.nvars
-    q = {}
-    r = MPoly(p, nvars, dict(a.terms))
+    p = a.p
+    q, r = {}, dict(a.terms)
     be, bc = b.lead()
     bcinv = pow(bc, p - 2, p)
-    while not r.is_zero():
-        re, rc = r.lead()
+    while r:
+        # the lex-leading term of r falls at every step, so ee is new
+        re = max(r)
         ee = tuple(x - y for x, y in zip(re, be))
         if any(x < 0 for x in ee):
             raise ValueError("inexact polynomial division")
-        c = (rc * bcinv) % p
-        q[ee] = (q.get(ee, 0) + c) % p
-        mono = MPoly(p, nvars, {ee: c})
-        r = r - mono * b
-    return MPoly(p, nvars, q)
+        q[ee] = c = r[re] * bcinv % p
+        poly_axpy(r, -c, poly_mul({ee: 1}, b.terms, p), p)
+    return MPoly(p, a.nvars, q)
 
 
 def _monicize(a: MPoly) -> MPoly:

@@ -4,7 +4,10 @@ Construction chain, all exactly computable:
 
 * a sparse gap series f = sum T^(i_m) whose exponent gaps grow so fast
   that no bounded-degree algebraic relation over k(T) can hold
-  (``nonintegral_certificate`` refutes relations by exact linear algebra);
+  (``nonintegral_certificate`` refutes relations by exact linear algebra
+  on the columns T^e f^(n-i), from powers of f taken by
+  ``coeffs.poly_mul``, and refuses a system of more than
+  ``MAX_SYSTEM_SIZE`` nonzeros or equations);
 * the derivation d/dF on the subring k[T][f], realised on bivariate
   polynomials P(T, F) (``deriv_eval``), with d(f) = 1;
 * the dual-number homomorphism phi(P) = (P(T,f), dP/dF(T,f)) into the
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from fractions import Fraction
 
+from .coeffs import poly_mul
 from .errors import (MissingCertificate, PreconditionFailed,
                      UndecidableAtDepth)
 from .fields import (PADIC, RATFUN_LAURENT, FieldSpec, Scalar)
@@ -33,7 +37,12 @@ from .linalg import nullspace, sparse_rank_mod_p
 from .series import POWER, TateSeries
 from .squarezero import SquareZeroRing
 
-MAX_SYSTEM_ENTRIES = 2_000_000
+# the relation system holds one dict per equation and one entry per
+# nonzero, and is refused before any row is built when either passes this
+# cap: the gap-series table at --terms 9 (324,400 nonzeros, 291,961
+# equations) takes 0.74 s at a 132 MiB peak (Python 3.11, 2-core x86-64),
+# and --terms 10 (2,854,742 nonzeros) is refused
+MAX_SYSTEM_SIZE = 2_000_000
 DENSE_ENTRY_LIMIT = 40_000
 
 
@@ -88,6 +97,8 @@ class SparseSeries:
 
 def sparse_series(m: int, spec: FieldSpec, radius: RadiusDecl) -> SparseSeries:
     """First m terms of the gap series, exact, plus completion semantics."""
+    if m < 1:
+        raise ValueError("a gap series needs at least one term")
     if not radius.asserts_irrational:
         raise PreconditionFailed(
             f"radius {radius.gen_id} is not declared outside |k^x|^Q")
@@ -127,27 +138,13 @@ def _prime_entry(c: Scalar):
 
 
 def _series_prime_coeffs(f: TateSeries):
+    """{(exponent,): coefficient in the prime field} of a series in T."""
     out = {}
     for e, c in f.support.items():
         if len(e) != 1:
             raise PreconditionFailed(
                 "relation certificates are single-variable")
-        out[e[0]] = _prime_entry(c)
-    return out
-
-
-def _poly_mul1(a, b, char):
-    out = {}
-    for i, x in a.items():
-        for j, y in b.items():
-            k = i + j
-            v = out.get(k, 0) + x * y
-            if char:
-                v %= char
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
+        out[e] = _prime_entry(c)
     return out
 
 
@@ -197,22 +194,25 @@ def nonintegral_certificate(f, n_max: int, d_max: int,
     intish = char == 0 and all(v.denominator == 1 for v in coeffs.values())
     if intish:
         coeffs = {k: int(v) for k, v in coeffs.items()}
-    deg_f = max(coeffs, default=0)
-    # powers of f as single-variable coefficient dicts over the prime field
-    fpows = [{0: 1}]
+    (deg_f,) = max(coeffs, default=(0,))
+    # powers of f as polynomials in T over the prime field
+    fpows = [{(0,): 1}]
     for _ in range(n_max):
-        fpows.append(_poly_mul1(fpows[-1], coeffs, char))
+        fpows.append(poly_mul(fpows[-1], coeffs, char))
     n_eqs = n_max * deg_f + d_max + 1
     width = d_max + 1
     n_unk = (n_max + 1) * width
-    if n_eqs * n_unk > MAX_SYSTEM_ENTRIES:
-        raise PreconditionFailed("relation system exceeds the configured cap")
+    # the column of h_i[T^e], T^e f^(n-i), has as many nonzeros as f^(n-i)
+    nonzeros = width * sum(map(len, fpows))
+    if max(nonzeros, n_eqs) > MAX_SYSTEM_SIZE:
+        raise PreconditionFailed(
+            f"relation system of {n_eqs} equations and {nonzeros} nonzeros "
+            f"exceeds the cap of {MAX_SYSTEM_SIZE} of either")
     params["system"] = {"equations": n_eqs, "unknowns": n_unk}
-    # row k: coefficient of T^k; column i*width + e: the unknown h_i[T^e],
-    # whose column is T^e f^(n-i)
+    # row k: coefficient of T^k; column i*width + e: the unknown h_i[T^e]
     rows = [{} for _ in range(n_eqs)]
     for i in range(n_max + 1):
-        for k, v in fpows[n_max - i].items():
+        for (k,), v in fpows[n_max - i].items():
             for e in range(width):
                 rows[k + e][i * width + e] = v
 
@@ -306,6 +306,7 @@ class PolyInTF:
         return self + (-other)
 
     def __mul__(self, other):
+        # not coeffs.poly_mul: the coefficients are capped-precision Scalars
         out = {}
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():

@@ -35,9 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import mul
 
-from .coeffs import GF, RatFunField, is_prime
+from .coeffs import GF, RatFunField, is_prime, poly_mul, power
 from .errors import (DivisionByZero, NoRootInField, PrecisionExhausted,
                      PreconditionFailed)
 from .lognorm import LogNorm
@@ -404,14 +404,7 @@ class Scalar:
             v = self._val
             return Scalar(self.spec, frac=self._frac ** k,
                           val=None if v is None else k * v, prec=self._prec)
-        out = Scalar.one(self.spec)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, mul, Scalar.one(self.spec))
 
     def div_int(self, n: int):
         return self / Scalar.from_int(self.spec, n)
@@ -544,7 +537,8 @@ def _su_axpy(out, c, shift, b, dom, limit):
     """out += c * t^shift * b in place, and return out.
 
     c None means unscaled.  Sums that vanish are dropped, and exponents
-    >= limit are skipped (limit None: no truncation).
+    >= limit are skipped (limit None: no truncation).  Not poly_axpy:
+    the coefficients are domain elements, and the sum truncates.
     """
     add, mul, is_zero = dom.add, dom.mul, dom.is_zero
     for j, y in b.items():
@@ -572,14 +566,7 @@ def _su_mul(a, b, dom, limit):
 
 
 def _su_pow(a, e, dom, limit):
-    out = {0: dom.one}
-    while e:
-        if e & 1:
-            out = _su_mul(out, a, dom, limit)
-        e >>= 1
-        if e:
-            a = _su_mul(a, a, dom, limit)
-    return out
+    return power(a, e, lambda x, y: _su_mul(x, y, dom, limit), {0: dom.one})
 
 
 def _su_div(a, b, dom, prec, cap):
@@ -626,7 +613,8 @@ def padic_support_pow(spec, support, k, arity, cap):
     int} dicts, and each term of the result is one Fraction(n, D^k).
     None (the caller multiplies scalars instead) for a Laurent field, a
     capped coefficient, or an intermediate support above ``cap``, which is
-    where the scalar path starts pruning.
+    where the scalar path starts pruning.  Not ``power``: the loop stops
+    at the first support above ``cap``, and that stop decides the bytes.
     """
     if spec.kind != PADIC or any(c._prec is not None
                                  for c in support.values()):
@@ -638,33 +626,16 @@ def padic_support_pow(spec, support, k, arity, cap):
     bits = k
     while bits:
         if bits & 1:
-            out = _int_support_mul(out, base)
+            out = poly_mul(out, base, 0)
             if len(out) > cap:
                 return None
         if bits > 1:
-            base = _int_support_mul(base, base)
+            base = poly_mul(base, base, 0)
             if len(base) > cap:
                 return None
         bits >>= 1
     dk = den ** k
     return {e: Scalar(spec, frac=Fraction(n, dk)) for e, n in out.items()}
-
-
-def _int_support_mul(a, b):
-    """Product of {exponent tuple: nonzero int} dicts; cancelled sums are
-    dropped."""
-    out = {}
-    for e1, x in a.items():
-        for e2, y in b.items():
-            e = tuple(map(add, e1, e2))
-            acc = out.get(e)
-            if acc is None:
-                out[e] = x * y
-            elif acc := acc + x * y:
-                out[e] = acc
-            else:
-                del out[e]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -808,10 +779,12 @@ class _Tokenizer:
 
 
 class _Parser:
-    """Tiny recursive-descent evaluator for scalar literals."""
+    """Tiny recursive-descent evaluator for scalar literals; parentheses
+    nest at most 200 deep (each level costs four Python frames)."""
 
     def __init__(self, spec: FieldSpec, s: str):
         self.spec = spec
+        self.depth = 0
         self.toks = []
         tz = _Tokenizer(s)
         while True:
@@ -872,9 +845,13 @@ class _Parser:
     def atom(self):
         t = self._take()
         if t == "(":
+            self.depth += 1
+            if self.depth > 200:
+                raise ValueError("scalar literal nested too deeply")
             v = self.expr()
             if self._take() != ")":
                 raise ValueError("unbalanced parenthesis")
+            self.depth -= 1
             return v
         if isinstance(t, int):
             return Scalar.from_int(self.spec, t)

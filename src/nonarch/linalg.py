@@ -6,7 +6,9 @@ the leading term, over Q (``p=None``, Fractions) or F_p.  A column that
 keeps a new leading row is independent; one that vanishes is dependent,
 and the tracked combination that cancels it is a nullspace vector with 1
 at its own column and 0 at every later one, i.e. exactly the vector the
-reduced row echelon form gives for that free column.
+reduced row echelon form gives for that free column.  Columns and
+combinations are sparse {index: value} dicts, reduced and scaled by
+``coeffs.poly_axpy``.
 
 Reducing modulo a big prime gives a sound full-rank certificate for
 integer matrices: a nonzero r x r minor mod P is nonzero over Q, so full
@@ -18,23 +20,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .coeffs import poly_axpy
+
 CERT_PRIME = (1 << 61) - 1  # Mersenne prime, comfortably above any entry
-
-
-def _axpy(vec, c, other, p):
-    """vec -= c * other, in place, dropping zeros."""
-    for k, v in other.items():
-        nv = vec.get(k, 0) - c * v
-        if p:
-            nv %= p
-        if nv:
-            vec[k] = nv
-        else:
-            vec.pop(k, None)
-
-
-def _scaled(vec, c, p):
-    return {k: v * c % p if p else v * c for k, v in vec.items()}
 
 
 def _eliminate(columns, p):
@@ -42,19 +30,19 @@ def _eliminate(columns, p):
     pivots = {}   # leading row -> (reduced column, its combination)
     dependent = []
     for j, col in enumerate(columns):
-        vec = {r: v % p if p else v for r, v in col.items()}
-        vec = {r: v for r, v in vec.items() if v}
+        vec = poly_axpy({}, 1, col, p)
         combo = {j: 1}
         while vec:
             lead = max(vec)
             if lead not in pivots:
                 inv = pow(vec[lead], -1, p) if p else Fraction(1, vec[lead])
-                pivots[lead] = (_scaled(vec, inv, p), _scaled(combo, inv, p))
+                pivots[lead] = (poly_axpy({}, inv, vec, p),
+                                poly_axpy({}, inv, combo, p))
                 break
             pvec, pcombo = pivots[lead]
-            c = vec[lead]
-            _axpy(vec, c, pvec, p)
-            _axpy(combo, c, pcombo, p)
+            c = -vec[lead]
+            poly_axpy(vec, c, pvec, p)
+            poly_axpy(combo, c, pcombo, p)
         else:
             dependent.append(combo)
     return len(pivots), dependent

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
+from operator import mul
 
 from .errors import (IncompatibleContext, PrecisionExhausted,
                      PreconditionFailed, SupportCapExceeded)
+from .coeffs import power
 from .fields import Scalar, _pmin, padic_support_pow, scalar_from_literal
 from .lognorm import Cmp, LogNorm, ln_compare, ln_max, ln_mul, ln_pow
 
@@ -156,6 +158,7 @@ class TateSeries:
         return self + (-other)
 
     def __mul__(self, other):
+        # not poly_mul: Scalar sums that exhaust precision fold into the tail
         self._check(other)
         out = {}
         lost = []
@@ -194,14 +197,8 @@ class TateSeries:
             if support is not None:
                 return TateSeries._make(self.spec, self.kind, self.radii,
                                         support, self.tail)
-        out = TateSeries.one(self.spec, self.radii, self.kind)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        return power(self, k, mul,
+                     TateSeries.one(self.spec, self.radii, self.kind))
 
     def invert(self):
         """Inverse, available for single-term (monomial) series only."""

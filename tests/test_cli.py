@@ -6,6 +6,7 @@ import pytest
 
 from nonarch import cli
 from nonarch.cli import main
+from nonarch.fields import PADIC, FieldSpec, scalar_from_literal
 
 SER_Q3 = json.dumps({"kind": "laurent", "radius": ["r1"],
                      "terms": [{"exp": [1], "coeff": "3"},
@@ -496,3 +497,67 @@ def test_replay_types_derived_from_command_table():
     got = {name: cli.param_types(name) for name in cli.COMMANDS}
     assert {name: t for name, t in got.items() if t} == want
     assert sorted(got) == sorted([*want, "ffinite-decompose", "gauss-norm"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["sparse-series", "--terms", "0"],
+    ["nonintegral-cert", "--terms", "0", "--nmax", "2", "--dmax", "3"]],
+    ids=["sparse-series", "nonintegral-cert"])
+def test_empty_gap_series_rejected(argv, tmp_path, capsys):
+    # 0 terms gave BUILT with no indices, or an IndexError traceback
+    _fails_with_one_line(capsys, argv + ["--out", str(tmp_path / "run")])
+    assert not (tmp_path / "run").exists()
+    good = [a if a != "0" else "3" for a in argv]
+    _replay_edited(tmp_path, capsys, good,
+                   lambda params: params.update({"terms": 0}))
+
+
+def _nested(n):
+    return "(" * n + "1" + ")" * n
+
+
+@pytest.mark.parametrize("depth", [260, 5000])
+def test_deeply_nested_literal_rejected(depth, tmp_path, capsys):
+    with pytest.raises(ValueError, match="nested too deeply"):
+        scalar_from_literal(FieldSpec(PADIC, 3), _nested(depth))
+    _fails_with_one_line(capsys, ["pth-root", "--field", "q3", "--prime",
+                                  "2", "--target", _nested(depth),
+                                  "--out", str(tmp_path)])
+    assert not list(tmp_path.iterdir())
+
+
+def test_nested_literal_at_the_limit_parses():
+    one = scalar_from_literal(FieldSpec(PADIC, 3), _nested(200))
+    assert one.to_literal() == "1"
+
+
+PBASIS_SERIES = json.dumps({"kind": "power", "terms": [
+    {"exp": [0], "coeff": "t"}, {"exp": [1], "coeff": "u1"}]})
+PBASIS_ARGV = ["pbasis-cert", "--nvars", "1", "--tdeg", "2", "--cdeg", "1",
+               "--series", PBASIS_SERIES]
+
+
+def test_pbasis_series_prime_must_match_field(tmp_path, capsys):
+    # the field's residue prime decides; a different --prime was stored
+    # beside a witness for p = 2
+    _fails_with_one_line(capsys, PBASIS_ARGV + ["--prime", "3",
+                                                "--out", str(tmp_path)])
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("key,value", [("prime", 3), ("num_pbasis_vars", 2)])
+def test_pbasis_series_replay_must_match_field(key, value, tmp_path, capsys):
+    _replay_edited(tmp_path, capsys, PBASIS_ARGV,
+                   lambda params: params.update({key: value}))
+
+
+def test_oversized_relation_system_rejected(tmp_path, capsys):
+    # --terms 10: 2,854,742 nonzeros; T^3000000: 3,000,001 equations
+    _fails_with_one_line(capsys, ["unbounded-demo", "--terms", "10",
+                                  "--out", str(tmp_path)])
+    ser = json.dumps({"kind": "power", "radius": ["r1"],
+                      "terms": [{"exp": [3_000_000], "coeff": "1"}]})
+    _fails_with_one_line(capsys, ["nonintegral-cert", "--series", ser,
+                                  "--nmax", "1", "--dmax", "0",
+                                  "--out", str(tmp_path)])
+    assert not list(tmp_path.iterdir())

@@ -16,7 +16,8 @@ import tempfile
 
 import pytest
 
-from nonarch.cli import main
+from nonarch.cli import (_params_for, build_parser, load_config,
+                         make_artifact, main)
 
 TABLE = os.path.join(os.path.dirname(__file__), "golden_sha256.json")
 
@@ -134,6 +135,9 @@ CASES = {
         _series((1, "1")), "--nmax", "1", "--dmax", "1"],
     "unbounded-demo-decimal-bound": ["unbounded-demo", "--terms", "4",
                                      "--bound", "2.5e3"],
+    # a relation system of 5405 x 1544, sized by its 6,176 nonzeros
+    "unbounded-demo-terms-7": ["unbounded-demo", "--terms", "7", "--radius",
+                               "r1", "--bound", "1e6"],
 }
 
 
@@ -160,6 +164,33 @@ def test_golden_artifact(case, tmp_path):
 
 def test_table_covers_cases():
     assert sorted(_table()) == sorted(CASES)
+
+
+def test_terms_7_extends_the_readme_table(tmp_path):
+    rows = []
+    for case in ("readme-unbounded-demo", "unbounded-demo-terms-7"):
+        _, _, path = run_case(CASES[case], tmp_path / case)
+        with open(path) as fh:
+            rows.append(json.load(fh)["result"]["witness"]["rows"])
+    six, seven = rows
+    assert seven[:5] == six and len(seven) == 6
+    assert seven[5]["tail_index"] == 4633
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_replay_names_a_missing_param(case, tmp_path, capsys):
+    # the params a run of the case stores, each deleted in turn
+    args = build_parser().parse_args(CASES[case])
+    params = _params_for(args, load_config())
+    for key in params:
+        art = make_artifact(args.command, dict(params), {}, "", "")
+        del art["params"][key]
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(art))
+        capsys.readouterr()
+        assert main(["--check", str(path)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: artifact params lack {key!r}\n"
 
 
 if __name__ == "__main__":

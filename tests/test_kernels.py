@@ -1,0 +1,371 @@
+"""The shared kernels of ``coeffs`` against the loops they replaced.
+
+Each reference below is a loop that ``poly_axpy``, ``poly_mul``,
+``power`` or the gcd of the irreducibility test took over, kept verbatim
+(up to its name) as the oracle; the inputs are drawn from fixed seeds and
+include empty, zero and fully cancelling operands.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from nonarch.coeffs import (MPoly, _find_irreducible, _is_irreducible,
+                            _poly_mulmod, mpoly_exact_div, poly_axpy,
+                            poly_mul, power)
+
+PRIMES = (2, 3, 5, (1 << 61) - 1)
+SEEDS = range(30)
+
+
+# -- the deleted loops --------------------------------------------------
+
+
+def ref_axpy(vec, c, other, p):
+    """linalg._axpy: vec -= c * other, in place, dropping zeros."""
+    for k, v in other.items():
+        nv = vec.get(k, 0) - c * v
+        if p:
+            nv %= p
+        if nv:
+            vec[k] = nv
+        else:
+            vec.pop(k, None)
+
+
+def ref_scaled(vec, c, p):
+    """linalg._scaled."""
+    return {k: v * c % p if p else v * c for k, v in vec.items()}
+
+
+def ref_int_support_mul(a, b):
+    """fields._int_support_mul."""
+    out = {}
+    for e1, x in a.items():
+        for e2, y in b.items():
+            e = tuple(x1 + x2 for x1, x2 in zip(e1, e2))
+            acc = out.get(e)
+            if acc is None:
+                out[e] = x * y
+            elif acc := acc + x * y:
+                out[e] = acc
+            else:
+                del out[e]
+    return out
+
+
+def ref_poly_mul1(a, b, char):
+    """derivlab._poly_mul1, on int exponents."""
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            k = i + j
+            v = out.get(k, 0) + x * y
+            if char:
+                v %= char
+            if v:
+                out[k] = v
+            else:
+                out.pop(k, None)
+    return out
+
+
+def ref_mpoly_mul(a, b, p):
+    """The loop of the old MPoly.__mul__."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = (out.get(e, 0) + c1 * c2) % p
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def ref_power(x, k, mul, one):
+    """The loop of the old Scalar.pow_int and coeffs._poly_pow_mod."""
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, x)
+        x = mul(x, x)
+        k >>= 1
+    return out
+
+
+def ref_poly_gcd_deg(a, b, p):
+    """coeffs._poly_gcd_deg: degree of gcd(a, b) of little-endian lists."""
+    a, b = list(a), list(b)
+    for v in (a, b):
+        while v and v[-1] == 0:
+            v.pop()
+    while b:
+        inv = pow(b[-1], p - 2, p)
+        b = [(c * inv) % p for c in b]
+        while len(a) >= len(b) and a:
+            if a[-1]:
+                c = a[-1]
+                off = len(a) - len(b)
+                for j, y in enumerate(b):
+                    a[off + j] = (a[off + j] - c * y) % p
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1 if a else -1
+
+
+# -- inputs -----------------------------------------------------------------
+
+
+def rand_coeff(rng, p, fractions):
+    if fractions:
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    c = rng.randint(-9, 9)
+    return c % p if p else c
+
+
+def rand_poly(rng, p, fractions=False, arity=1, size=None):
+    """Random {exponent tuple: coefficient}, zero coefficients dropped."""
+    size = rng.randint(0, 6) if size is None else size
+    out = {}
+    for _ in range(size):
+        e = tuple(rng.randint(0, 4) for _ in range(arity))
+        c = rand_coeff(rng, p, fractions)
+        if c:
+            out[e] = c
+    return out
+
+
+def rings():
+    """(p, fractions) of every coefficient ring under test."""
+    return [(0, False), (None, True)] + [(p, False) for p in PRIMES]
+
+
+RING_IDS = ["Z", "Q"] + [f"F{p}" for p in PRIMES]
+
+
+# -- poly_axpy ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p,fractions", rings(), ids=RING_IDS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_poly_axpy_matches_axpy(p, fractions, seed):
+    rng = random.Random(seed)
+    out, b = rand_poly(rng, p, fractions), rand_poly(rng, p, fractions)
+    c = rand_coeff(rng, p, fractions)
+    want = dict(out)
+    ref_axpy(want, -c, b, p)
+    got = dict(out)
+    assert poly_axpy(got, c, b, p) is got
+    assert got == want
+    assert poly_axpy({}, c, b, p) == \
+        {k: v for k, v in ref_scaled(b, c, p).items() if v}
+
+
+@pytest.mark.parametrize("p,fractions", rings(), ids=RING_IDS)
+@pytest.mark.parametrize("seed", range(10))
+def test_poly_axpy_cancels_and_drops_zeros(p, fractions, seed):
+    rng = random.Random(seed)
+    b = rand_poly(rng, p, fractions, size=5) or {(0,): 1}
+    c = rand_coeff(rng, p, fractions) or 1
+    # out = -c * b cancels completely
+    out = {k: (-c * v) % p if p else -c * v for k, v in b.items()}
+    assert poly_axpy(out, c, b, p) == {}
+    # half of it cancels, and nothing vanishing is stored
+    half = dict(list(b.items())[::2])
+    out = {k: (-c * v) % p if p else -c * v for k, v in half.items()}
+    out[(9,)] = 1
+    want = dict(out)
+    ref_axpy(want, -c, b, p)
+    assert poly_axpy(out, c, b, p) == want
+    assert all(out.values())
+    # empty operands and a zero scale
+    assert poly_axpy({}, c, {}, p) == {}
+    assert poly_axpy(dict(b), 0, b, p) == b
+    assert poly_axpy({}, 0, b, p) == {}
+
+
+def test_poly_axpy_reduces_mod_p():
+    assert poly_axpy({(0,): 4}, 3, {(0,): 2, (1,): 5}, 7) == \
+        {(0,): 3, (1,): 1}
+    assert poly_axpy({(0,): 1}, 1, {(0,): 1}, 2) == {}
+    big = (1 << 61) - 1
+    assert poly_axpy({}, big - 1, {(0,): big - 1}, big) == {(0,): 1}
+
+
+# -- poly_mul --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_poly_mul_over_z_matches_int_support_mul(seed):
+    rng = random.Random(seed)
+    arity = rng.randint(1, 3)
+    a = rand_poly(rng, 0, arity=arity)
+    b = rand_poly(rng, 0, arity=arity)
+    assert poly_mul(a, b, 0) == ref_int_support_mul(a, b)
+    assert poly_mul(a, b, None) == ref_int_support_mul(a, b)
+
+
+@pytest.mark.parametrize("p,fractions", rings(), ids=RING_IDS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_poly_mul_matches_poly_mul1(p, fractions, seed):
+    rng = random.Random(seed)
+    a, b = rand_poly(rng, p, fractions), rand_poly(rng, p, fractions)
+    flat = ref_poly_mul1({e: c for (e,), c in a.items()},
+                         {e: c for (e,), c in b.items()}, p)
+    assert poly_mul(a, b, p) == {(k,): v for k, v in flat.items()}
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_poly_mul_mod_p_matches_mpoly_loop(p, seed):
+    rng = random.Random(seed)
+    arity = rng.randint(1, 3)
+    a = rand_poly(rng, p, arity=arity)
+    b = rand_poly(rng, p, arity=arity)
+    want = ref_mpoly_mul(a, b, p)
+    assert poly_mul(a, b, p) == want
+    assert (MPoly(p, arity, a) * MPoly(p, arity, b)).terms == want
+
+
+@pytest.mark.parametrize("p,fractions", rings(), ids=RING_IDS)
+def test_poly_mul_empty_and_cancelling(p, fractions):
+    one = {(0,): 1}
+    assert poly_mul({}, one, p) == {} and poly_mul(one, {}, p) == {}
+    # (1 + T)(1 - T) = 1 - T^2: the T terms cancel
+    m1 = -1 % p if p else -1
+    assert poly_mul({(0,): 1, (1,): 1}, {(0,): 1, (1,): m1}, p) == \
+        {(0,): 1, (2,): m1}
+    if fractions:
+        assert poly_mul({(0,): Fraction(1, 2)}, {(0,): 2}, p) == {(0,): 1}
+
+
+def test_poly_mul_reduces_mod_p():
+    # (1 + T)^2 = 1 + T^2 over F_2; 3 * 3 = 2 over F_7
+    assert poly_mul({(0,): 1, (1,): 1}, {(0,): 1, (1,): 1}, 2) == \
+        {(0,): 1, (2,): 1}
+    assert poly_mul({(1, 0): 3}, {(0, 2): 3}, 7) == {(1, 2): 2}
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("seed", range(10))
+def test_exact_division_inverts_products(p, seed):
+    rng = random.Random(seed)
+    a = MPoly(p, 2, rand_poly(rng, p, arity=2))
+    b = MPoly(p, 2, rand_poly(rng, p, arity=2, size=3) or {(1, 0): 1})
+    assert mpoly_exact_div(a * b, b) == a
+    # u1 * u2 + 1 has no factor u1
+    with pytest.raises(ValueError, match="inexact"):
+        mpoly_exact_div(MPoly(p, 2, {(1, 1): 1, (0, 0): 1}),
+                        MPoly(p, 2, {(1, 0): 1}))
+
+
+# -- power -------------------------------------------------------------------
+
+
+class Counting:
+    """An associative product that counts its calls."""
+
+    def __init__(self, mul):
+        self.mul, self.calls = mul, 0
+
+    def __call__(self, a, b):
+        self.calls += 1
+        return self.mul(a, b)
+
+
+@pytest.mark.parametrize("k", range(71))
+def test_power_matches_repeated_products(k):
+    # a product mod 2^61 - 1, a polynomial product, and a product that
+    # records the exponent of its result, which is the product count
+    big = (1 << 61) - 1
+    mul = Counting(lambda a, b: a * b % big)
+    assert power(3, k, mul, 1) == pow(3, k, big)
+    # one multiplication per set bit, one squaring per bit below the top
+    assert mul.calls == (bin(k).count("1") + k.bit_length() - 1 if k else 0)
+    poly = {(0,): 1, (1,): 2}
+    want = {(0,): 1}
+    for _ in range(k):
+        want = poly_mul(want, poly, 5)
+    assert power(poly, k, lambda a, b: poly_mul(a, b, 5), {(0,): 1}) == want
+    assert power(poly, k, lambda a, b: poly_mul(a, b, 5), {(0,): 1}) == \
+        ref_power(poly, k, lambda a, b: poly_mul(a, b, 5), {(0,): 1})
+
+
+@pytest.mark.parametrize("p,d", [(2, 3), (3, 2), (5, 2), (2, 6)])
+def test_power_in_gf_matches_old_loop(p, d):
+    modulus = _find_irreducible(p, d)
+    rng = random.Random(p * 10 + d)
+
+    def mul(a, b):
+        return _poly_mulmod(a, b, modulus, p)
+
+    for _ in range(10):
+        a = tuple(rng.randrange(p) for _ in range(d))
+        k = rng.randrange(200)
+        assert power(a, k, mul, (1,)) == ref_power(a, k, mul, (1,))
+
+
+# -- irreducibility ---------------------------------------------------------
+
+
+def ref_is_irreducible(poly, p):
+    """The old _is_irreducible, with the dense gcd."""
+    d = len(poly) - 1
+
+    def pw(a, e):
+        return ref_power(a, e, lambda x, y: _poly_mulmod(x, y, poly, p),
+                         (1,))
+
+    def trim(a):
+        a = list(a)
+        while a and a[-1] == 0:
+            a.pop()
+        return tuple(a)
+
+    if trim(pw((0, 1), p ** d)) != (0, 1):
+        return False
+    for l in range(2, d + 1):
+        if d % l == 0 and all(l % f for f in range(2, l)):
+            sub = pw((0, 1), p ** (d // l)) + (0,) * d
+            diff = trim((a - b) % p for a, b in zip(sub, (0, 1) + (0,) * d))
+            if not diff or ref_poly_gcd_deg(diff, poly, p) != 0:
+                return False
+    return True
+
+
+def divides(g, f, p):
+    """True when monic g divides f over F_p (little-endian lists)."""
+    f = list(f)
+    for k in range(len(f) - len(g), -1, -1):
+        c = f[k + len(g) - 1]
+        for j, y in enumerate(g):
+            f[k + j] = (f[k + j] - c * y) % p
+    return not any(f)
+
+
+def monic(p, d):
+    for code in range(p ** d):
+        yield tuple(code // p ** i % p for i in range(d)) + (1,)
+
+
+def trial_division_irreducible(poly, p):
+    d = len(poly) - 1
+    return not any(divides(g, poly, p) for e in range(1, d // 2 + 1)
+                   for g in monic(p, e))
+
+
+@pytest.mark.parametrize("p,dmax", [(2, 6), (3, 4), (5, 4)])
+def test_irreducibility_matches_trial_division(p, dmax):
+    for d in range(2, dmax + 1):
+        found = None
+        for poly in monic(p, d):
+            want = trial_division_irreducible(poly, p)
+            assert _is_irreducible(poly, p) == want, poly
+            assert ref_is_irreducible(poly, p) == want, poly
+            if want and found is None:
+                found = poly
+        assert _find_irreducible(p, d) == found
