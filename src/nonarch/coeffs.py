@@ -226,11 +226,8 @@ class GF:
     def elements(self):
         """Every element, in the order of the integer encoding."""
         for n in range(self.order):
-            digits = []
-            while n:
-                digits.append(n % self.p)
-                n //= self.p
-            yield tuple(digits)
+            yield _vec_trim(tuple(n // self.p ** i % self.p
+                                  for i in range(self.d)))
 
     def char_root(self, a):
         """The unique x with x^p = a (p the characteristic)."""
@@ -275,13 +272,8 @@ class MPoly:
     def __init__(self, p, nvars, terms=None):
         self.p = p
         self.nvars = nvars
-        cleaned = {}
-        if terms:
-            for e, c in terms.items():
-                c %= p
-                if c:
-                    cleaned[tuple(e)] = c
-        self.terms = cleaned
+        self.terms = {tuple(e): r for e, c in (terms or {}).items()
+                      if (r := c % p)}
 
     # -- constructors
 
@@ -379,9 +371,7 @@ class MPoly:
         """Dict degree -> MPoly in the remaining exponent positions."""
         out = {}
         for e, c in self.terms.items():
-            rest = e[:i] + (0,) + e[i + 1:]
-            d = e[i]
-            out.setdefault(d, {})[rest] = c
+            out.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
         return {d: MPoly(self.p, self.nvars, t) for d, t in out.items()}
 
     @staticmethod
@@ -389,9 +379,7 @@ class MPoly:
         terms = {}
         for d, poly in coeffs.items():
             for e, c in poly.terms.items():
-                ee = list(e)
-                ee[i] += d
-                terms[tuple(ee)] = c
+                terms[e[:i] + (e[i] + d,) + e[i + 1:]] = c
         return MPoly(p, nvars, terms)
 
 
@@ -447,23 +435,19 @@ def _primitive_gcd_univar(p, nvars, i, ua, ub):
         cr = _content(p, nvars, R)
         R = _exact_div_coeffs(R, cr)
         A, B = B, R
-    if not B:
-        return A
-    return B
+    return B or A
 
 
 def _pseudo_rem(p, nvars, A, B):
     """Pseudo-remainder of A by B (univariate views, dict deg -> MPoly)."""
-    da, db = max(A), max(B)
+    db = max(B)
     lb = B[db]
     R = dict(A)
     while R and max(R) >= db:
         dr = max(R)
         lr = R[dr]
         # R := lb*R - lr*x^(dr-db)*B
-        newR = {}
-        for d, c in R.items():
-            newR[d] = c * lb
+        newR = {d: c * lb for d, c in R.items()}
         for d, c in B.items():
             t = c * lr
             tgt = d + dr - db

@@ -6,8 +6,8 @@ Construction chain, all exactly computable:
   that no bounded-degree algebraic relation over k(T) can hold
   (``nonintegral_certificate`` refutes relations by exact linear algebra
   on the columns T^e f^(n-i), from powers of f taken by
-  ``coeffs.poly_mul``, and refuses a system of more than
-  ``MAX_SYSTEM_SIZE`` nonzeros or equations);
+  ``coeffs.poly_mul``, and refuses a system larger than
+  ``linalg.MAX_WORK``);
 * the derivation d/dF on the subring k[T][f], realised on bivariate
   polynomials P(T, F) (``deriv_eval``), with d(f) = 1;
 * the dual-number homomorphism phi(P) = (P(T,f), dP/dF(T,f)) into the
@@ -33,16 +33,10 @@ from .errors import (MissingCertificate, PreconditionFailed,
 from .fields import (PADIC, RATFUN_LAURENT, FieldSpec, Scalar)
 from .lognorm import (Cmp, LogNorm, RadiusDecl, ln_compare, ln_mul, ln_pow,
                       log_q_interval, norm_exceeds)
-from .linalg import nullspace, sparse_rank_mod_p
+from .linalg import MAX_WORK, nullspace, sparse_rank_mod_p
 from .series import POWER, TateSeries
 from .squarezero import SquareZeroRing
 
-# the relation system holds one dict per equation and one entry per
-# nonzero, and is refused before any row is built when either passes this
-# cap: the gap-series table at --terms 9 (324,400 nonzeros, 291,961
-# equations) takes 0.74 s at a 132 MiB peak (Python 3.11, 2-core x86-64),
-# and --terms 10 (2,854,742 nonzeros) is refused
-MAX_SYSTEM_SIZE = 2_000_000
 DENSE_ENTRY_LIMIT = 40_000
 
 
@@ -127,14 +121,12 @@ def _prime_entry(c: Scalar):
             "certificate coefficients must be residue-field constants")
     u = c._unit[0]
     if isinstance(u, tuple):
-        if len(u) > 1:
-            raise PreconditionFailed(
-                "certificate coefficients must lie in the prime field")
-        return u[0] if u else 0
-    if not u.is_poly() or not u.num.is_const():
-        raise PreconditionFailed(
-            "certificate coefficients must lie in the prime field")
-    return u.num.const_value()
+        if len(u) <= 1:
+            return u[0] if u else 0
+    elif u.is_poly() and u.num.is_const():
+        return u.num.const_value()
+    raise PreconditionFailed(
+        "certificate coefficients must lie in the prime field")
 
 
 def _series_prime_coeffs(f: TateSeries):
@@ -195,19 +187,23 @@ def nonintegral_certificate(f, n_max: int, d_max: int,
     if intish:
         coeffs = {k: int(v) for k, v in coeffs.items()}
     (deg_f,) = max(coeffs, default=(0,))
-    # powers of f as polynomials in T over the prime field
-    fpows = [{(0,): 1}]
-    for _ in range(n_max):
-        fpows.append(poly_mul(fpows[-1], coeffs, char))
     n_eqs = n_max * deg_f + d_max + 1
     width = d_max + 1
     n_unk = (n_max + 1) * width
-    # the column of h_i[T^e], T^e f^(n-i), has as many nonzeros as f^(n-i)
-    nonzeros = width * sum(map(len, fpows))
-    if max(nonzeros, n_eqs) > MAX_SYSTEM_SIZE:
+    # powers of f over the prime field; the work counts the products, one
+    # dict per equation and unknown and the nonzeros of T^e f^j (|f^j|)
+    size = n_eqs + n_unk + width
+    fpows = [{(0,): 1}]
+    while len(fpows) <= n_max:
+        size += len(fpows[-1]) * len(coeffs)
+        if size > MAX_WORK:
+            break
+        fpows.append(poly_mul(fpows[-1], coeffs, char))
+        size += width * len(fpows[-1])
+    if size > MAX_WORK:
         raise PreconditionFailed(
-            f"relation system of {n_eqs} equations and {nonzeros} nonzeros "
-            f"exceeds the cap of {MAX_SYSTEM_SIZE} of either")
+            f"relation system of {n_eqs} equations and {n_unk} unknowns "
+            f"exceeds the work cap of {MAX_WORK}")
     params["system"] = {"equations": n_eqs, "unknowns": n_unk}
     # row k: coefficient of T^k; column i*width + e: the unknown h_i[T^e]
     rows = [{} for _ in range(n_eqs)]
@@ -229,21 +225,18 @@ def nonintegral_certificate(f, n_max: int, d_max: int,
         # fall through to the exact path
 
     basis = nullspace(rows, n_unk, char or None)
-    rank = n_unk - len(basis)
     params["method"] = "dense-nullspace"
-    witness = {"rank": rank, "unknowns": n_unk, "nullity": len(basis)}
-    if not basis:
-        return Certificate("NON_INTEGRAL", "NON_INTEGRAL", params, witness,
-                           "no-bounded-degree-algebraic-relation")
+    witness = {"rank": n_unk - len(basis), "unknowns": n_unk,
+               "nullity": len(basis)}
     # h_0 occupies columns 0..d_max
     monic_vec = next((vec for vec in basis if min(vec) < width), None)
-    if monic_vec is None:
+    if monic_vec is not None:
+        witness["relation"] = {f"h{col // width}[T^{col % width}]": str(v)
+                               for col, v in monic_vec.items()}
+    elif basis:
         witness["note"] = "solutions exist but all force h_0 = 0"
-        return Certificate("NON_INTEGRAL", "NON_INTEGRAL", params, witness,
-                           "no-bounded-degree-algebraic-relation")
-    witness["relation"] = {f"h{col // width}[T^{col % width}]": str(v)
-                           for col, v in monic_vec.items()}
-    return Certificate("NON_INTEGRAL", "RELATION_FOUND", params, witness,
+    return Certificate("NON_INTEGRAL", "NON_INTEGRAL" if monic_vec is None
+                       else "RELATION_FOUND", params, witness,
                        "no-bounded-degree-algebraic-relation")
 
 

@@ -21,26 +21,52 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coeffs import poly_axpy
+from .errors import PreconditionFailed
 
 CERT_PRIME = (1 << 61) - 1  # Mersenne prime, comfortably above any entry
+# One elimination may read and scan this many entries and write this many
+# words (fill-in and growth over Q count); derivlab checks a relation
+# system's products and size against it before building a row.  Measured
+# (Python 3.11, 2-core x86-64): unbounded-demo --terms 9, a system of
+# 681,250 eliminated in 324,400, takes 0.6 s at 133 MiB; at the cap,
+# f = 1 + T with --nmax 1 --dmax 705 (a fill-in chain, 999,693 twice)
+# takes 5 s at 41 MiB.
+MAX_WORK = 1_000_000
+
+
+def _words(v):
+    """Size of an int or Fraction in 64-bit words, at least one."""
+    return 1 + (v.numerator.bit_length() + v.denominator.bit_length()) // 64
 
 
 def _eliminate(columns, p):
     """(rank, [combination of each dependent column], in column order)."""
-    pivots = {}   # leading row -> (reduced column, its combination)
+    pivots = {}   # leading row -> (reduced column, its combination, sizes)
     dependent = []
+    work = 0      # entries read and scanned, and words written
     for j, col in enumerate(columns):
         vec = poly_axpy({}, 1, col, p)
         combo = {j: 1}
+        work += len(col)
         while vec:
             lead = max(vec)
             if lead not in pivots:
                 inv = pow(vec[lead], -1, p) if p else Fraction(1, vec[lead])
-                pivots[lead] = (poly_axpy({}, inv, vec, p),
-                                poly_axpy({}, inv, combo, p))
+                pvec = poly_axpy({}, inv, vec, p)
+                pcombo = poly_axpy({}, inv, combo, p)
+                entries = len(pvec) + len(pcombo)
+                words = entries if p else (sum(map(_words, pvec.values()))
+                                           + sum(map(_words, pcombo.values())))
+                pivots[lead] = (pvec, pcombo, entries, words)
                 break
-            pvec, pcombo = pivots[lead]
+            pvec, pcombo, entries, words = pivots[lead]
             c = -vec[lead]
+            # a step writes c times the pivot; over Q the entries grow, so
+            # count words, about those of c plus those of the pivot entry
+            work += len(vec) + words + entries * (_words(c) - 1)
+            if work > MAX_WORK:
+                raise PreconditionFailed(
+                    f"elimination exceeds the work cap of {MAX_WORK}")
             poly_axpy(vec, c, pvec, p)
             poly_axpy(combo, c, pcombo, p)
         else:

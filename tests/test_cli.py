@@ -551,13 +551,30 @@ def test_pbasis_series_replay_must_match_field(key, value, tmp_path, capsys):
                    lambda params: params.update({key: value}))
 
 
+def _power_series(*coeffs):
+    return json.dumps({"kind": "power", "radius": ["r1"],
+                       "terms": [{"exp": [e], "coeff": c}
+                                 for e, c in coeffs]})
+
+
 def test_oversized_relation_system_rejected(tmp_path, capsys):
-    # --terms 10: 2,854,742 nonzeros; T^3000000: 3,000,001 equations
+    # --terms 10: 2,854,742 nonzeros; T^3000000: 3,000,001 equations;
+    # f = 0 with n_max 10^12: as many unknowns and powers of f
     _fails_with_one_line(capsys, ["unbounded-demo", "--terms", "10",
                                   "--out", str(tmp_path)])
-    ser = json.dumps({"kind": "power", "radius": ["r1"],
-                      "terms": [{"exp": [3_000_000], "coeff": "1"}]})
+    for ser, n_max in ((_power_series((3_000_000, "1")), "1"),
+                       (_power_series(), "1000000000000")):
+        _fails_with_one_line(capsys, ["nonintegral-cert", "--series", ser,
+                                      "--nmax", n_max, "--dmax", "0",
+                                      "--out", str(tmp_path)])
+    assert not list(tmp_path.iterdir())
+
+
+def test_elimination_fill_in_rejected(tmp_path, capsys):
+    # f = 1 + T, d_max 20000: 60,003 nonzeros, but each column T^e
+    # reduces down a chain of e pivots, about 2 * 10^8 entry operations
+    ser = _power_series((0, "1"), (1, "1"))
     _fails_with_one_line(capsys, ["nonintegral-cert", "--series", ser,
-                                  "--nmax", "1", "--dmax", "0",
+                                  "--nmax", "1", "--dmax", "20000",
                                   "--out", str(tmp_path)])
     assert not list(tmp_path.iterdir())

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from nonarch import PreconditionFailed, linalg
 from nonarch.linalg import CERT_PRIME, nullspace, sparse_rank_mod_p
 
 # |entries| < 10 and at most 8 columns keep every minor below the
@@ -109,3 +110,49 @@ def test_known_systems():
     assert sparse_rank_mod_p([{0: 1, 1: 2}, {1: 3}], 2) == 2
     assert sparse_rank_mod_p([{0: 3}, {0: 6}], 1, 3) == 0
     assert sparse_rank_mod_p([{0: CERT_PRIME}], 1) == 0
+
+
+def chain(n, a, b):
+    """Rows of the relation system of f = a + bT with n_max 1, d_max n:
+    each column T^e reduces down a chain of e pivots, and its combination
+    gains an entry per step."""
+    rows = [{} for _ in range(n + 2)]
+    for e in range(n + 1):
+        rows[e][e] = a
+        rows[e + 1][e] = b
+        rows[e][n + 1 + e] = 1
+    return rows
+
+
+def test_elimination_work_is_capped(monkeypatch):
+    rows = chain(30, 1, 1)
+    assert len(nullspace(rows, 62)) == 30
+    assert sparse_rank_mod_p(rows, 62) == 32
+    # 34 nonzeros a column at most, but about 2,000 entry operations
+    monkeypatch.setattr(linalg, "MAX_WORK", 2000)
+    with pytest.raises(PreconditionFailed, match="work cap of 2000"):
+        nullspace(rows, 62)
+    with pytest.raises(PreconditionFailed, match="work cap of 2000"):
+        sparse_rank_mod_p(rows, 62)
+
+
+def test_elimination_work_counts_words_over_q(monkeypatch):
+    # the same chain with 30-digit fractions: as many operations, but
+    # combinations of powers of a/b, hundreds of words each
+    monkeypatch.setattr(linalg, "MAX_WORK", 10_000)
+    assert len(nullspace(chain(30, 1, 1), 62)) == 30
+    big = chain(30, Fraction(10**30 + 1, 10**30 - 1),
+                Fraction(3**60, 2**90 + 1))
+    with pytest.raises(PreconditionFailed):
+        nullspace(big, 62)
+    monkeypatch.setattr(linalg, "MAX_WORK", 100_000)
+    assert len(nullspace(big, 62)) == 30
+    # 20 equal columns: each reduces once by the first, with c = -1, and
+    # writes the pivot's words, five each for 40-digit fractions
+    small = [r + 2 for r in range(49)] + [1]
+    big = [Fraction(10**40 + r, 10**40 - r) for r in range(49)] + [1]
+    monkeypatch.setattr(linalg, "MAX_WORK", 4000)
+    assert len(nullspace([{j: v for j in range(20)} for v in small], 20)) \
+        == 19
+    with pytest.raises(PreconditionFailed):
+        nullspace([{j: v for j in range(20)} for v in big], 20)
