@@ -70,7 +70,7 @@ def load_config(path=None):
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))
     if path:
         with open(path) as fh:
-            user = json.load(fh)
+            user = _parse_json(fh.read(), "config")
         if not isinstance(user, dict):
             raise NonarchError("config must be a JSON object")
         unknown = sorted(set(user) - set(cfg))
@@ -84,6 +84,15 @@ def load_config(path=None):
         if "out" in user:
             cfg["out"] = user["out"]
     return cfg
+
+
+def _parse_json(text, what):
+    """json.loads, with input nested too deeply for the decoder refused
+    as a NonarchError instead of raising RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise NonarchError(f"{what} JSON is nested too deeply") from None
 
 
 def _declared(decls, what, key):
@@ -111,7 +120,7 @@ def _load_series_arg(arg):
     if os.path.exists(arg):
         with open(arg) as fh:
             text = fh.read()
-    obj = json.loads(text)
+    obj = _parse_json(text, "series")
     check_series_json(obj)
     return obj
 
@@ -240,6 +249,10 @@ def run_unbounded_demo(params):
 
 def run_pbasis_cert(params):
     p, nvars = params["prime"], params["num_pbasis_vars"]
+    # checked with --series too, which never reads it, so that no
+    # artifact stores a term count below 1
+    if params["terms"] < 1:
+        raise NonarchError("pbasis-cert needs --terms >= 1")
     spec = FieldSpec.from_json(params["field"])
     radius = RadiusDecl.from_json(params["radius"])
     if (spec.residue_prime, spec.nvars) != (p, nvars):
@@ -310,16 +323,17 @@ def run_sz_check(params):
         x = ring.elem(rand(), rand())
         y = ring.elem(rand(), rand())
         z = ring.elem(rand(), rand())
+        xy = x * y
         checks = {
-            "assoc": ((x * y) * z).equals(x * (y * z)),
-            "distrib": (x * (y + z)).equals(x * y + x * z),
+            "assoc": (xy * z).equals(x * (y * z)),
+            "distrib": (x * (y + z)).equals(xy + x * z),
             "square_zero": (ring.elem(ring.base_zero, x.b)
                             * ring.elem(ring.base_zero, x.b)).equals(
                                 ring.zero()),
             "isometry": ring.embed(x.a).norm_ln()
             == x.a.norm_ln().pad(len(ring.radii)),
         }
-        nxy = (x * y).norm_ln()
+        nxy = xy.norm_ln()
         nx, ny = x.norm_ln(), y.norm_ln()
         if nxy.is_zero:
             checks["submult"] = True
@@ -486,7 +500,7 @@ def write_artifact(artifact, out_dir, name):
 def check_artifact(path):
     """Replay an artifact from its stored parameters; 0 iff it reproduces."""
     with open(path) as fh:
-        stored = json.load(fh)
+        stored = _parse_json(fh.read(), "artifact")
     if not isinstance(stored, dict) or not isinstance(stored.get("params"),
                                                       dict):
         raise NonarchError("artifact and its params must be JSON objects")

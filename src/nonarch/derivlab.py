@@ -113,7 +113,7 @@ def _prime_entry(c: Scalar):
     if not c.exact:
         raise PreconditionFailed("certificates need exact coefficients")
     if c.kind == PADIC:
-        return c._frac
+        return c.to_fraction()
     if c.is_ring_zero():
         return 0
     if c.valuation() != 0 or set(c._unit) != {0}:

@@ -2,9 +2,9 @@
 
 Three field kinds are supported:
 
-* ``PADIC``          -- Q_q, elements held as exact rationals (a capped
-                        representative is used once inexact data appears,
-                        e.g. after root extraction);
+* ``PADIC``          -- Q_q, elements held as a reduced pair of ints
+                        num/den (a capped representative is used once
+                        inexact data appears, e.g. after root extraction);
 * ``FQ_LAURENT``     -- F_{q^d}((t));
 * ``RATFUN_LAURENT`` -- F_q(u1..uN)((t)).
 
@@ -12,15 +12,22 @@ A ``Scalar`` stores an exact representative plus an optional relative
 precision: ``prec is None`` means the value is known exactly, ``prec = n``
 means it is known modulo q^(v+n) (resp. t^(v+n)).  Valuations of nonzero
 scalars are always exact; ultrametric precision propagation raises
-``PrecisionExhausted`` rather than silently producing a fake zero.  A p-adic
-scalar computes its valuation at most once, on first use, into the ``_val``
-slot (which a Laurent scalar uses for its exponent of t); results whose
-valuation is known from their operands are built with it.
+``PrecisionExhausted`` rather than silently producing a fake zero.
+
+A p-adic scalar stores its representative in the slots ``_num`` and
+``_den``: ``_den > 0``, ``gcd(_num, _den) == 1`` and zero is ``(0, 1)``, so
+equal values have equal pairs.  Products, quotients and sums keep the pair
+reduced with the cross-gcd forms (Henrici 1956; Knuth, TAOCP vol. 2,
+4.5.1), which take gcds of the operands' parts instead of the full results.
+Nothing outside this module reads the pair: ``to_fraction`` and
+``unit_part`` hand out ``Fraction``s.  A p-adic scalar computes its
+valuation at most once, on first use, into the ``_val`` slot (which a
+Laurent scalar uses for its exponent of t); results whose valuation is
+known from their operands are built with it.
 
 Powers of an exact p-adic series are computed over the integers
 (``padic_support_pow``): one common denominator, then integer
-square-and-multiply, giving the same ``Fraction`` coefficients as the
-scalar products.
+square-and-multiply, giving the same coefficients as the scalar products.
 
 A nonzero Laurent scalar is t^val times a unit series {offset: coefficient}
 with a nonzero constant term and no offset at or beyond the precision.  The
@@ -34,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .coeffs import GF, RatFunField, is_prime, poly_mul, power
@@ -138,14 +145,15 @@ class FieldSpec:
         return f"F_{self.residue_prime}({vs})((t))"
 
 
-def _padic_val(fr: Fraction, q: int) -> int:
-    if fr == 0:
+def _padic_val(num: int, den: int, q: int) -> int:
+    """Valuation of the reduced fraction num/den."""
+    if num == 0:
         raise ValueError("valuation of zero")
     # a reduced fraction has q in at most one of its two parts
-    if fr.numerator % q == 0:
-        return _int_val(fr.numerator, q)
-    if fr.denominator % q == 0:
-        return -_int_val(fr.denominator, q)
+    if num % q == 0:
+        return _int_val(num, q)
+    if den % q == 0:
+        return -_int_val(den, q)
     return 0
 
 
@@ -179,14 +187,49 @@ def _pmin(a, b):
     return min(a, b)
 
 
+def _mul_pair(a, b, c, d):
+    """(a/b) * (c/d) as a reduced pair, for reduced pairs with b, d > 0:
+    a is cancelled against d and c against b."""
+    if not a or not c:
+        return 0, 1
+    g, h = gcd(a, d), gcd(c, b)
+    return (a // g) * (c // h), (b // h) * (d // g)
+
+
+def _add_pair(a, b, c, d):
+    """a/b + c/d as a reduced pair, for reduced pairs with b, d > 0: with
+    g = gcd(b, d), only t = a*(d/g) + c*(b/g) can share a factor with the
+    denominator, and only one that divides g.  A zero sum needs b == d,
+    so it comes out as (0, 1)."""
+    g = gcd(b, d)
+    if g == 1:
+        return a * d + c * b, b * d
+    b //= g
+    t = a * (d // g) + c * b
+    h = gcd(t, g)
+    return t // h, b * (d // h)
+
+
+def _reduced(num, den):
+    """num/den (den > 0) in lowest terms."""
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _times_q_pow(u, q, v):
+    """u * q^v as a reduced pair, for an integer u prime to q."""
+    return (u * q ** v, 1) if v >= 0 else (u, q ** -v)
+
+
 class Scalar:
     """Capped-precision element of a concrete valued field."""
 
-    __slots__ = ("spec", "_frac", "_val", "_unit", "_prec")
+    __slots__ = ("spec", "_num", "_den", "_val", "_unit", "_prec")
 
-    def __init__(self, spec, frac=None, val=None, unit=None, prec=None):
+    def __init__(self, spec, num=0, den=1, val=None, unit=None, prec=None):
         self.spec = spec
-        self._frac = frac
+        self._num = num
+        self._den = den
         self._val = val
         self._unit = unit
         self._prec = prec
@@ -196,7 +239,7 @@ class Scalar:
     @classmethod
     def zero(cls, spec):
         if spec.kind == PADIC:
-            return cls(spec, frac=Fraction(0))
+            return cls(spec)
         return cls(spec, val=None, unit={})
 
     @classmethod
@@ -205,13 +248,16 @@ class Scalar:
 
     @classmethod
     def from_int(cls, spec, n: int):
-        return cls.from_fraction(spec, Fraction(n))
+        return cls.from_fraction(spec, n)
 
     @classmethod
     def from_fraction(cls, spec, fr):
-        fr = Fraction(fr)
+        """The value of an int, a Fraction or any other input Fraction()
+        reads."""
+        if type(fr) is not int and type(fr) is not Fraction:
+            fr = Fraction(fr)
         if spec.kind == PADIC:
-            return cls(spec, frac=fr)
+            return cls(spec, fr.numerator, fr.denominator)
         dom = spec.domain()
         num = dom.from_int(fr.numerator)
         den = dom.from_int(fr.denominator)
@@ -276,36 +322,53 @@ class Scalar:
 
     def is_ring_zero(self) -> bool:
         if self.kind == PADIC:
-            return self._frac == 0 and self._prec is None
+            return not self._num and self._prec is None
         return self._val is None
 
     def valuation(self):
         """Exact valuation; None encodes +infinity (the zero element)."""
         v = self._val
-        if v is None and self.kind == PADIC and self._frac:
+        if v is None and self.kind == PADIC and self._num:
             # computed once, on first use
-            v = self._val = _padic_val(self._frac, self.spec.residue_prime)
+            v = self._val = _padic_val(self._num, self._den,
+                                       self.spec.residue_prime)
         return v
 
     def norm_ln(self, arity: int = 0) -> LogNorm:
         v = self.valuation()
         if v is None:
             return LogNorm.zero(arity)
-        return LogNorm(Fraction(v), (Fraction(0),) * arity)
+        return LogNorm(v, (0,) * arity)
 
     def radius_ctx(self):
         return ()
 
     def unit_part(self):
-        """Exact representative of the unit (value / q^v resp. t^v)."""
+        """Exact representative of the unit (value / q^v resp. t^v): a
+        Fraction for a p-adic scalar, a unit series for a Laurent one."""
         if self.kind == PADIC:
-            if self._frac == 0:
+            if not self._num:
                 raise ValueError("zero has no unit part")
-            return self._frac / Fraction(self.spec.residue_prime) \
-                ** self.valuation()
+            return Fraction(*self._padic_unit())
         if self._val is None:
             raise ValueError("zero has no unit part")
         return dict(self._unit)
+
+    def to_fraction(self) -> Fraction:
+        """The rational representative of a p-adic scalar (its value when
+        ``exact``)."""
+        if self.kind != PADIC:
+            raise ValueError("only p-adic scalars have a rational "
+                             "representative")
+        return Fraction(self._num, self._den)
+
+    def _padic_unit(self):
+        """The unit value / q^v of a nonzero p-adic scalar, as a reduced
+        pair."""
+        q, v = self.spec.residue_prime, self.valuation()
+        if v >= 0:
+            return self._num // q ** v, self._den
+        return self._num, self._den // q ** -v
 
     # -- arithmetic ----------------------------------------------------
 
@@ -325,14 +388,16 @@ class Scalar:
         self._check(other)
         known = _pmin(self._known_abs(), other._known_abs())
         if self.kind == PADIC:
-            rep = self._frac + other._frac
+            num, den = _add_pair(self._num, self._den, other._num,
+                                 other._den)
             if known is None:
-                return Scalar(self.spec, frac=rep)
-            v = _padic_val(rep, self.spec.residue_prime) if rep else None
+                return Scalar(self.spec, num, den)
+            v = _padic_val(num, den, self.spec.residue_prime) if num \
+                else None
             if v is None or v >= known:
                 raise PrecisionExhausted(
                     "sum indistinguishable from zero at the cap")
-            return Scalar(self.spec, frac=rep, val=v, prec=known - v)
+            return Scalar(self.spec, num, den, val=v, prec=known - v)
         dom = self.spec.domain()
         merged = {}
         for s in (self, other):
@@ -347,7 +412,7 @@ class Scalar:
 
     def __neg__(self):
         if self.kind == PADIC:
-            return Scalar(self.spec, frac=-self._frac, val=self._val,
+            return Scalar(self.spec, -self._num, self._den, val=self._val,
                           prec=self._prec)
         if self._val is None:
             return self
@@ -363,10 +428,11 @@ class Scalar:
         self._check(other)
         prec = _pmin(self._prec, other._prec)
         if self.kind == PADIC:
-            rep = self._frac * other._frac
-            if not rep:
-                return Scalar(self.spec, frac=rep)
-            return Scalar(self.spec, frac=rep, val=_vsum(self, other, 1),
+            num, den = _mul_pair(self._num, self._den, other._num,
+                                 other._den)
+            if not num:
+                return Scalar(self.spec, num, den)      # an exact zero
+            return Scalar(self.spec, num, den, val=_vsum(self, other, 1),
                           prec=prec)
         if self._val is None or other._val is None:
             return Scalar.zero(self.spec)
@@ -380,10 +446,13 @@ class Scalar:
         if other.is_ring_zero():
             raise DivisionByZero("scalar division by zero")
         if self.kind == PADIC:
-            rep = self._frac / other._frac
-            if not rep:
-                return Scalar(self.spec, frac=rep)
-            return Scalar(self.spec, frac=rep, val=_vsum(self, other, -1),
+            # times d/c, the sign moved to the numerator
+            c, d = other._num, other._den
+            num, den = _mul_pair(self._num, self._den, d, c) if c > 0 \
+                else _mul_pair(self._num, self._den, -d, -c)
+            if not num:
+                return Scalar(self.spec, num, den)      # an exact zero
+            return Scalar(self.spec, num, den, val=_vsum(self, other, -1),
                           prec=_pmin(self._prec, other._prec))
         if self._val is None:
             return self
@@ -397,13 +466,15 @@ class Scalar:
         return Scalar.one(self.spec) / self
 
     def pow_int(self, k: int):
+        if self.kind == PADIC and k and self._num:
+            # a reduced pair's power needs no gcd, unlike its products
+            num, den, v = self._num, self._den, self._val
+            if k < 0:
+                num, den = (den, num) if num > 0 else (-den, -num)
+            return Scalar(self.spec, num ** abs(k), den ** abs(k),
+                          val=None if v is None else k * v, prec=self._prec)
         if k < 0:
             return self.invert().pow_int(-k)
-        if self.kind == PADIC and k and self._frac:
-            # a reduced fraction's power needs no gcd, unlike its products
-            v = self._val
-            return Scalar(self.spec, frac=self._frac ** k,
-                          val=None if v is None else k * v, prec=self._prec)
         return power(self, k, mul, Scalar.one(self.spec))
 
     def div_int(self, n: int):
@@ -417,7 +488,7 @@ class Scalar:
         self._check(other)
         if self.exact and other.exact:
             if self.kind == PADIC:
-                return self._frac == other._frac
+                return self._num == other._num and self._den == other._den
             return self._val == other._val and self._unit == other._unit
         try:
             return (self - other).is_ring_zero()
@@ -427,8 +498,7 @@ class Scalar:
     def rep_size(self) -> int:
         """Rough bit size of the stored representation."""
         if self.kind == PADIC:
-            return (self._frac.numerator.bit_length()
-                    + self._frac.denominator.bit_length())
+            return self._num.bit_length() + self._den.bit_length()
         return 8 * (1 + len(self._unit or {}))
 
     def reduce_representative(self, depth: int):
@@ -446,10 +516,9 @@ class Scalar:
             v = self.valuation()
             if self._prec is not None or v >= depth:
                 return self
-            q = self.spec.residue_prime
-            u = _unit_mod(self._frac, q, v, depth - v)
-            return Scalar(self.spec, frac=Fraction(u) * Fraction(q) ** v,
-                          val=v)
+            u = _unit_mod(self, depth - v)
+            return Scalar(self.spec, *_times_q_pow(u, self.spec.residue_prime,
+                                                   v), val=v)
         if self._prec is not None or self._val >= depth:
             return self
         rel = depth - self._val
@@ -463,12 +532,11 @@ class Scalar:
         if self.is_ring_zero():
             return self
         if self.kind == PADIC:
-            q = self.spec.residue_prime
             v = self.valuation()
             prec = cap if self._prec is None else min(self._prec, cap)
-            u = _unit_mod(self._frac, q, v, prec)
-            return Scalar(self.spec, frac=Fraction(u) * Fraction(q) ** v,
-                          val=v, prec=prec)
+            u = _unit_mod(self, prec)
+            return Scalar(self.spec, *_times_q_pow(u, self.spec.residue_prime,
+                                                   v), val=v, prec=prec)
         prec = cap if self._prec is None else min(self._prec, cap)
         return Scalar._laurent(self.spec, self._val,
                                {k: c for k, c in self._unit.items()
@@ -480,16 +548,12 @@ class Scalar:
         if self.is_ring_zero():
             return "0"
         if self.kind == PADIC:
-            q = self.spec.residue_prime
             v = self.valuation()
-            unit = self._frac / Fraction(q) ** v
-            if unit.denominator == 1:
-                us = str(unit.numerator)
-            else:
-                us = f"{unit.numerator}/{unit.denominator}"
+            num, den = self._padic_unit()
+            us = str(num) if den == 1 else f"{num}/{den}"
             if v == 0:
                 return us
-            return f"{us}*{q}^{v}"
+            return f"{us}*{self.spec.residue_prime}^{v}"
         dom = self.spec.domain()
         parts = []
         for k in sorted(self._unit):
@@ -519,13 +583,14 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         return (self.spec == other.spec and self._prec == other._prec
-                and (self._frac == other._frac if self.kind == PADIC
+                and (self._num == other._num and self._den == other._den
+                     if self.kind == PADIC
                      else (self._val == other._val
                            and self._unit == other._unit)))
 
     def __hash__(self):
         if self.kind == PADIC:
-            return hash((self.spec, self._frac, self._prec))
+            return hash((self.spec, self._num, self._den, self._prec))
         unit = tuple(sorted(self._unit.items())) if self._unit else ()
         return hash((self.spec, self._val, unit, self._prec))
 
@@ -610,7 +675,7 @@ def padic_support_pow(spec, support, k, arity, cap):
 
     f = F/D with D the lcm of the coefficient denominators; F^k runs the
     square-and-multiply schedule of ``TateSeries.pow_int`` on {exponent:
-    int} dicts, and each term of the result is one Fraction(n, D^k).
+    int} dicts, and each term of the result is n/D^k in lowest terms.
     None (the caller multiplies scalars instead) for a Laurent field, a
     capped coefficient, or an intermediate support above ``cap``, which is
     where the scalar path starts pruning.  Not ``power``: the loop stops
@@ -619,9 +684,8 @@ def padic_support_pow(spec, support, k, arity, cap):
     if spec.kind != PADIC or any(c._prec is not None
                                  for c in support.values()):
         return None
-    den = lcm(*(c._frac.denominator for c in support.values()))
-    base = {e: c._frac.numerator * (den // c._frac.denominator)
-            for e, c in support.items()}
+    den = lcm(*(c._den for c in support.values()))
+    base = {e: c._num * (den // c._den) for e, c in support.items()}
     out = {(0,) * arity: 1}
     bits = k
     while bits:
@@ -635,7 +699,7 @@ def padic_support_pow(spec, support, k, arity, cap):
                 return None
         bits >>= 1
     dk = den ** k
-    return {e: Scalar(spec, frac=Fraction(n, dk)) for e, n in out.items()}
+    return {e: Scalar(spec, *_reduced(n, dk)) for e, n in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -674,12 +738,12 @@ def scalar_pth_root(a: Scalar, p: int) -> Scalar:
     return _laurent_root(a, p, v)
 
 
-def _unit_mod(frac: Fraction, q: int, v: int, m: int) -> int:
-    """The unit frac / q^v of a p-adic value of valuation v, as an
-    integer reduced modulo q^m."""
-    unit = frac / Fraction(q) ** v
-    qm = q ** m
-    return unit.numerator * pow(unit.denominator, -1, qm) % qm
+def _unit_mod(a: Scalar, m: int) -> int:
+    """The unit of a nonzero p-adic scalar as an integer reduced modulo
+    q^m."""
+    num, den = a._padic_unit()
+    qm = a.spec.residue_prime ** m
+    return num * pow(den, -1, qm) % qm
 
 
 def _padic_root(a: Scalar, p: int, v: int) -> Scalar:
@@ -688,7 +752,7 @@ def _padic_root(a: Scalar, p: int, v: int) -> Scalar:
     m = spec.precision_cap if a._prec is None else min(a._prec,
                                                        spec.precision_cap)
     qm = q ** m
-    u = _unit_mod(a._frac, q, v, m)
+    u = _unit_mod(a, m)
     u0 = u % q
     roots = sorted(x for x in range(1, q) if pow(x, p, q) == u0)
     if not roots:
@@ -703,8 +767,7 @@ def _padic_root(a: Scalar, p: int, v: int) -> Scalar:
         r = (r - fr * pow(dr, -1, qm)) % qm
     if (pow(r, p, qm) - u) % qm != 0:
         raise NoRootInField("Hensel lifting failed to converge")
-    return Scalar(spec, frac=Fraction(r) * Fraction(q) ** (v // p),
-                  val=v // p, prec=m)
+    return Scalar(spec, *_times_q_pow(r, q, v // p), val=v // p, prec=m)
 
 
 def _laurent_root(a: Scalar, p: int, v: int) -> Scalar:

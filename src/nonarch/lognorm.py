@@ -1,8 +1,11 @@
 """Exact multiplicative norm values q^(-e0) * prod r_j^(e_j).
 
-A ``LogNorm`` stores the exponent data exactly (Fractions).  Formal radii
-r_j are declared once per session as ``RadiusDecl`` objects carrying a
-refinable interval for log_q(1/r_j).
+A ``LogNorm`` stores the exponent data exactly: an exponent is an ``int``
+when it is integral (valuations, series exponents) and a ``Fraction``
+otherwise.  The two are interchangeable: ``Fraction(3) == 3``, they hash
+alike and print alike, so neither comparisons nor artifact bytes depend on
+which one an exponent is.  Formal radii r_j are declared once per session
+as ``RadiusDecl`` objects carrying a refinable interval for log_q(1/r_j).
 
 Comparing two norm values means deciding the sign of the log-difference
 e0 + sum e_j * log_q(1/r_j).  When every radius in it is quadratic,
@@ -42,18 +45,18 @@ class LogNorm:
     """Norm value q^(-base_exp) * prod_j r_j^(radius_exps[j]); ZERO is the
     norm of 0 and is absorbing/minimal."""
 
-    base_exp: Fraction
+    base_exp: int | Fraction
     radius_exps: tuple
     is_zero: bool = False
 
     def __post_init__(self):
-        if type(self.base_exp) is not Fraction:
+        if type(self.base_exp) not in _EXACT:
             object.__setattr__(self, "base_exp", Fraction(self.base_exp))
         exps = self.radius_exps
         if not (type(exps) is tuple
-                and all(type(e) is Fraction for e in exps)):
-            object.__setattr__(self, "radius_exps",
-                               tuple(Fraction(e) for e in exps))
+                and all(type(e) in _EXACT for e in exps)):
+            object.__setattr__(self, "radius_exps", tuple(
+                e if type(e) in _EXACT else Fraction(e) for e in exps))
         if self.is_zero and (self.base_exp or any(self.radius_exps)):
             raise ValueError("ZERO norm must carry zero exponents")
 
@@ -62,17 +65,16 @@ class LogNorm:
         """The shared (immutable) ZERO norm of this arity."""
         z = _ZEROS.get(arity)
         if z is None:
-            z = _ZEROS[arity] = cls(Fraction(0), (Fraction(0),) * arity,
-                                    True)
+            z = _ZEROS[arity] = cls(0, (0,) * arity, True)
         return z
 
     @classmethod
     def identity(cls, arity: int = 0):
-        return cls(Fraction(0), (Fraction(0),) * arity)
+        return cls(0, (0,) * arity)
 
     @classmethod
     def of(cls, base_exp, radius_exps=()):
-        return cls(Fraction(base_exp), tuple(Fraction(e) for e in radius_exps))
+        return cls(base_exp, tuple(radius_exps))
 
     @property
     def arity(self) -> int:
@@ -90,7 +92,7 @@ class LogNorm:
             raise ValueError("cannot re-pad a norm with radius components")
         if self.is_zero:
             return LogNorm.zero(arity)
-        return LogNorm(self.base_exp, (Fraction(0),) * arity)
+        return LogNorm(self.base_exp, (0,) * arity)
 
     def to_json(self):
         if self.is_zero:
@@ -113,6 +115,8 @@ class LogNorm:
 
 
 _ZEROS = {}
+# the exponent types kept as they are; anything else becomes a Fraction
+_EXACT = (int, Fraction)
 
 
 def ln_mul(a: LogNorm, b: LogNorm) -> LogNorm:

@@ -131,7 +131,7 @@ class TateSeries:
         """Norm of a single stored term: |a_e| * r^e."""
         c = self.support[exp]
         v = c.valuation()
-        return LogNorm(Fraction(v), tuple(Fraction(x) for x in exp))
+        return LogNorm(v, exp)
 
     # -- ring operations -------------------------------------------------
 
@@ -396,8 +396,7 @@ def _accumulate(out, lost, e, c):
         s = acc + c
     except PrecisionExhausted:
         known = _pmin(acc._known_abs(), c._known_abs())
-        lost.append(LogNorm(Fraction(known),
-                            tuple(Fraction(x) for x in e)))
+        lost.append(LogNorm(known, e))
         del out[e]
         return
     if s.is_ring_zero():

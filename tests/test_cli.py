@@ -7,6 +7,7 @@ import pytest
 from nonarch import cli
 from nonarch.cli import main
 from nonarch.fields import PADIC, FieldSpec, scalar_from_literal
+from nonarch.squarezero import SquareZeroElem
 
 SER_Q3 = json.dumps({"kind": "laurent", "radius": ["r1"],
                      "terms": [{"exp": [1], "coeff": "3"},
@@ -578,3 +579,69 @@ def test_elimination_fill_in_rejected(tmp_path, capsys):
                                   "--nmax", "1", "--dmax", "20000",
                                   "--out", str(tmp_path)])
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("terms", ["0", "-1"])
+def test_pbasis_terms_below_one_rejected(terms, tmp_path, capsys):
+    # with --series the count is never read, but it is stored
+    _fails_with_one_line(capsys, PBASIS_ARGV + ["--terms", terms,
+                                                "--out", str(tmp_path)])
+    _fails_with_one_line(capsys, PBASIS_ARGV[:-2] + ["--terms", terms,
+                                                     "--out", str(tmp_path)])
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("series", [True, False], ids=["series", "built"])
+def test_pbasis_terms_below_one_replay_rejected(series, tmp_path, capsys):
+    argv = PBASIS_ARGV if series else PBASIS_ARGV[:-2] + ["--terms", "2"]
+    _replay_edited(tmp_path, capsys, argv,
+                   lambda params: params.update(terms=-1))
+
+
+def _deep_json(depth):
+    return "[" * depth + "]" * depth
+
+
+def test_deeply_nested_series_json_rejected(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(_deep_json(100_000))
+    out = tmp_path / "out"
+    _fails_with_one_line(capsys, ["gauss-norm", "--field", "q3", "--series",
+                                  str(path), "--out", str(out)])
+    assert not out.exists()
+
+
+def test_deeply_nested_artifact_rejected(tmp_path, capsys):
+    assert main(["gauss-norm", "--field", "q3", "--series", SER_Q3,
+                 "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "gauss-norm.json").read_text()
+    edited = tmp_path / "edited.json"
+    edited.write_text(text.replace('"exact": true',
+                                   '"exact": ' + _deep_json(100_000), 1))
+    assert edited.read_text() != text
+    _fails_with_one_line(capsys, ["--check", str(edited)])
+
+
+def test_deeply_nested_config_rejected(tmp_path, capsys):
+    cfg = tmp_path / "session.json"
+    cfg.write_text('{"fields": ' + _deep_json(100_000) + "}")
+    _fails_with_one_line(capsys, ["--config", str(cfg), "pth-root",
+                                  "--field", "q3", "--prime", "2",
+                                  "--target", "4", "--out", str(tmp_path)])
+
+
+def test_sz_check_multiplies_seven_times_per_trial(tmp_path, monkeypatch):
+    # x*y is computed once and reused by assoc, distrib and submult
+    calls = []
+    mul = SquareZeroElem.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(SquareZeroElem, "__mul__", counting)
+    for field in ("q3", "f2t"):
+        calls.clear()
+        assert main(["sz-check", "--field", field, "--count", "12",
+                     "--out", str(tmp_path)]) == 0
+        assert len(calls) == 7 * 12

@@ -1,6 +1,7 @@
 """Field arithmetic, valuations, auxiliary primes and in-field roots."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -220,8 +221,21 @@ _pfrac = st.fractions(min_value=Fraction(-243), max_value=Fraction(243),
 _prec = st.one_of(st.none(), st.integers(1, 12))
 
 
+def _raw(spec, fr, prec=None):
+    """The scalar with representative fr and relative precision prec,
+    built by the unchecked constructor."""
+    return Scalar(spec, fr.numerator, fr.denominator, prec=prec)
+
+
 def _capped(spec, fr, prec):
-    return Scalar(spec, frac=fr, prec=prec if fr else None)
+    return _raw(spec, fr, prec if fr else None)
+
+
+def _assert_reduced(s):
+    """The p-adic representation invariant: den > 0, gcd 1, zero (0, 1)."""
+    assert type(s._num) is int and type(s._den) is int
+    assert s._den > 0 and gcd(s._num, s._den) == 1
+    assert s._num or s._den == 1
 
 
 def _expected_sum(spec, x, y, rep):
@@ -233,7 +247,7 @@ def _expected_sum(spec, x, y, rep):
     v = Scalar.from_fraction(spec, rep).valuation()
     if v is None or v >= min(known):
         return None
-    return Scalar(spec, frac=rep, prec=min(known) - v)
+    return _raw(spec, rep, min(known) - v)
 
 
 @pytest.mark.parametrize("spec", [Q3, Q5], ids=["Q3", "Q5"])
@@ -245,11 +259,11 @@ def test_padic_fast_paths_match_validated(spec, a, pa, b, pb):
     x, y = _capped(spec, a, pa), _capped(spec, b, pb)
     precs = [p for p in (x.precision, y.precision) if p is not None]
     want = (Scalar.from_fraction(spec, a * b) if not precs or a * b == 0
-            else Scalar(spec, frac=a * b, prec=min(precs)))
+            else _raw(spec, a * b, min(precs)))
     got = x * y
     assert (got, got.precision, got.valuation()) \
         == (want, want.precision, want.valuation())
-    assert type(got._frac) is Fraction
+    _assert_reduced(got)
     want = _expected_sum(spec, x, y, a + b)
     if want is None:
         with pytest.raises(PrecisionExhausted):
@@ -258,7 +272,7 @@ def test_padic_fast_paths_match_validated(spec, a, pa, b, pb):
     got = x + y
     assert (got, got.precision, got.valuation()) \
         == (want, want.precision, want.valuation())
-    assert type(got._frac) is Fraction
+    _assert_reduced(got)
 
 
 # p-adic valuations: the repeated-squaring search against one division per
@@ -287,7 +301,8 @@ def test_padic_val_at_power_of_two_edges(q):
         for b in (0, a, 600 - a):
             for n, m in ((1, 1), (-7, 11), (q + 1, 2 * q - 1)):
                 fr = Fraction(n * q ** a, m * q ** b)
-                assert _padic_val(fr, q) == _digit_loop_val(fr, q) == a - b
+                assert _padic_val(fr.numerator, fr.denominator, q) \
+                    == _digit_loop_val(fr, q) == a - b
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -298,12 +313,14 @@ def test_padic_val_at_power_of_two_edges(q):
        sign=st.sampled_from([1, -1]))
 def test_padic_val_matches_digit_loop(q, n, m, a, b, sign):
     fr = Fraction(sign * n * q ** a, m * q ** b)
-    assert _padic_val(fr, q) == _digit_loop_val(fr, q)
+    assert _padic_val(fr.numerator, fr.denominator, q) \
+        == _digit_loop_val(fr, q)
 
 
 def _assert_fresh_valuation(s):
     q = s.spec.residue_prime
-    want = None if s._frac == 0 else _digit_loop_val(s._frac, q)
+    want = None if s.is_ring_zero() else _digit_loop_val(s.to_fraction(),
+                                                          q)
     assert s.valuation() == want
     assert s.valuation() == want      # the cached value, on a second read
 
@@ -468,3 +485,125 @@ def test_laurent_product_matches_sympy(name, data):
     want = {k: (v % p,) for (k,), v in (pa * pb).as_dict().items()
             if v % p and (prod.exact or k < prod.precision)}
     assert prod.unit_part() == want
+
+
+# The reduced (num, den) pair against Fraction arithmetic on the same
+# values: exact and capped operands, zero, both signs, q in the numerator
+# or the denominator, and numbers several hundred digits long
+
+
+def _qfrac(s, n, m, i, j, k, l):
+    return s * Fraction(n * 3 ** i * 5 ** j, m * 3 ** k * 5 ** l)
+
+
+_part = st.one_of(st.integers(1, 60), st.integers(1, 10 ** 300))
+_qexp = st.integers(0, 25)
+_value = st.one_of(st.just(Fraction(0)), _pfrac,
+                   st.builds(_qfrac, st.sampled_from([1, -1]), _part, _part,
+                             _qexp, _qexp, _qexp, _qexp))
+
+
+def _val(fr, q):
+    return None if fr == 0 else _digit_loop_val(fr, q)
+
+
+def _literal(fr, q):
+    if fr == 0:
+        return "0"
+    v = _val(fr, q)
+    us = str(fr / Fraction(q) ** v)
+    return us if v == 0 else f"{us}*{q}^{v}"
+
+
+def _pmin(*precs):
+    precs = [p for p in precs if p is not None]
+    return min(precs) if precs else None
+
+
+def _assert_is(s, value, prec):
+    """s holds exactly value at relative precision prec, in normal form."""
+    q = s.spec.residue_prime
+    _assert_reduced(s)
+    assert s.to_fraction() == value and s.precision == prec
+    assert s.valuation() == _val(value, q)
+    assert s.to_literal() == _literal(value, q)
+    want = _raw(s.spec, value, prec)
+    assert s == want and hash(s) == hash(want)
+
+
+def _assert_canonical_digits(s, a, v, m):
+    """s is exact or at precision m, of valuation v, congruent to a
+    modulo q^(v+m), with unit an integer in [1, q^m)."""
+    q = s.spec.residue_prime
+    _assert_reduced(s)
+    c = s.to_fraction()
+    assert s.valuation() == _val(c, q) == v
+    unit = c / Fraction(q) ** v
+    assert unit.denominator == 1 and 0 < unit.numerator < q ** m
+    assert c == a or _val(c - a, q) >= v + m
+
+
+@pytest.mark.parametrize("spec", [Q3, Q5], ids=["Q3", "Q5"])
+@settings(max_examples=200, deadline=None)
+@given(a=_value, pa=_prec, b=_value, pb=_prec, k=st.integers(-3, 3),
+       depth=st.integers(-6, 30))
+@example(a=Fraction(5, 3), pa=None, b=Fraction(-9, 5), pb=None, k=-2,
+         depth=4)                                         # both cross gcds
+@example(a=Fraction(0), pa=None, b=Fraction(-2, 15), pb=4, k=2, depth=0)
+@example(a=Fraction(2, 45), pa=None, b=Fraction(2, 45), pb=None, k=-1,
+         depth=1)                                         # x - y = 0
+@example(a=Fraction(1), pa=3, b=Fraction(-1), pb=None, k=3,
+         depth=2)                                         # sum lost
+def test_padic_ops_match_fraction_oracle(spec, a, pa, b, pb, k, depth):
+    q = spec.residue_prime
+    x, y = _capped(spec, a, pa), _capped(spec, b, pb)
+    px, py = x.precision, y.precision
+    _assert_is(x, a, px)
+    _assert_is(x * y, a * b, None if a * b == 0 else _pmin(px, py))
+    _assert_is(-x, -a, px)
+    if b == 0:
+        with pytest.raises(DivisionByZero):
+            x / y
+    else:
+        _assert_is(x / y, a / b, None if a == 0 else _pmin(px, py))
+    for op, value in ((x.__add__, a + b), (x.__sub__, a - b)):
+        want = _expected_sum(spec, x, y, value)
+        if want is None:
+            with pytest.raises(PrecisionExhausted):
+                op(y)
+        else:
+            _assert_is(op(y), value, want.precision)
+    if a == 0 and k < 0:
+        with pytest.raises(DivisionByZero):
+            x.pow_int(k)
+    else:
+        _assert_is(x.pow_int(k), a ** k, None if k == 0 or a == 0 else px)
+    known = [_val(s, q) + p for s, p in ((a, px), (b, py)) if p is not None]
+    assert x.equals(y) is (a == b or bool(known)
+                           and _val(a - b, q) >= min(known))
+    if a == 0:
+        assert x.cap() is x and x.reduce_representative(depth) is x
+        return
+    v = _val(a, q)
+    assert x.unit_part() == a / Fraction(q) ** v
+    m = _pmin(px, spec.precision_cap)
+    capped = x.cap()
+    assert capped.precision == m
+    _assert_canonical_digits(capped, a, v, m)
+    reduced = x.reduce_representative(depth)
+    if px is not None or v >= depth:
+        assert reduced is x
+    else:
+        assert reduced.exact
+        _assert_canonical_digits(reduced, a, v, depth - v)
+
+
+def test_from_fraction_reads_ints_fractions_and_strings():
+    for given_value, want in ((-18, Fraction(-18)), (Fraction(6, -4),
+                                                     Fraction(-3, 2)),
+                              ("10/45", Fraction(2, 9)), (0, Fraction(0))):
+        s = Scalar.from_fraction(Q3, given_value)
+        _assert_is(s, want, None)
+        assert s.to_fraction() == want and type(s.to_fraction()) is Fraction
+    with pytest.raises(ValueError):
+        Scalar.one(F2T).to_fraction()

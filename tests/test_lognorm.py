@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from nonarch import (Cmp, LogNorm, RadiusDecl, UndecidableAtDepth,
                      in_value_group_rational, ln_compare, ln_mul, ln_pow)
+from nonarch.fields import PADIC, FieldSpec, Scalar
 from nonarch.lognorm import log_q_interval, norm_exceeds
+from nonarch.series import POWER, TateSeries
 
 R1 = RadiusDecl.default("r1")             # log_q(1/r) = sqrt(2)/2
 R06 = RadiusDecl.rational_stub("r06", Fraction(3, 5),
@@ -318,3 +320,78 @@ def test_norm_exceeds_close_calls(k):
     ratio = LogNorm.of(0, (-37,))
     assert norm_exceeds(ratio, (R1,), 3, below)
     assert not norm_exceeds(ratio, (R1,), 3, above)
+
+
+# integral exponents are stored as ints, the rest as Fractions; an int
+# exponent and the equal Fraction are one value to every consumer
+
+_mixed_exp = st.one_of(st.integers(-40, 40),
+                       st.fractions(min_value=Fraction(-40),
+                                    max_value=Fraction(40),
+                                    max_denominator=7))
+
+
+def _as_int(e):
+    e = Fraction(e)
+    return int(e) if e.denominator == 1 else e
+
+
+def _both(base, rads):
+    """The same norm built from int and from Fraction exponents."""
+    n_int = LogNorm(_as_int(base), tuple(_as_int(e) for e in rads))
+    n_frac = LogNorm(Fraction(base), tuple(Fraction(e) for e in rads))
+    for got, want in zip((n_int.base_exp,) + n_int.radius_exps,
+                         (base,) + tuple(rads)):
+        assert type(got) is (int if Fraction(want).denominator == 1
+                             else Fraction)
+    assert all(type(e) is Fraction
+               for e in (n_frac.base_exp,) + n_frac.radius_exps)
+    return n_int, n_frac
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except UndecidableAtDepth:
+        return UndecidableAtDepth
+
+
+@pytest.mark.parametrize("radii", [(R1, R_NEG), (R1, R06), (R_D5, R1_TWIN)],
+                         ids=["quadratic", "stub", "mixed-d"])
+@settings(max_examples=150, deadline=None)
+@given(a0=_mixed_exp, a=st.lists(_mixed_exp, min_size=2, max_size=2),
+       b0=_mixed_exp, b=st.lists(_mixed_exp, min_size=2, max_size=2))
+def test_int_and_fraction_exponents_agree(radii, a0, a, b0, b):
+    a_int, a_frac = _both(a0, a)
+    b_int, b_frac = _both(b0, b)
+    assert a_int == a_frac and hash(a_int) == hash(a_frac)
+    assert a_int.to_json() == a_frac.to_json()
+    assert str(a_int) == str(a_frac)
+    assert LogNorm.from_json(a_int.to_json()) == a_int
+    want = _outcome(ln_compare, a_frac, b_frac, radii)
+    for x, y in ((a_int, b_int), (a_int, b_frac), (a_frac, b_int)):
+        assert _outcome(ln_compare, x, y, radii) is want
+    assert ln_mul(a_int, b_int) == ln_mul(a_frac, b_frac)
+    assert ln_mul(a_int, b_int).to_json() == ln_mul(a_frac, b_frac).to_json()
+    assert log_q_interval(a_int, radii) == log_q_interval(a_frac, radii)
+    assert [str(x) for x in log_q_interval(a_int, radii)] \
+        == [str(x) for x in log_q_interval(a_frac, radii)]
+    assert _outcome(norm_exceeds, a_int, radii, 3, Fraction(10)) \
+        is _outcome(norm_exceeds, a_frac, radii, 3, Fraction(10))
+
+
+def test_integral_norms_are_built_from_ints():
+    spec = FieldSpec(PADIC, 3)
+    f = TateSeries(spec, POWER, (R1,), {(4,): Scalar.from_int(spec, 18)})
+    for n in (Scalar.from_fraction(spec, Fraction(2, 27)).norm_ln(2),
+              f.term_norm((4,)), f.gauss_norm()[0], LogNorm.zero(3),
+              LogNorm.identity(2), LogNorm.of(-3).pad(2)):
+        assert all(type(e) is int for e in (n.base_exp,) + n.radius_exps)
+    assert f.term_norm((4,)) == LogNorm.of(2, (4,))
+
+
+def test_other_exponent_inputs_become_fractions():
+    n = LogNorm("3/5", (True, 1.5))
+    assert (n.base_exp, n.radius_exps) \
+        == (Fraction(3, 5), (Fraction(1), Fraction(3, 2)))
+    assert all(type(e) is Fraction for e in (n.base_exp,) + n.radius_exps)

@@ -193,9 +193,8 @@ def _random_capped_series(rng, spec, kind):
     lo = 0 if kind == POWER else -3
     for _ in range(rng.randint(0, 5)):
         if spec.kind == PADIC:
-            c = Scalar(spec, frac=Fraction(rng.choice([1, -1, 2, 8, -8]),
-                                           rng.choice([1, 3])),
-                       prec=rng.choice([None, None, 2, 4]))
+            c = Scalar(spec, rng.choice([1, -1, 2, 8, -8]),
+                       rng.choice([1, 3]), prec=rng.choice([None, None, 2, 4]))
         else:
             c = Scalar.t_power(spec, rng.randint(-2, 3))
             if rng.random() < 0.3:
@@ -291,7 +290,7 @@ def test_pow_drops_cancelled_terms():
 
 def test_pow_of_capped_or_tailed_series_keeps_scalar_path():
     capped = TateSeries(Q3, POWER, (R1,), {
-        (0,): Scalar.one(Q3), (1,): Scalar(Q3, frac=Fraction(2, 7), prec=3)})
+        (0,): Scalar.one(Q3), (1,): Scalar(Q3, 2, 7, prec=3)})
     tailed = TateSeries(Q3, POWER, (R1,), {
         (0,): Scalar.one(Q3), (1,): Scalar.from_int(Q3, 2)},
         LogNorm.of(1, (3,)))
