@@ -10,9 +10,13 @@ Two backends live here:
 
 ``GF`` and ``RatFunField`` are the coefficient-field protocol that Laurent
 scalars compute on: ``zero``, ``one``, ``from_int`` (the ring map from Z),
-``is_zero``, ``add``, ``neg``, ``mul``, ``inv``, ``char_root``,
+``is_zero``, ``add``, ``neg``, ``mul``, ``inv``, ``series_mul`` (the
+truncated product of two unit series {offset: element}), ``char_root``,
 ``nth_roots``, ``to_str`` and ``atomic_str``.  Elements are canonical, so
-equal values have equal representations.
+equal values have equal representations.  ``series_axpy`` and
+``schoolbook_series_mul`` compute on unit series over any of them, one
+``mul`` per term pair; ``GF.series_mul`` packs dense products into one
+big-integer product instead (Kronecker substitution).
 
 The lowest layer also holds the shared kernels of exact arithmetic over Z,
 Q and F_p: ``poly_axpy`` (out += c * b on {exponent: coefficient} dicts)
@@ -23,6 +27,8 @@ and ``poly_mul``, which ``MPoly``, the relation systems of ``linalg`` and
 
 from __future__ import annotations
 
+import struct
+import sys
 from functools import lru_cache
 from operator import add
 
@@ -90,6 +96,51 @@ def power(x, k, mul, one):
         if k:
             x = mul(x, x)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Unit series {offset: nonzero element} over a coefficient field ``dom``
+
+
+def series_axpy(out, c, shift, b, dom, limit):
+    """out += c * t^shift * b in place, and return out.
+
+    c None means unscaled.  Sums that vanish are dropped, and exponents
+    >= limit are skipped (limit None: no truncation).  Not poly_axpy:
+    the coefficients are domain elements, and the sum truncates.
+    """
+    add, mul, is_zero = dom.add, dom.mul, dom.is_zero
+    for j, y in b.items():
+        k = j + shift
+        if limit is not None and k >= limit:
+            continue
+        if c is not None:
+            y = mul(c, y)
+        acc = out.get(k)
+        if acc is not None:
+            y = add(acc, y)
+            if is_zero(y):
+                del out[k]
+                continue
+        out[k] = y
+    return out
+
+
+def schoolbook_series_mul(a, b, dom, limit):
+    """a * b with offsets >= limit dropped: one series_axpy per term of a,
+    so one ``dom.mul`` per term pair."""
+    out = {}
+    for i, x in a.items():
+        if limit is None or i < limit:
+            series_axpy(out, x, i, b, dom, limit)
+    return out
+
+
+def _below(a, limit):
+    """The terms of a at offsets below limit."""
+    if not a or max(a) < limit:
+        return a
+    return {k: c for k, c in a.items() if k < limit}
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +216,35 @@ def _find_irreducible(p: int, d: int):
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
+# native unsigned formats that read w-byte little-endian slots in place
+_SLOT_FORMATS = {1: "B"}
+if sys.byteorder == "little":
+    _SLOT_FORMATS.update({struct.calcsize(f): f for f in "HIQ"})
+
+
+def _slot_width(bound):
+    """Bytes per slot for slot values up to bound: rounded up to a native
+    format width where one exists."""
+    need = max(1, (bound.bit_length() + 7) // 8)
+    return min((w for w in _SLOT_FORMATS if w >= need), default=need)
+
+
+def _pack(a, lo, stride, w):
+    """The series a as one integer: component j of the term at offset k in
+    the w-byte slot (k - lo) * stride + j, little-endian."""
+    n = (max(a) - lo + 1) * stride
+    fmt = _SLOT_FORMATS.get(w)
+    buf = bytearray(n * w)
+    slots = memoryview(buf).cast(fmt) if fmt else [0] * n
+    for k, c in a.items():
+        base = (k - lo) * stride
+        for j, x in enumerate(c):
+            slots[base + j] = x
+    if not fmt:
+        buf = b"".join(x.to_bytes(w, "little") for x in slots)
+    return int.from_bytes(buf, "little")
+
+
 class GF:
     """Arithmetic for F_{p^d}.  Elements are little-endian tuples over F_p.
 
@@ -182,6 +262,10 @@ class GF:
         self.modulus = _find_irreducible(p, d)
         self.zero = ()
         self.one = (1,)
+        # the sparsity crossover of series_mul, measured: over F_p a packed
+        # product pays down to about 1 term pair per 16 offsets, over an
+        # extension, whose slots are reduced by the modulus in Python, 1 per 2
+        self._offsets_per_pair = 16 if d == 1 else 2
 
     def from_int(self, n: int):
         """Image of n under the ring map Z -> F_{p^d} (in the prime field)."""
@@ -210,6 +294,71 @@ class GF:
         if not a or not b:
             return ()
         return _vec_trim(_poly_mulmod(a, b, self.modulus, self.p))
+
+    def series_mul(self, a, b, limit):
+        """a * b for unit series {offset: element}, offsets >= limit
+        dropped (limit None: none).
+
+        Packed into one big-integer product (``_kronecker_mul``) unless an
+        operand is a single term (a scaling) or the operands are too sparse
+        for their spans: more than ``_offsets_per_pair`` offsets in the two
+        spans per term pair.  Those take the schoolbook loop.
+        """
+        if len(a) > 1 and len(b) > 1 and limit is not None:
+            square = a is b
+            a = _below(a, limit)
+            b = a if square else _below(b, limit)
+        na, nb = len(a), len(b)
+        if na < 2 or nb < 2 or na * nb * self._offsets_per_pair \
+                < max(a) - min(a) + max(b) - min(b) + 2:
+            return schoolbook_series_mul(a, b, self, limit)
+        return self._kronecker_mul(a, b, limit)
+
+    def _kronecker_mul(self, a, b, limit):
+        """series_mul by Kronecker substitution: each term takes 2d - 1
+        slots, so the w-polynomials of a product fit in one stride, and
+        each slot is wide enough for min(len a, len b) * d products of two
+        components; one integer product (a square when a is b), then every
+        output slot is reduced mod p and by the modulus."""
+        p, d = self.p, self.d
+        stride = 2 * d - 1
+        w = _slot_width(min(len(a), len(b)) * d * (p - 1) ** 2)
+        lo_a, lo_b = min(a), min(b)
+        packed = _pack(a, lo_a, stride, w)
+        prod = packed * (packed if a is b else _pack(b, lo_b, stride, w))
+        lo = lo_a + lo_b
+        span = max(a) - lo_a + max(b) - lo_b + 1
+        raw = prod.to_bytes(span * stride * w, "little")
+        nslots = stride * (span if limit is None
+                           else max(0, min(span, limit - lo)))
+        fmt = _SLOT_FORMATS.get(w)
+        if fmt:
+            slots = memoryview(raw).cast(fmt)[:nslots].tolist()
+        else:
+            slots = [int.from_bytes(raw[i:i + w], "little")
+                     for i in range(0, nslots * w, w)]
+        out = {}
+        if d == 1:
+            for k, v in enumerate(slots):
+                if v and (r := v % p):
+                    out[k + lo] = (r,)
+            return out
+        # w^j = -(m_0 + ... + m_{d-1} w^{d-1}) * w^(j-d) from the top down
+        tops = range(stride - 1, d - 1, -1)
+        m = tuple(enumerate(self.modulus[:d]))
+        for base in range(0, nslots, stride):
+            v = slots[base:base + stride]
+            if not any(v):
+                continue
+            for j in tops:
+                c = v[j] % p
+                if c:
+                    for i, mi in m:
+                        v[j - d + i] -= c * mi
+            elem = _vec_trim(tuple(x % p for x in v[:d]))
+            if elem:
+                out[base // stride + lo] = elem
+        return out
 
     def inv(self, a):
         if not a:
@@ -619,6 +768,9 @@ class RatFunField:
 
     def mul(self, a, b):
         return a * b
+
+    def series_mul(self, a, b, limit):
+        return schoolbook_series_mul(a, b, self, limit)
 
     def inv(self, a):
         return a.inv()

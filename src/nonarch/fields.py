@@ -32,9 +32,11 @@ square-and-multiply, giving the same coefficients as the scalar products.
 A nonzero Laurent scalar is t^val times a unit series {offset: coefficient}
 with a nonzero constant term and no offset at or beyond the precision.  The
 coefficients live in ``spec.domain()`` (``coeffs.GF`` or
-``coeffs.RatFunField``), and every unit-series operation (sums, products,
-both divisions, the Newton step of p-th roots) is built on one truncated
-multiply-add, ``_su_axpy``.
+``coeffs.RatFunField``).  Sums and scalings of unit series are the
+truncated multiply-add ``coeffs.series_axpy``; products, powers, truncated
+quotients (a times the Newton inverse of b) and the Newton step of p-th
+roots are built on the domain's truncated product ``series_mul``, which
+``GF`` computes as one packed integer product.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .coeffs import GF, RatFunField, is_prime, poly_mul, power
+from .coeffs import GF, RatFunField, is_prime, poly_mul, power, series_axpy
 from .errors import (DivisionByZero, NoRootInField, PrecisionExhausted,
                      PreconditionFailed)
 from .lognorm import LogNorm
@@ -402,7 +404,7 @@ class Scalar:
         merged = {}
         for s in (self, other):
             if s._val is not None:
-                _su_axpy(merged, None, s._val, s._unit, dom, known)
+                series_axpy(merged, None, s._val, s._unit, dom, known)
         if not merged:
             if known is None:
                 return Scalar.zero(self.spec)
@@ -437,7 +439,7 @@ class Scalar:
         if self._val is None or other._val is None:
             return Scalar.zero(self.spec)
         # the constant terms multiply to a nonzero constant term: a unit
-        unit = _su_mul(self._unit, other._unit, self.spec.domain(), prec)
+        unit = self.spec.domain().series_mul(self._unit, other._unit, prec)
         return Scalar(self.spec, val=self._val + other._val, unit=unit,
                       prec=prec)
 
@@ -598,50 +600,35 @@ class Scalar:
 # -- unit series: {offset: nonzero coefficient} over the coefficient field
 
 
-def _su_axpy(out, c, shift, b, dom, limit):
-    """out += c * t^shift * b in place, and return out.
-
-    c None means unscaled.  Sums that vanish are dropped, and exponents
-    >= limit are skipped (limit None: no truncation).  Not poly_axpy:
-    the coefficients are domain elements, and the sum truncates.
-    """
-    add, mul, is_zero = dom.add, dom.mul, dom.is_zero
-    for j, y in b.items():
-        k = j + shift
-        if limit is not None and k >= limit:
-            continue
-        if c is not None:
-            y = mul(c, y)
-        acc = out.get(k)
-        if acc is not None:
-            y = add(acc, y)
-            if is_zero(y):
-                del out[k]
-                continue
-        out[k] = y
-    return out
-
-
-def _su_mul(a, b, dom, limit):
-    out = {}
-    for i, x in a.items():
-        if limit is None or i < limit:
-            _su_axpy(out, x, i, b, dom, limit)
-    return out
-
-
 def _su_pow(a, e, dom, limit):
-    return power(a, e, lambda x, y: _su_mul(x, y, dom, limit), {0: dom.one})
+    return power(a, e, lambda x, y: dom.series_mul(x, y, limit), {0: dom.one})
+
+
+def _su_inverse(b, dom, n):
+    """1 / b to n terms, for a unit series b: Newton's x <- x + x*(1 - b*x)
+    from x = 1/b_0, doubling the length of x each step."""
+    one = dom.one
+    minus_one = dom.neg(one)
+    x = {0: dom.inv(b[0])}
+    length = 1
+    while length < n:
+        length = min(2 * length, n)
+        # e = b*x - 1 starts at the old length
+        e = series_axpy(dom.series_mul(b, x, length), minus_one, 0,
+                        {0: one}, dom, None)
+        series_axpy(x, minus_one, 0, dom.series_mul(x, e, length), dom,
+                    None)
+    return x
 
 
 def _su_div(a, b, dom, prec, cap):
     """Unit series a / b, with its relative precision.
 
-    Exact when b is a constant or divides a; otherwise power-series long
-    division to prec terms (cap terms when both inputs are exact).
+    Exact when b is a constant or divides a; otherwise a times the Newton
+    inverse of b, to prec terms (cap terms when both inputs are exact).
     """
     if len(b) == 1:
-        return _su_axpy({}, dom.inv(b[0]), 0, a, dom, prec), prec
+        return series_axpy({}, dom.inv(b[0]), 0, a, dom, prec), prec
     if prec is None:
         # polynomial division by the leading term
         rem, out = dict(a), {}
@@ -652,18 +639,11 @@ def _su_div(a, b, dom, prec, cap):
             if dr < db:
                 break
             c = out[dr - db] = dom.mul(rem[dr], lead_inv)
-            _su_axpy(rem, dom.neg(c), dr - db, b, dom, None)
+            series_axpy(rem, dom.neg(c), dr - db, b, dom, None)
         if not rem:
             return out, None
         prec = cap
-    binv0 = dom.inv(b[0])
-    rem, out = dict(a), {}
-    for k in range(prec):
-        c = rem.get(k)
-        if c is not None:
-            c = out[k] = dom.mul(c, binv0)
-            _su_axpy(rem, dom.neg(c), k, b, dom, prec)
-    return out, prec
+    return dom.series_mul(a, _su_inverse(b, dom, prec), prec), prec
 
 
 # -- powers of exact p-adic series, over the integers
@@ -788,17 +768,16 @@ def _laurent_root(a: Scalar, p: int, v: int) -> Scalar:
     while length < L:
         length = min(2 * length, L)
         # Newton step r -= (r^p - unit) / (p * r^(p-1)) at this length
-        diff = _su_axpy(_su_pow(r, p, dom, length), minus_one, 0, unit,
-                        dom, length)
+        rp1 = _su_pow(r, p - 1, dom, length)
+        diff = series_axpy(dom.series_mul(rp1, r, length), minus_one, 0,
+                           unit, dom, length)
         if not diff:
             continue
-        deriv = _su_axpy({}, p_dom, 0, _su_pow(r, p - 1, dom, length), dom,
-                         None)
-        inv_deriv, _ = _su_div({0: dom.one}, deriv, dom, length,
-                               spec.precision_cap)
-        for i, x in diff.items():
-            _su_axpy(r, dom.neg(x), i, inv_deriv, dom, length)
-    if _su_axpy(_su_pow(r, p, dom, L), minus_one, 0, unit, dom, L):
+        inv_deriv = _su_inverse(series_axpy({}, p_dom, 0, rp1, dom, None),
+                                dom, length)
+        series_axpy(r, minus_one, 0, dom.series_mul(diff, inv_deriv, length),
+                    dom, length)
+    if series_axpy(_su_pow(r, p, dom, L), minus_one, 0, unit, dom, L):
         raise NoRootInField("t-adic Newton lifting failed to converge")
     return Scalar._laurent(spec, v // p, r, L)
 

@@ -129,7 +129,9 @@ def ln_mul(a: LogNorm, b: LogNorm) -> LogNorm:
 
 
 def ln_pow(a: LogNorm, s) -> LogNorm:
-    s = Fraction(s)
+    """a^s; an int power keeps int exponents ints."""
+    if type(s) not in _EXACT:
+        s = Fraction(s)
     if a.is_zero:
         if s <= 0:
             raise ValueError("ZERO norm cannot be raised to a power <= 0")

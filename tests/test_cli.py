@@ -6,6 +6,7 @@ import pytest
 
 from nonarch import cli
 from nonarch.cli import main
+from nonarch.coeffs import GF
 from nonarch.fields import PADIC, FieldSpec, scalar_from_literal
 from nonarch.squarezero import SquareZeroElem
 
@@ -645,3 +646,26 @@ def test_sz_check_multiplies_seven_times_per_trial(tmp_path, monkeypatch):
         assert main(["sz-check", "--field", field, "--count", "12",
                      "--out", str(tmp_path)]) == 0
         assert len(calls) == 7 * 12
+
+
+def test_char_p_root_packs_its_series_products(tmp_path, monkeypatch):
+    # a product over GF is one packed integer product, not one GF.mul per
+    # term pair: 22,472 GF.mul calls here (scalings and the scalar setup),
+    # where one call per term pair made 7.56M
+    calls = []
+    mul = GF.mul
+
+    def counting(self, a, b):
+        calls.append(1)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(GF, "mul", counting)
+    assert main(["pth-root", "--field", "f2t", "--prime", "3", "--target",
+                 "1+t", "--out", str(tmp_path)]) == 0
+    assert 0 < len(calls) < 30_000
+    # a square too sparse for its span stays on the schoolbook loop: one
+    # GF.mul per term pair
+    calls.clear()
+    a = {0: (1,), 10 ** 6: (1,)}
+    assert GF(2).series_mul(a, a, None) == {0: (1,), 2 * 10 ** 6: (1,)}
+    assert len(calls) == 4

@@ -112,6 +112,11 @@ CASES = {
                       "--target", "1 + u1*t", "--depth", "2"],
     "f4t-pth-root-division": ["pth-root", "--field", "f4t", "--prime", "3",
                               "--target", "w/(w + t)"],
+    # characteristic-p roots whose Newton steps multiply long dense series
+    "f2t-pth-root-p3": ["pth-root", "--field", "f2t", "--prime", "3",
+                        "--target", "1 + t"],
+    "f4t-pth-root-p3": ["pth-root", "--field", "f4t", "--prime", "3",
+                        "--target", "1 + t + t^2"],
     "f4t-ffinite-decompose": ["ffinite-decompose", "--field", "f4t",
                               "--series", _series((0, "w/(1 + w*t)"),
                                                   (1, "w + t^-1"))],

@@ -1,9 +1,10 @@
 """The shared kernels of ``coeffs`` against the loops they replaced.
 
 Each reference below is a loop that ``poly_axpy``, ``poly_mul``,
-``power`` or the gcd of the irreducibility test took over, kept verbatim
-(up to its name) as the oracle; the inputs are drawn from fixed seeds and
-include empty, zero and fully cancelling operands.
+``power``, the gcd of the irreducibility test, ``GF.series_mul`` or the
+Newton inverse of unit series took over, kept verbatim (up to its name) as
+the oracle; the inputs are drawn from fixed seeds and include empty, zero
+and fully cancelling operands.
 """
 
 import random
@@ -11,9 +12,10 @@ from fractions import Fraction
 
 import pytest
 
-from nonarch.coeffs import (MPoly, _find_irreducible, _is_irreducible,
-                            _poly_mulmod, mpoly_exact_div, poly_axpy,
-                            poly_mul, power)
+from nonarch.coeffs import (GF, MPoly, RatFunField, _find_irreducible,
+                            _is_irreducible, _poly_mulmod, mpoly_exact_div,
+                            poly_axpy, poly_mul, power)
+from nonarch.fields import _su_div, _su_inverse
 
 PRIMES = (2, 3, 5, (1 << 61) - 1)
 SEEDS = range(30)
@@ -369,3 +371,175 @@ def test_irreducibility_matches_trial_division(p, dmax):
             if want and found is None:
                 found = poly
         assert _find_irreducible(p, d) == found
+
+
+# -- unit-series products and quotients over a coefficient field ----------
+
+
+def ref_su_axpy(out, c, shift, b, dom, limit):
+    """fields._su_axpy."""
+    add, mul, is_zero = dom.add, dom.mul, dom.is_zero
+    for j, y in b.items():
+        k = j + shift
+        if limit is not None and k >= limit:
+            continue
+        if c is not None:
+            y = mul(c, y)
+        acc = out.get(k)
+        if acc is not None:
+            y = add(acc, y)
+            if is_zero(y):
+                del out[k]
+                continue
+        out[k] = y
+    return out
+
+
+def ref_su_mul(a, b, dom, limit):
+    """fields._su_mul: the schoolbook loop, one dom.mul per term pair."""
+    out = {}
+    for i, x in a.items():
+        if limit is None or i < limit:
+            ref_su_axpy(out, x, i, b, dom, limit)
+    return out
+
+
+def ref_su_div_truncated(a, b, dom, prec):
+    """The power-series long division of fields._su_div, to prec terms."""
+    binv0 = dom.inv(b[0])
+    rem, out = dict(a), {}
+    for k in range(prec):
+        c = rem.get(k)
+        if c is not None:
+            c = out[k] = dom.mul(c, binv0)
+            ref_su_axpy(rem, dom.neg(c), k, b, dom, prec)
+    return out
+
+
+# GF(q) as (p, d); 2^32 + 15 needs slots wider than any native format
+GF_FIELDS = ((2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2), (251, 1),
+             (257, 1), ((1 << 32) + 15, 1))
+
+
+def _gf_id(pd):
+    return f"GF({pd[0]}^{pd[1]})"
+
+
+def _rand_elem(rng, gf):
+    return tuple(rng.randrange(gf.p) for _ in range(gf.d))
+
+
+def rand_series(rng, gf, n, span, start=0):
+    """n terms at distinct offsets in [start, start + span); the first at
+    start, every coefficient nonzero."""
+    offs = [start] + rng.sample(range(start + 1, start + span), n - 1)
+    out = {}
+    for k in offs:
+        c = ()
+        while not c:
+            c = gf.add(gf.zero, _rand_elem(rng, gf))
+        out[k] = c
+    return out
+
+
+def straddle_lengths(p, d, nmax):
+    """Operand lengths n - 1 and n around every n <= nmax at which the
+    largest slot sum n * d * (p - 1)^2 of a dense product passes a byte
+    boundary 2^(8k)."""
+    top = d * (p - 1) ** 2
+    out = set()
+    for k in range(1, 20):
+        n = -(-(1 << 8 * k) // top)
+        if 2 <= n <= nmax:
+            out |= {n - 1, n}
+    return sorted(out)
+
+
+@pytest.mark.parametrize("pd", GF_FIELDS, ids=_gf_id)
+def test_dense_products_straddle_every_slot_width(pd):
+    # every component p - 1, so the middle slot of the product holds
+    # exactly n * d * (p - 1)^2 before its reduction
+    gf = GF(*pd)
+    top = tuple([gf.p - 1] * gf.d)
+    lengths = straddle_lengths(gf.p, gf.d, 300)
+    assert lengths or gf.p > 256
+    for n in lengths + [1, 2, 3]:
+        a = dict.fromkeys(range(n), top)
+        b = dict.fromkeys(range(n + 5), top)
+        for x, y in ((a, a), (a, b)):
+            want = ref_su_mul(x, y, gf, None)
+            assert gf._kronecker_mul(x, y, None) == want, n
+            assert gf.series_mul(x, y, None) == want, n
+
+
+@pytest.mark.parametrize("pd", GF_FIELDS, ids=_gf_id)
+@pytest.mark.parametrize("seed", range(6))
+def test_series_mul_matches_schoolbook(pd, seed):
+    gf = GF(*pd)
+    rng = random.Random(seed)
+    for _ in range(6):
+        # dense, sparse with wide gaps, and one operand off offset 0
+        na, nb = rng.randint(1, 30), rng.randint(1, 30)
+        a = rand_series(rng, gf, na, na + rng.choice((0, 3, 40, 2000)))
+        b = rand_series(rng, gf, nb, nb + rng.choice((0, 5, 300)),
+                        start=rng.choice((0, 0, 7)))
+        deg = max(a) + max(b)
+        for limit in (None, 1, rng.randint(2, deg + 1), deg // 2 + 1,
+                      deg + 1, deg + 50):
+            for x, y in ((a, b), (b, a), (a, a), (b, b)):
+                want = ref_su_mul(x, y, gf, limit)
+                assert gf.series_mul(x, y, limit) == want
+                if len(x) > 1 and len(y) > 1:
+                    assert gf._kronecker_mul(x, y, limit) == want
+
+
+def test_series_mul_of_empty_and_single_terms():
+    gf = GF(3, 2)
+    a = {0: (1, 2), 4: (2,)}
+    assert gf.series_mul({}, a, None) == gf.series_mul(a, {}, 3) == {}
+    assert gf.series_mul({2: (0, 1)}, a, None) \
+        == ref_su_mul({2: (0, 1)}, a, gf, None)
+    assert gf.series_mul({2: (0, 1)}, a, 5) == {2: gf.mul((0, 1), (1, 2))}
+
+
+def test_sparse_square_takes_the_schoolbook_loop(monkeypatch):
+    gf = GF(2)
+    calls = []
+    monkeypatch.setattr(GF, "_kronecker_mul",
+                        lambda *args: calls.append(args) or {})
+    a = {0: (1,), 10 ** 6: (1,)}
+    assert gf.series_mul(a, a, None) == {0: (1,), 2 * 10 ** 6: (1,)}
+    assert not calls
+    # the same two terms next to each other are packed
+    gf.series_mul({0: (1,), 1: (1,)}, {0: (1,), 1: (1,)}, None)
+    assert len(calls) == 1
+
+
+INVERSE_DOMAINS = [GF(2), GF(3), GF(2, 2), GF(251)]
+
+
+@pytest.mark.parametrize("dom", INVERSE_DOMAINS,
+                         ids=lambda g: _gf_id((g.p, g.d)))
+def test_newton_inverse_matches_long_division(dom):
+    rng = random.Random(dom.p * 10 + dom.d)
+    one = {0: dom.one}
+    for b in (rand_series(rng, dom, 40, 40), rand_series(rng, dom, 6, 90),
+              rand_series(rng, dom, 2, 2), {0: dom.one, 1: dom.one}):
+        a = rand_series(rng, dom, 30, 60)
+        for n in range(1, 81):
+            inv = _su_inverse(b, dom, n)
+            assert inv == ref_su_div_truncated(one, b, dom, n), n
+            assert _su_div(a, b, dom, n, 99) \
+                == (ref_su_div_truncated(a, b, dom, n), n)
+
+
+def test_newton_inverse_over_rational_functions():
+    dom = RatFunField(3, 1)
+    u = dom.var(0)
+    b = {0: dom.add(dom.one, u), 1: u, 3: dom.one}
+    a = {0: u, 2: dom.add(u, u)}
+    for n in range(1, 9):
+        assert _su_inverse(b, dom, n) \
+            == ref_su_div_truncated({0: dom.one}, b, dom, n)
+        assert _su_div(a, b, dom, n, 99) \
+            == (ref_su_div_truncated(a, b, dom, n), n)

@@ -380,6 +380,37 @@ def test_int_and_fraction_exponents_agree(radii, a0, a, b0, b):
         is _outcome(norm_exceeds, a_frac, radii, 3, Fraction(10))
 
 
+@pytest.mark.parametrize("radii", [(R1, R_NEG), (R1, R06), (R_D5, R1_TWIN)],
+                         ids=["quadratic", "stub", "mixed-d"])
+@settings(max_examples=100, deadline=None)
+@given(a0=_mixed_exp, a=st.lists(_mixed_exp, min_size=2, max_size=2),
+       s=st.integers(-6, 6), b0=_mixed_exp,
+       b=st.lists(_mixed_exp, min_size=2, max_size=2))
+def test_int_powers_agree_with_fraction_powers(radii, a0, a, s, b0, b):
+    # an int power of int exponents stays int; the value, its bytes and
+    # every comparison are those of the Fraction power
+    a_int, a_frac = _both(a0, a)
+    b_int, _ = _both(b0, b)
+    got, want = ln_pow(a_int, s), ln_pow(a_frac, Fraction(s))
+    assert got == want and hash(got) == hash(want)
+    assert (got.to_json(), str(got)) == (want.to_json(), str(want))
+    assert all(type(e) is (int if type(x) is int else Fraction)
+               for e, x in zip((got.base_exp,) + got.radius_exps,
+                               (a_int.base_exp,) + a_int.radius_exps))
+    assert _outcome(ln_compare, got, b_int, radii) \
+        is _outcome(ln_compare, want, b_int, radii)
+    assert ln_mul(got, b_int).to_json() == ln_mul(want, b_int).to_json()
+
+
+def test_non_int_powers_become_fractions():
+    n = LogNorm.of(3, (2, 0))
+    for s in (Fraction(1, 2), Fraction(4), 1.5, True):
+        got = ln_pow(n, s)
+        assert all(type(e) is Fraction
+                   for e in (got.base_exp,) + got.radius_exps)
+        assert got == LogNorm.of(3 * Fraction(s), (2 * Fraction(s), 0))
+
+
 def test_integral_norms_are_built_from_ints():
     spec = FieldSpec(PADIC, 3)
     f = TateSeries(spec, POWER, (R1,), {(4,): Scalar.from_int(spec, 18)})
