@@ -492,8 +492,9 @@ def write_artifact(artifact, out_dir, name):
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name + ".json")
     with open(path, "w") as fh:
-        json.dump(artifact, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        # one write of the whole text: json.dump with an indent writes
+        # each of its many small chunks separately
+        fh.write(json.dumps(artifact, sort_keys=True, indent=2) + "\n")
     return path
 
 

@@ -32,19 +32,42 @@ import sys
 from functools import lru_cache
 from operator import add
 
-from .errors import DivisionByZero
+from .errors import DivisionByZero, NonarchError
+
+
+# The first 13 primes.  No composite below PRIME_TEST_BOUND is a strong
+# pseudoprime to all of them (Sorenson and Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 86 (2017)), so Miller-Rabin on these
+# bases decides primality exactly there.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
+    """Exact primality test: deterministic Miller-Rabin on the first 13
+    prime bases.  A number from PRIME_TEST_BOUND (about 3.3e24) up that
+    no base shows composite raises NonarchError: it cannot be decided."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
+    if n >= PRIME_TEST_BOUND:
+        raise NonarchError(f"cannot decide whether {n} is prime: the "
+                           "primality test is exact below 3.3e24")
     return True
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from fractions import Fraction
 
 from .coeffs import poly_mul
@@ -466,21 +466,15 @@ def unboundedness_table(terms: int, spec: FieldSpec, radius: RadiusDecl,
 
 
 def pbasis_generators(spec: FieldSpec):
-    """Deterministic p-basis generator list: t, u1..uN, then squarefree
-    products in graded lex order."""
-    base = [("t", (1,) + (0,) * spec.nvars)]
-    for i in range(spec.nvars):
-        exp = [0] * (spec.nvars + 1)
-        exp[i + 1] = 1
-        base.append((f"u{i + 1}", tuple(exp)))
-    singles = list(base)
-    out = list(base)
-    for size in range(2, spec.nvars + 2):
-        for combo in combinations(range(len(singles)), size):
-            name = "*".join(singles[i][0] for i in combo)
-            exp = tuple(sum(x) for x in zip(*(singles[i][1] for i in combo)))
-            out.append((name, exp))
-    return out
+    """Deterministic p-basis generators, produced lazily: t, u1..uN, then
+    the squarefree products in graded lex order, 2^(N+1) - 1 in all."""
+    names = ["t"] + [f"u{i + 1}" for i in range(spec.nvars)]
+    for size in range(1, len(names) + 1):
+        for combo in combinations(range(len(names)), size):
+            exp = [0] * len(names)
+            for i in combo:
+                exp[i] = 1
+            yield "*".join(names[i] for i in combo), tuple(exp)
 
 
 def _gen_scalar(spec: FieldSpec, exp) -> Scalar:
@@ -504,16 +498,15 @@ def pbasis_series(p: int, nvars: int, m: int, spec: FieldSpec = None,
                                  "rational-function Laurent field")
     if spec.residue_prime != p or spec.nvars != nvars:
         raise PreconditionFailed("field spec disagrees with (p, N)")
-    gens = pbasis_generators(spec)
-    if m > len(gens):
+    declared = 2 ** (nvars + 1) - 1
+    if m > declared:
         raise PreconditionFailed(
-            f"only {len(gens)} p-basis monomials declared; cannot build "
+            f"only {declared} p-basis monomials declared; cannot build "
             f"{m} terms")
     if radius is None:
         radius = RadiusDecl.default("r1")
-    support = {}
-    for i in range(m):
-        support[(i,)] = _gen_scalar(spec, gens[i][1])
+    support = {(i,): _gen_scalar(spec, exp) for i, (_, exp)
+               in enumerate(islice(pbasis_generators(spec), m))}
     return TateSeries(spec, POWER, (radius,), support)
 
 

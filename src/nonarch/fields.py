@@ -340,7 +340,7 @@ class Scalar:
         v = self.valuation()
         if v is None:
             return LogNorm.zero(arity)
-        return LogNorm(v, (0,) * arity)
+        return LogNorm._make(v, (0,) * arity)
 
     def radius_ctx(self):
         return ()

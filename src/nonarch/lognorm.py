@@ -4,30 +4,38 @@ A ``LogNorm`` stores the exponent data exactly: an exponent is an ``int``
 when it is integral (valuations, series exponents) and a ``Fraction``
 otherwise.  The two are interchangeable: ``Fraction(3) == 3``, they hash
 alike and print alike, so neither comparisons nor artifact bytes depend on
-which one an exponent is.  Formal radii r_j are declared once per session
-as ``RadiusDecl`` objects carrying a refinable interval for log_q(1/r_j).
+which one an exponent is.  ``LogNorm`` is an immutable slotted class;
+builders whose operands are already exact use its trusted ``_make``.
+Formal radii r_j are declared once per session as ``RadiusDecl`` objects
+carrying a refinable interval for log_q(1/r_j).
 
 Comparing two norm values means deciding the sign of the log-difference
 e0 + sum e_j * log_q(1/r_j).  When every radius in it is quadratic,
-log_q(1/r_j) = (a_j + b_j*sqrt(d))/c_j over one common d, the difference
-is A + B*sqrt(d) with A, B rational and its sign is decided exactly by
-integer squaring.  Otherwise (radii over different sqrt(d), rational
-stubs) the intervals are refined until the sign is decided; that fallback
-gives up with ``UndecidableAtDepth`` when the difference vanishes exactly
-(dependent radius declarations, a stub pinned at a tie) or is too small
-to separate from zero by depth 256.
+log_q(1/r_j) = (a_j + b_j*sqrt(d))/c_j with integers a_j, b_j, c_j over
+one common d, the difference times the lcm of the c_j is A + B*sqrt(d),
+with A, B integers when the exponents are, and its sign is decided
+exactly by comparing A^2 with B^2*d.  Otherwise (radii over different
+sqrt(d), rational stubs) the intervals are refined until the sign is
+decided; that fallback gives up with ``UndecidableAtDepth`` when the
+difference vanishes exactly (dependent radius declarations, a stub pinned
+at a tie) or is too small to separate from zero by depth 256.
 
 Every other norm decision goes through ``ln_compare``: ``ln_max`` is the
 one norm maximum, and ``norm_exceeds`` decides value > bound by
-comparing against the powers of q that bracket the bound.
+comparing against the powers of q that bracket the bound.  ``ln_sorted``
+orders many norms at once, keying each by its exact (A, B) where one
+sqrt(d) covers all radii; it never gives up, so series pruning cannot
+fail on a tie.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from math import isqrt, log
+from functools import cmp_to_key
+from math import gcd, isqrt, lcm, log
+from operator import add, sub
 
 from .errors import UndecidableAtDepth
 
@@ -40,25 +48,58 @@ class Cmp(enum.Enum):
     GT = 1
 
 
-@dataclass(frozen=True)
 class LogNorm:
     """Norm value q^(-base_exp) * prod_j r_j^(radius_exps[j]); ZERO is the
-    norm of 0 and is absorbing/minimal."""
+    norm of 0 and is absorbing/minimal.  Immutable: assigning an attribute
+    raises ``FrozenInstanceError``."""
 
-    base_exp: int | Fraction
-    radius_exps: tuple
-    is_zero: bool = False
+    __slots__ = ("base_exp", "radius_exps", "is_zero")
 
-    def __post_init__(self):
-        if type(self.base_exp) not in _EXACT:
-            object.__setattr__(self, "base_exp", Fraction(self.base_exp))
-        exps = self.radius_exps
-        if not (type(exps) is tuple
-                and all(type(e) in _EXACT for e in exps)):
-            object.__setattr__(self, "radius_exps", tuple(
-                e if type(e) in _EXACT else Fraction(e) for e in exps))
-        if self.is_zero and (self.base_exp or any(self.radius_exps)):
+    def __init__(self, base_exp, radius_exps, is_zero=False):
+        if type(base_exp) not in _EXACT:
+            base_exp = Fraction(base_exp)
+        if not (type(radius_exps) is tuple
+                and all(type(e) in _EXACT for e in radius_exps)):
+            radius_exps = tuple(e if type(e) in _EXACT else Fraction(e)
+                                for e in radius_exps)
+        if is_zero and (base_exp or any(radius_exps)):
             raise ValueError("ZERO norm must carry zero exponents")
+        _set_base(self, base_exp)
+        _set_radius(self, radius_exps)
+        _set_zero(self, is_zero)
+
+    @classmethod
+    def _make(cls, base_exp, radius_exps):
+        """Trusted constructor of a nonzero norm: `base_exp` is an int or
+        a Fraction and `radius_exps` a tuple of ints and Fractions."""
+        self = _new(cls)
+        _set_base(self, base_exp)
+        _set_radius(self, radius_exps)
+        _set_zero(self, False)
+        return self
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base_exp == other.base_exp
+                and self.radius_exps == other.radius_exps
+                and self.is_zero == other.is_zero)
+
+    def __hash__(self):
+        return hash((self.base_exp, self.radius_exps, self.is_zero))
+
+    def __repr__(self):
+        return (f"LogNorm(base_exp={self.base_exp!r}, "
+                f"radius_exps={self.radius_exps!r}, is_zero={self.is_zero!r})")
+
+    def __reduce__(self):
+        return LogNorm, (self.base_exp, self.radius_exps, self.is_zero)
 
     @classmethod
     def zero(cls, arity: int = 0):
@@ -70,7 +111,7 @@ class LogNorm:
 
     @classmethod
     def identity(cls, arity: int = 0):
-        return cls(0, (0,) * arity)
+        return cls._make(0, (0,) * arity)
 
     @classmethod
     def of(cls, base_exp, radius_exps=()):
@@ -92,7 +133,7 @@ class LogNorm:
             raise ValueError("cannot re-pad a norm with radius components")
         if self.is_zero:
             return LogNorm.zero(arity)
-        return LogNorm(self.base_exp, (0,) * arity)
+        return LogNorm._make(self.base_exp, (0,) * arity)
 
     def to_json(self):
         if self.is_zero:
@@ -117,15 +158,19 @@ class LogNorm:
 _ZEROS = {}
 # the exponent types kept as they are; anything else becomes a Fraction
 _EXACT = (int, Fraction)
+_new = object.__new__
+_set_base = LogNorm.base_exp.__set__
+_set_radius = LogNorm.radius_exps.__set__
+_set_zero = LogNorm.is_zero.__set__
 
 
 def ln_mul(a: LogNorm, b: LogNorm) -> LogNorm:
     if a.is_zero or b.is_zero:
         return LogNorm.zero(max(a.arity, b.arity))
-    if a.arity != b.arity:
+    if len(a.radius_exps) != len(b.radius_exps):
         raise ValueError("norms from different radius contexts")
-    return LogNorm(a.base_exp + b.base_exp,
-                   tuple(x + y for x, y in zip(a.radius_exps, b.radius_exps)))
+    return LogNorm._make(a.base_exp + b.base_exp,
+                         tuple(map(add, a.radius_exps, b.radius_exps)))
 
 
 def ln_pow(a: LogNorm, s) -> LogNorm:
@@ -136,7 +181,7 @@ def ln_pow(a: LogNorm, s) -> LogNorm:
         if s <= 0:
             raise ValueError("ZERO norm cannot be raised to a power <= 0")
         return a
-    return LogNorm(a.base_exp * s, tuple(e * s for e in a.radius_exps))
+    return LogNorm._make(a.base_exp * s, tuple(e * s for e in a.radius_exps))
 
 
 def in_value_group_rational(a: LogNorm) -> bool:
@@ -165,8 +210,9 @@ class RadiusDecl:
     width <= 2^-depth (plus stream constants).  Quadratic-irrational
     streams carry a constructive irrationality proof; other streams only
     *assert* irrationality.  Quadratic declarations also expose
-    ``quadratic_parts`` = (d, a/c, b/c), the exact form ``ln_compare``
-    decides with; it is None for every other stream kind.
+    ``quadratic_parts`` = (d, a, b, c), the integers of the exact form
+    (a + b*sqrt(d))/c that ``ln_compare`` decides with; it is None for
+    every other stream kind.
     """
 
     def __init__(self, gen_id, stream, asserts_irrational, kind, params,
@@ -195,7 +241,7 @@ class RadiusDecl:
         irrational = b != 0 and isqrt(d) ** 2 != d
         decl = cls(gen_id, stream, irrational, "quadratic",
                    {"a": a, "b": b, "c": c, "d": d}, note)
-        decl.quadratic_parts = (d, Fraction(a, c), Fraction(b, c))
+        decl.quadratic_parts = (d, a, b, c)
         return decl
 
     @classmethod
@@ -301,32 +347,43 @@ def _log_interval(a: LogNorm, radii, depth: int):
     return lo, hi
 
 
-def _quadratic_sign(d_base, d_rad, radii):
-    """Exact sign of d_base + sum d_rad[j] * log_q(1/r_j), or 0 when it is
-    not decided here: a radius with a nonzero exponent is not quadratic,
-    two such radii differ in d, or the sum vanishes exactly."""
-    A, B, d = d_base, 0, None
-    for e, decl in zip(d_rad, radii):
-        if not e:
-            continue
-        parts = decl.quadratic_parts
-        if parts is None or (d is not None and parts[0] != d):
-            return 0
-        d, a, b = parts
-        if a:
-            A += e * a
-        B += e * b
+def _sqrt_sign(A, B, d):
+    """Exact sign of A + B*sqrt(d) for rational A, B and an integer d > 0."""
     sa = (A > 0) - (A < 0)
     sb = (B > 0) - (B < 0)
     if sa == sb or not sb:
         return sa
     if not sa:
         return sb
-    # opposite signs: |A| against |B|*sqrt(d), squared and cleared of
-    # denominators
-    lhs = (A.numerator * B.denominator) ** 2
-    rhs = (B.numerator * A.denominator) ** 2 * d
+    # opposite signs: |A| against |B|*sqrt(d), squared
+    lhs, rhs = A * A, B * B * d
     return sa if lhs > rhs else sb if lhs < rhs else 0
+
+
+def _quadratic_sign(d_base, d_rad, radii):
+    """Exact sign of d_base + sum d_rad[j] * log_q(1/r_j), or 0 when it is
+    not decided here: a radius with a nonzero exponent is not quadratic,
+    two such radii differ in d, or the sum vanishes exactly.
+
+    With log_q(1/r_j) = (a_j + b_j*sqrt(d))/c_j, the sum times the lcm L
+    of the c_j is A + B*sqrt(d); A and B are ints when the exponents are,
+    and Fractions otherwise."""
+    A, B, L, d = d_base, 0, 1, None
+    for e, decl in zip(d_rad, radii):
+        if not e:
+            continue
+        parts = decl.quadratic_parts
+        if parts is None or (d is not None and parts[0] != d):
+            return 0
+        d, a, b, c = parts
+        if L % c:
+            m = c // gcd(L, c)
+            A, B, L = A * m, B * m, L * m
+        m = L // c
+        if a:
+            A += e * a * m
+        B += e * b * m
+    return _sqrt_sign(A, B, d)
 
 
 def ln_compare(a: LogNorm, b: LogNorm, radii=()) -> Cmp:
@@ -337,28 +394,25 @@ def ln_compare(a: LogNorm, b: LogNorm, radii=()) -> Cmp:
     radii sharing a sqrt(d) by exact squaring; any other is decided by
     interval refinement, which can give up (see the module docstring).
     """
-    if a.is_zero and b.is_zero:
-        return Cmp.EQ
     if a.is_zero:
-        return Cmp.LT
+        return Cmp.EQ if b.is_zero else Cmp.LT
     if b.is_zero:
         return Cmp.GT
-    if a.arity != b.arity:
+    ra, rb = a.radius_exps, b.radius_exps
+    if len(ra) != len(rb):
         raise ValueError("norms from different radius contexts")
-    if a == b:
-        return Cmp.EQ
     d_base = a.base_exp - b.base_exp
-    d_rad = tuple(x - y for x, y in zip(a.radius_exps, b.radius_exps))
-    if not any(d_rad):
+    if ra == rb:
         # purely rational difference in the logs; larger log = smaller norm
-        return Cmp.LT if d_base > 0 else Cmp.GT
-    if len(radii) < a.arity:
+        return Cmp.GT if d_base < 0 else Cmp.LT if d_base else Cmp.EQ
+    if len(radii) < len(ra):
         raise ValueError("missing radius declarations for comparison")
+    d_rad = tuple(map(sub, ra, rb))
     sign = _quadratic_sign(d_base, d_rad, radii)
     if sign:
         # larger log = smaller norm
         return Cmp.LT if sign > 0 else Cmp.GT
-    diff = LogNorm(d_base, d_rad)
+    diff = LogNorm._make(d_base, d_rad)
     depth = 8
     while depth <= MAX_REFINE_DEPTH:
         lo, hi = _log_interval(diff, radii, depth)
@@ -379,6 +433,46 @@ def ln_le(a, b, radii=()) -> bool:
 def ln_max(a: LogNorm, b: LogNorm, radii) -> LogNorm:
     """The larger of two norm values; ``a`` on a tie."""
     return a if ln_compare(a, b, radii) is not Cmp.LT else b
+
+
+def ln_sorted(norms, radii):
+    """Positions of ``norms`` in ascending order of value; never raises on
+    a tie.  Equal values keep their input order.
+
+    When all radii are quadratic over one sqrt(d), each nonzero norm is
+    keyed once by the exact (A, B) of its log_q(1/value) times the lcm of
+    the c_j, and keys are ordered by ``_sqrt_sign``.  Otherwise norms are
+    ordered by ``ln_compare``, and a comparison it gives up on (an exact
+    tie of mixed sqrt(d) or stub radii) counts as a tie.
+    """
+    order = [i for i, n in enumerate(norms) if n.is_zero]
+    rest = [i for i, n in enumerate(norms) if not n.is_zero]
+    parts = [decl.quadratic_parts for decl in radii]
+    if parts and all(p is not None and p[0] == parts[0][0] for p in parts):
+        d = parts[0][0]
+        L = lcm(*(c for _, _, _, c in parts))
+        weights = [(a * (L // c), b * (L // c)) for _, a, b, c in parts]
+        keys = {}
+        for i in rest:
+            n = norms[i]
+            if len(n.radius_exps) != len(weights):
+                raise ValueError("norms from different radius contexts")
+            A, B = n.base_exp * L, 0
+            for e, (wa, wb) in zip(n.radius_exps, weights):
+                A, B = A + e * wa, B + e * wb
+            keys[i] = A, B
+
+        def cmp(i, j):
+            (ai, bi), (aj, bj) = keys[i], keys[j]
+            # larger log = smaller norm
+            return _sqrt_sign(aj - ai, bj - bi, d)
+    else:
+        def cmp(i, j):
+            try:
+                return ln_compare(norms[i], norms[j], radii).value
+            except UndecidableAtDepth:
+                return 0
+    return order + sorted(rest, key=cmp_to_key(cmp))
 
 
 def norm_exceeds(a: LogNorm, radii, q: int, bound: Fraction) -> bool:
@@ -408,11 +502,12 @@ def norm_exceeds(a: LogNorm, radii, q: int, bound: Fraction) -> bool:
     D = 1
     try:
         while True:
-            if ln_compare(a, LogNorm(Fraction(-(m + 1), D), zeros),
+            if ln_compare(a, LogNorm._make(Fraction(-(m + 1), D), zeros),
                           radii) is not Cmp.LT:
                 return True
             if D == 1 << 16 or ln_compare(
-                    a, LogNorm(Fraction(-m, D), zeros), radii) is not Cmp.GT:
+                    a, LogNorm._make(Fraction(-m, D), zeros),
+                    radii) is not Cmp.GT:
                 return False
             # at 2D the ratio bound^2D / q^2m = (rn/rd)^2 lies in [1, q^2)
             D, m, rn, rd = 2 * D, 2 * m, rn * rn, rd * rd

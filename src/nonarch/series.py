@@ -10,14 +10,14 @@ dropped mass into the tail so that every norm claim stays honest.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
-from operator import mul
+from operator import add, mul
 
 from .errors import (IncompatibleContext, PrecisionExhausted,
                      PreconditionFailed, SupportCapExceeded)
 from .coeffs import power
 from .fields import Scalar, _pmin, padic_support_pow, scalar_from_literal
-from .lognorm import Cmp, LogNorm, ln_compare, ln_max, ln_mul, ln_pow
+from .lognorm import (Cmp, LogNorm, ln_compare, ln_max, ln_mul, ln_pow,
+                      ln_sorted)
 
 POWER = "power"
 LAURENT = "laurent"
@@ -129,9 +129,7 @@ class TateSeries:
 
     def term_norm(self, exp) -> LogNorm:
         """Norm of a single stored term: |a_e| * r^e."""
-        c = self.support[exp]
-        v = c.valuation()
-        return LogNorm(v, exp)
+        return LogNorm._make(self.support[exp].valuation(), exp)
 
     # -- ring operations -------------------------------------------------
 
@@ -164,7 +162,7 @@ class TateSeries:
         lost = []
         for e1, c1 in self.support.items():
             for e2, c2 in other.support.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 _accumulate(out, lost, e, c1 * c2)
         tail = LogNorm.zero(self.nvars)
         if not self.tail.is_zero or not other.tail.is_zero:
@@ -281,23 +279,26 @@ class TateSeries:
         return head_s, tail_s
 
     def pruned(self, cap: int):
-        """Keep the `cap` largest-norm terms; fold the rest into the tail."""
+        """Keep the `cap` largest-norm terms; fold the rest into the tail.
+
+        Terms of equal norm are dropped in exponent order.  The new tail is
+        the largest of the old tail and the dropped norms; when two of
+        them tie, either is that maximum, so no tie can fail the pruning.
+        """
         if len(self.support) <= cap:
             return self
-        keyed = []
-        for e in self.support:
-            keyed.append((self.term_norm(e), e))
-        # smallest norms first; lexicographic exponent order breaks ties
-        order = sorted(keyed, key=lambda t: t[1])
-        order.sort(key=cmp_to_key(
-            lambda x, y: ln_compare(x[0], y[0], self.radii).value))
-        drop = len(self.support) - cap
-        tail = self.tail
+        exps = sorted(self.support)
+        norms = [self.term_norm(e) for e in exps]
+        # smallest norms first; ties keep the exponent order
+        order = ln_sorted(norms, self.radii)
+        drop = len(exps) - cap
         support = dict(self.support)
-        for n, e in order[:drop]:
-            tail = ln_max(tail, n, self.radii)
-            del support[e]
-        return TateSeries(self.spec, self.kind, self.radii, support, tail)
+        for i in order[:drop]:
+            del support[exps[i]]
+        top = [norms[order[drop - 1]], self.tail]
+        tail = top[ln_sorted(top, self.radii)[-1]]
+        return TateSeries._make(self.spec, self.kind, self.radii, support,
+                                tail)
 
     # -- calculus helpers ----------------------------------------------------
 

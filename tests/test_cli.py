@@ -105,6 +105,39 @@ def test_pbasis_cert(tmp_path):
                  "--cdeg", "2", "--out", str(tmp_path)]) == 2
 
 
+def test_pbasis_cert_at_64_variables(tmp_path, capsys):
+    # every single generator t, u1..u64 present; the 2^65 - 1 products
+    # are never listed
+    assert main(["pbasis-cert", "--nvars", "64", "--terms", "65",
+                 "--out", str(tmp_path)]) == 0
+    art = _read(tmp_path, "pbasis-cert")
+    assert art["verdict"] == "P_INDEPENDENT"
+    assert art["result"]["series"]["terms"][-1]["coeff"] == "u64"
+    capsys.readouterr()
+    assert main(["--check", str(tmp_path / "pbasis-cert.json")]) == 0
+    assert "replay matches" in capsys.readouterr().out
+
+
+def test_residue_prime_past_the_primality_bound_refused(tmp_path, capsys):
+    cfg = tmp_path / "session.json"
+    cfg.write_text(json.dumps({"fields": {"qbig": {
+        "kind": "PADIC", "residue_prime": (1 << 89) - 1,
+        "precision_cap": 30}}}))
+    _fails_with_one_line(capsys, ["--config", str(cfg), "pth-root",
+                                  "--field", "qbig", "--prime", "2",
+                                  "--target", "4", "--out", str(tmp_path)])
+
+
+def test_field_over_a_61_bit_prime(tmp_path):
+    cfg = tmp_path / "session.json"
+    cfg.write_text(json.dumps({"fields": {"q61": {
+        "kind": "PADIC", "residue_prime": (1 << 61) - 1,
+        "precision_cap": 30}}}))
+    assert main(["--config", str(cfg), "gauss-norm", "--field", "q61",
+                 "--series", SER_Q3, "--out", str(tmp_path)]) == 0
+    assert main(["--check", str(tmp_path / "gauss-norm.json")]) == 0
+
+
 def test_ffinite_decompose(tmp_path):
     assert main(["ffinite-decompose", "--field", "f2t", "--series",
                  SER_F2, "--out", str(tmp_path)]) == 0

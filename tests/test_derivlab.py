@@ -3,6 +3,7 @@ table."""
 
 import random
 from fractions import Fraction
+from itertools import combinations, islice
 
 import pytest
 
@@ -11,6 +12,7 @@ from nonarch import (FieldSpec, LogNorm, MissingCertificate, PolyInTF,
                      deriv_eval, nonintegral_certificate,
                      p_independence_certificate, pbasis_series, phi,
                      sparse_indices, sparse_series, unboundedness_table)
+from nonarch.derivlab import pbasis_generators
 from nonarch.fields import PADIC, RATFUN_LAURENT
 
 Q3 = FieldSpec(PADIC, 3, precision_cap=40)
@@ -158,6 +160,44 @@ def test_unbounded_table_default_radius():
                                 "radius": [str(-sparse_indices(n + 1)[n])]}
     assert rows[4]["exceeds_bound"]
     assert cert.verdict == "UNBOUNDED"
+
+
+def _ref_pbasis_generators(spec):
+    """Deterministic p-basis generator list: t, u1..uN, then squarefree
+    products in graded lex order."""
+    base = [("t", (1,) + (0,) * spec.nvars)]
+    for i in range(spec.nvars):
+        exp = [0] * (spec.nvars + 1)
+        exp[i + 1] = 1
+        base.append((f"u{i + 1}", tuple(exp)))
+    singles = list(base)
+    out = list(base)
+    for size in range(2, spec.nvars + 2):
+        for combo in combinations(range(len(singles)), size):
+            name = "*".join(singles[i][0] for i in combo)
+            exp = tuple(sum(x) for x in zip(*(singles[i][1] for i in combo)))
+            out.append((name, exp))
+    return out
+
+
+@pytest.mark.parametrize("nvars", range(9))
+def test_lazy_pbasis_generators_match_list(nvars):
+    spec = FieldSpec(RATFUN_LAURENT, 2, nvars=nvars, precision_cap=64)
+    want = _ref_pbasis_generators(spec)
+    assert len(want) == 2 ** (nvars + 1) - 1
+    for m in (1, nvars + 1, nvars + 2, len(want) // 2, len(want)):
+        assert list(islice(pbasis_generators(spec), m)) == want[:m]
+    assert list(pbasis_generators(spec)) == want
+
+
+def test_pbasis_series_at_many_variables():
+    spec = FieldSpec(RATFUN_LAURENT, 2, nvars=64, precision_cap=64)
+    f = pbasis_series(2, 64, 67, spec, R1)
+    coeffs = [t["coeff"] for t in f.to_json()["terms"]]
+    assert coeffs[:3] == ["t", "u1", "u2"]
+    assert coeffs[64:] == ["u64", "u1*t", "u2*t"]
+    with pytest.raises(PreconditionFailed, match="only 7 p-basis"):
+        pbasis_series(2, 2, 8, FieldSpec(RATFUN_LAURENT, 2, nvars=2), R1)
 
 
 def test_pbasis_series():

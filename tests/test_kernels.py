@@ -1,20 +1,23 @@
 """The shared kernels of ``coeffs`` against the loops they replaced.
 
 Each reference below is a loop that ``poly_axpy``, ``poly_mul``,
-``power``, the gcd of the irreducibility test, ``GF.series_mul`` or the
-Newton inverse of unit series took over, kept verbatim (up to its name) as
+``power``, the gcd of the irreducibility test, ``GF.series_mul``, the
+Newton inverse of unit series or the Miller-Rabin ``is_prime`` took over, kept verbatim (up to its name) as
 the oracle; the inputs are drawn from fixed seeds and include empty, zero
 and fully cancelling operands.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from nonarch.coeffs import (GF, MPoly, RatFunField, _find_irreducible,
-                            _is_irreducible, _poly_mulmod, mpoly_exact_div,
-                            poly_axpy, poly_mul, power)
+from nonarch.coeffs import (GF, PRIME_TEST_BOUND, MPoly, RatFunField,
+                            _find_irreducible, _is_irreducible, _poly_mulmod,
+                            is_prime, mpoly_exact_div, poly_axpy, poly_mul,
+                            power)
+from nonarch.errors import NonarchError
 from nonarch.fields import _su_div, _su_inverse
 
 PRIMES = (2, 3, 5, (1 << 61) - 1)
@@ -543,3 +546,56 @@ def test_newton_inverse_over_rational_functions():
             == ref_su_div_truncated({0: dom.one}, b, dom, n)
         assert _su_div(a, b, dom, n, 99) \
             == (ref_su_div_truncated(a, b, dom, n), n)
+
+
+# -- primality: Miller-Rabin against trial division ----------------------
+
+
+def ref_is_prime(n):
+    """coeffs.is_prime as trial division up to sqrt(n)."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(20_000) if is_prime(n)] \
+        == [n for n in range(20_000) if ref_is_prime(n)]
+    assert not is_prime(-7)
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # 3215031751 is a strong pseudoprime to bases 2, 3, 5 and 7, and
+    # 3825123056546413051 to every prime base up to 23
+    for n in (3215031751, 3825123056546413051, 561, 1105, 25326001):
+        assert not is_prime(n)
+    # the largest prime below the bound, and others checked independently
+    for n in (2_147_483_647, (1 << 61) - 1, 999_999_999_999_999_989,
+              10 ** 24 + 7, 3317044064679887385961813):
+        assert is_prime(n)
+
+
+def test_is_prime_refuses_what_it_cannot_decide():
+    big = (1 << 89) - 1                   # a Mersenne prime, about 6.2e26
+    with pytest.raises(NonarchError):
+        is_prime(big)
+    # the bound itself is composite and a strong pseudoprime to all 13
+    # bases: above it, passing them proves nothing
+    with pytest.raises(NonarchError):
+        is_prime(PRIME_TEST_BOUND)
+    # a witness still proves a large number composite
+    assert not is_prime(big + 2) and not is_prime(big * 3)
+
+
+def test_gf_of_a_61_bit_prime_builds_quickly():
+    start = time.perf_counter()
+    f = GF((1 << 61) - 1)
+    assert time.perf_counter() - start < 1.0
+    assert f.mul(f.from_int(3), f.inv(f.from_int(3))) == f.one

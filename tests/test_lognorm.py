@@ -1,6 +1,8 @@
 """Exact norm-value arithmetic and comparison: exact for quadratic radii,
 interval-refined otherwise."""
 
+import copy
+import pickle
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -12,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from nonarch import (Cmp, LogNorm, RadiusDecl, UndecidableAtDepth,
                      in_value_group_rational, ln_compare, ln_mul, ln_pow)
 from nonarch.fields import PADIC, FieldSpec, Scalar
-from nonarch.lognorm import log_q_interval, norm_exceeds
+from nonarch.lognorm import (_quadratic_sign, ln_sorted, log_q_interval,
+                             norm_exceeds)
 from nonarch.series import POWER, TateSeries
 
 R1 = RadiusDecl.default("r1")             # log_q(1/r) = sqrt(2)/2
@@ -426,3 +429,199 @@ def test_other_exponent_inputs_become_fractions():
     assert (n.base_exp, n.radius_exps) \
         == (Fraction(3, 5), (Fraction(1), Fraction(3, 2)))
     assert all(type(e) is Fraction for e in (n.base_exp,) + n.radius_exps)
+
+
+# ---------------------------------------------------------------------------
+# Integer quadratic parts against the Fraction form they replaced
+
+
+def _fraction_parts(decl):
+    """The (d, a/c, b/c) parts quadratic radii carried before their parts
+    became the integers (d, a, b, c)."""
+    if decl.quadratic_parts is None:
+        return None
+    d, a, b, c = decl.quadratic_parts
+    return d, Fraction(a, c), Fraction(b, c)
+
+
+def _oracle_quadratic_sign(d_base, d_rad, radii):
+    """Exact sign of d_base + sum d_rad[j] * log_q(1/r_j), or 0 when it is
+    not decided here: a radius with a nonzero exponent is not quadratic,
+    two such radii differ in d, or the sum vanishes exactly."""
+    A, B, d = d_base, 0, None
+    for e, decl in zip(d_rad, radii):
+        if not e:
+            continue
+        parts = _fraction_parts(decl)
+        if parts is None or (d is not None and parts[0] != d):
+            return 0
+        d, a, b = parts
+        if a:
+            A += e * a
+        B += e * b
+    sa = (A > 0) - (A < 0)
+    sb = (B > 0) - (B < 0)
+    if sa == sb or not sb:
+        return sa
+    if not sa:
+        return sb
+    # opposite signs: |A| against |B|*sqrt(d), squared and cleared of
+    # denominators
+    lhs = (A.numerator * B.denominator) ** 2
+    rhs = (B.numerator * A.denominator) ** 2 * d
+    return sa if lhs > rhs else sb if lhs < rhs else 0
+
+
+R_C3 = RadiusDecl.quadratic("rc3", 1, 2, 3, 2)       # (1 + 2*sqrt(2))/3
+R_C5 = RadiusDecl.quadratic("rc5", -2, 3, 5, 2)      # (-2 + 3*sqrt(2))/5
+R_D5B = RadiusDecl.quadratic("rd5b", 0, 1, 3, 5)     # sqrt(5)/3
+
+
+def _rand_int_or_fraction(rng):
+    e = Fraction(rng.randint(-30, 30), rng.choice([1, 1, 1, 2, 3, 5]))
+    return int(e) if e.denominator == 1 and rng.random() < 0.7 else e
+
+
+@pytest.mark.parametrize("radii", [
+    (R1,), (R_C3,), (R1, R_C3), (R_C3, R_C5), (R_NEG, R_C5), (R_D9,),
+    (R_D5, R_D5B), (R1, R_D5), (R1, R06)],
+    ids=["r1", "c3", "c2-c3", "c3-c5", "neg-c5", "d9", "d5-c4-c3",
+         "mixed-d", "stub"])
+def test_integer_quadratic_sign_matches_fraction_form(radii):
+    rng = random.Random(len(radii) * 101 + sum(map(ord, radii[0].gen_id)))
+    for _ in range(1500):
+        d_base = _rand_int_or_fraction(rng)
+        d_rad = tuple(_rand_int_or_fraction(rng) if rng.random() < 0.8
+                      else 0 for _ in radii)
+        assert _quadratic_sign(d_base, d_rad, radii) \
+            == _oracle_quadratic_sign(d_base, d_rad, radii), (d_base, d_rad)
+
+
+def test_integer_quadratic_sign_edge_cases():
+    # an exactly vanishing sum over c = 2 and c = 3:
+    #   -1 - 4 * sqrt(2)/2 + 3 * (1 + 2*sqrt(2))/3 = 0
+    assert _quadratic_sign(-1, (-4, 3), (R1, R_C3)) == 0
+    assert _oracle_quadratic_sign(-1, (-4, 3), (R1, R_C3)) == 0
+    assert _quadratic_sign(Fraction(-1), (Fraction(-4), Fraction(3)),
+                           (R1, R_C3)) == 0
+    # one step off the tie either way is decided
+    assert _quadratic_sign(0, (-4, 3), (R1, R_C3)) == 1
+    assert _quadratic_sign(-2, (-4, 3), (R1, R_C3)) == -1
+    # a perfect-square d: sqrt(9)/4 * 4 = 3 exactly
+    assert _quadratic_sign(-3, (4,), (R_D9,)) == 0
+    assert _quadratic_sign(Fraction(-5, 2), (Fraction(10, 3),), (R_D9,)) == 0
+    # mixed d and stubs are never decided here
+    assert _quadratic_sign(100, (1, 1), (R1, R_D5)) == 0
+    assert _quadratic_sign(100, (1, 1), (R1, R06)) == 0
+    # a zero exponent on the other radius leaves it out
+    assert _quadratic_sign(1, (1, 0), (R1, R_D5)) == 1
+    assert _quadratic_sign(Fraction(-7, 10), (1, 0), (R06, R1)) == 0
+
+
+def test_quadratic_parts_are_integers():
+    assert R_C3.quadratic_parts == (2, 1, 2, 3)
+    assert all(type(x) is int for x in R1.quadratic_parts)
+    assert RadiusDecl.from_json(R_NEG.to_json()).quadratic_parts \
+        == (2, 3, -1, 2)
+    assert R06.quadratic_parts is None
+
+
+def test_fraction_root_powers_compare_exactly(monkeypatch):
+    # ln_pow(n, 1/l) as in spectral-radius: Fraction exponents take the
+    # same exact path, no interval refinement
+    monkeypatch.setattr(RadiusDecl, "interval", None)
+    n = ln_pow(LogNorm.of(3, (7, -2)), Fraction(1, 3))
+    m = ln_pow(LogNorm.of(2, (5, -1)), Fraction(1, 2))
+    # log_q(1/n) = 1.80 and log_q(1/m) = 2.13: n is the larger norm
+    assert ln_compare(n, m, (R1, R_C3)) is Cmp.GT
+    assert ln_compare(m, n, (R1, R_C3)) is Cmp.LT
+    assert _oracle_compare(n, m, (R1, R_C3)) is Cmp.GT
+
+
+# ---------------------------------------------------------------------------
+# LogNorm as a slotted immutable value
+
+
+def test_make_equals_validating_constructor():
+    rng = random.Random(8)
+    for _ in range(300):
+        base = _rand_int_or_fraction(rng)
+        rads = tuple(_rand_int_or_fraction(rng)
+                     for _ in range(rng.randint(0, 3)))
+        made, built = LogNorm._make(base, rads), LogNorm(base, rads)
+        assert made == built and hash(made) == hash(built)
+        assert repr(made) == repr(built) and str(made) == str(built)
+        assert made.to_json() == built.to_json()
+        assert not made.is_zero and made.arity == len(rads)
+    assert LogNorm._make(0, (0,)) != LogNorm.zero(1)
+    assert LogNorm._make(0, (0,)).__eq__((0, (0,), False)) is NotImplemented
+
+
+def test_lognorm_is_immutable_and_keeps_its_repr():
+    n = LogNorm.of(Fraction(1, 2), (3, 0))
+    for name, value in (("base_exp", 1), ("radius_exps", ()),
+                        ("is_zero", True), ("other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(n, name, value)
+    with pytest.raises(AttributeError):
+        del n.base_exp
+    assert n == LogNorm.of(Fraction(1, 2), (3, 0))
+    assert repr(n) == ("LogNorm(base_exp=Fraction(1, 2), radius_exps=(3, 0),"
+                       " is_zero=False)")
+    assert repr(LogNorm.zero(1)) == ("LogNorm(base_exp=0, radius_exps=(0,),"
+                                     " is_zero=True)")
+    assert copy.deepcopy(n) == n and pickle.loads(pickle.dumps(n)) == n
+    assert {n: 1}[LogNorm._make(Fraction(1, 2), (3, 0))] == 1
+
+
+# ---------------------------------------------------------------------------
+# ln_sorted: one order for many norms, never raising on a tie
+
+
+def _oracle_sorted(norms, radii):
+    """Insertion by ln_compare; None if a comparison gives up."""
+    out = []
+    try:
+        for i, n in enumerate(norms):
+            k = len(out)
+            while k and ln_compare(norms[out[k - 1]], n, radii) is Cmp.GT:
+                k -= 1
+            out.insert(k, i)
+    except UndecidableAtDepth:
+        return None
+    return out
+
+
+@pytest.mark.parametrize("radii", [(R1,), (R1, R_C3), (R_D5, R_D5B),
+                                   (R1, R_D5), (R06,)],
+                         ids=["r1", "c2-c3", "d5", "mixed-d", "stub"])
+def test_ln_sorted_matches_comparison_order(radii):
+    rng = random.Random(77)
+    decided = 0
+    for _ in range(60):
+        norms = [LogNorm.of(_rand_int_or_fraction(rng),
+                            [rng.randint(-6, 6) for _ in radii])
+                 for _ in range(rng.randint(0, 25))]
+        if rng.random() < 0.3:
+            norms.append(LogNorm.zero(len(radii)))
+        want = _oracle_sorted(norms, radii)
+        if want is not None:
+            assert ln_sorted(norms, radii) == want
+            decided += 1
+    assert decided > 40
+
+
+def test_ln_sorted_breaks_ties_by_input_order():
+    a, b = RadiusDecl.default("a"), RadiusDecl.default("b")
+    x, y = LogNorm.of(0, (1, 0)), LogNorm.of(0, (0, 1))
+    with pytest.raises(UndecidableAtDepth):
+        ln_compare(x, y, (a, b))
+    assert ln_sorted([x, y], (a, b)) == [0, 1]
+    assert ln_sorted([y, x], (a, b)) == [0, 1]
+    assert ln_sorted([LogNorm.of(0, (2, 0)), x, y, LogNorm.zero(2)],
+                     (a, b)) == [3, 0, 1, 2]
+    # a stub pinned at a tie falls back to the input order too
+    s = LogNorm.of(3, (0,))
+    t = LogNorm.of(0, (5,))         # 5 * 3/5 = 3
+    assert ln_sorted([s, t], (R06,)) == [0, 1]
+    assert ln_sorted([t, s], (R06,)) == [0, 1]

@@ -2,15 +2,17 @@
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nonarch import (Cmp, FieldSpec, IncompatibleContext, LogNorm,
                      PreconditionFailed, RadiusDecl, Scalar, TateSeries,
-                     ln_compare, ln_mul, spectral_power_estimate,
-                     spectral_radius_laurent)
+                     UndecidableAtDepth, ln_compare, ln_mul,
+                     spectral_power_estimate, spectral_radius_laurent)
 from nonarch.fields import FQ_LAURENT, PADIC
+from nonarch.lognorm import ln_max
 from nonarch.series import LAURENT, POWER, SUPPORT_CAP
 
 Q3 = FieldSpec(PADIC, 3, precision_cap=40)
@@ -256,6 +258,7 @@ def _assert_same_power(f, k):
 R2 = RadiusDecl.quadratic("r2", 0, 1, 2, 3)     # log_q(1/r2) = sqrt(3)/2
 # log_q(1/r1s) = 1/2 + log_q(1/r1): comparisons over r1 and r1s are exact
 R1S = RadiusDecl.quadratic("r1s", 1, 1, 2, 2)
+R06S = RadiusDecl.rational_stub("r06", Fraction(3, 5))
 
 
 @st.composite
@@ -318,3 +321,113 @@ def test_pow_past_support_cap_prunes_like_scalar_path():
     sq = f.pow_int(2)
     assert len(sq.support) == SUPPORT_CAP and not sq.tail.is_zero
     _assert_same_power(f, 2)
+
+
+# ---------------------------------------------------------------------------
+# Pruning by exact keys against the comparison sort it replaced
+
+
+def _oracle_pruned(f, cap):
+    """Keep the `cap` largest-norm terms; fold the rest into the tail."""
+    if len(f.support) <= cap:
+        return f
+    keyed = []
+    for e in f.support:
+        keyed.append((f.term_norm(e), e))
+    # smallest norms first; lexicographic exponent order breaks ties
+    order = sorted(keyed, key=lambda t: t[1])
+    order.sort(key=cmp_to_key(
+        lambda x, y: ln_compare(x[0], y[0], f.radii).value))
+    drop = len(f.support) - cap
+    tail = f.tail
+    support = dict(f.support)
+    for n, e in order[:drop]:
+        tail = ln_max(tail, n, f.radii)
+        del support[e]
+    return TateSeries(f.spec, f.kind, f.radii, support, tail)
+
+
+def _assert_prunes_like_oracle(f, cap):
+    got, want = f.pruned(cap), _oracle_pruned(f, cap)
+    assert list(got.support) == list(want.support)
+    assert got.support == want.support
+    assert got.tail == want.tail
+    assert len(got.support) == min(cap, len(f.support))
+
+
+def test_pruning_over_twin_radii_does_not_fail_on_ties():
+    # r1 declared twice: x and y have exactly equal norms, which
+    # ln_compare cannot order
+    a, b = RadiusDecl.default("r1"), RadiusDecl.default("r1")
+    f = TateSeries.from_terms(Q3, (a, b), [
+        ((0, 0), 1), ((1, 0), 1), ((0, 1), 1),
+        ((2, 0), 1), ((1, 1), 1), ((0, 2), 1)])
+    with pytest.raises(UndecidableAtDepth):
+        _oracle_pruned(f, 3)
+    pr = f.pruned(3)
+    # the three degree-2 terms tie; they go in exponent order
+    assert sorted(pr.support) == [(0, 0), (0, 1), (1, 0)]
+    assert pr.tail == LogNorm.of(0, (2, 0))
+    pr = f.pruned(4)
+    assert sorted(pr.support) == [(0, 0), (0, 1), (1, 0), (2, 0)]
+    assert pr.tail == LogNorm.of(0, (1, 1))
+    # the old tail ties with the largest dropped norm: either is the max
+    g = TateSeries(Q3, POWER, (a, b), f.support, LogNorm.of(0, (0, 2)))
+    assert g.pruned(3).tail in (LogNorm.of(0, (0, 2)), LogNorm.of(0, (2, 0)))
+
+
+def test_pruning_with_stub_ties_falls_back_to_exponent_order():
+    stub = RadiusDecl.rational_stub("r06", Fraction(3, 5))
+    # 3^-3 * r^0 and 3^0 * r^5 are equal: 5 * 3/5 = 3
+    f = TateSeries(Q3, POWER, (stub,), {(0,): Scalar.from_int(Q3, 27),
+                                        (5,): Scalar.one(Q3),
+                                        (1,): Scalar.one(Q3)})
+    with pytest.raises(UndecidableAtDepth):
+        _oracle_pruned(f, 1)
+    pr = f.pruned(1)
+    assert sorted(pr.support) == [(1,)]
+    assert pr.tail in (LogNorm.of(3, (0,)), LogNorm.of(0, (5,)))
+
+
+@pytest.mark.parametrize("radii", [(R1,), (R1, R1S), (R1, R2), (R06S,)],
+                         ids=["r1", "r1-r1s", "mixed-d", "stub"])
+def test_pruning_matches_comparison_sort_where_it_decides(radii):
+    rng = random.Random(4242)
+    decided = 0
+    for _ in range(80):
+        terms = {}
+        for _ in range(rng.randint(1, 40)):
+            e = tuple(rng.randint(0, 9) for _ in radii)
+            terms[e] = Scalar.from_fraction(
+                Q3, Fraction(rng.choice([1, 2, 5, 7]),
+                             rng.choice([1, 2])) * Fraction(3) ** rng.randint(-2, 3))
+        tail = None
+        if rng.random() < 0.5:
+            tail = LogNorm.of(rng.randint(-2, 4),
+                              [rng.randint(0, 12) for _ in radii])
+        f = TateSeries(Q3, POWER, radii, terms, tail)
+        cap = rng.randint(1, len(terms))
+        try:
+            _oracle_pruned(f, cap)
+        except UndecidableAtDepth:
+            f.pruned(cap)       # decided here all the same
+            continue
+        _assert_prunes_like_oracle(f, cap)
+        decided += 1
+    assert decided > 40
+
+
+def test_pow_past_support_cap_prunes_like_comparison_sort():
+    # the square of the series in the test above, before its pruning
+    f = TateSeries.from_terms(Q3, (R1, R1S), [
+        ((i, i * i), Fraction(1, 2 + 5 * (i % 2))) for i in range(91)])
+    products = {}
+    for e1, c1 in f.support.items():
+        for e2, c2 in f.support.items():
+            e = (e1[0] + e2[0], e1[1] + e2[1])
+            products[e] = products[e] + c1 * c2 if e in products else c1 * c2
+    sq = TateSeries(Q3, POWER, (R1, R1S), products)
+    assert len(sq.support) > SUPPORT_CAP
+    _assert_prunes_like_oracle(sq, SUPPORT_CAP)
+    pr, got = sq.pruned(SUPPORT_CAP), f.pow_int(2)
+    assert got.support == pr.support and got.tail == pr.tail
