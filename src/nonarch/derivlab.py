@@ -116,10 +116,11 @@ def _prime_entry(c: Scalar):
         return c.to_fraction()
     if c.is_ring_zero():
         return 0
-    if c.valuation() != 0 or set(c._unit) != {0}:
+    unit = c.unit_part()
+    if c.valuation() != 0 or set(unit) != {0}:
         raise PreconditionFailed(
             "certificate coefficients must be residue-field constants")
-    u = c._unit[0]
+    u = unit[0]
     if isinstance(u, tuple):
         if len(u) <= 1:
             return u[0] if u else 0
@@ -522,7 +523,7 @@ def _coefficient_monomials(f: TateSeries):
         v = c.valuation()
         if v < 0:
             raise PreconditionFailed("coefficients must have norm <= 1")
-        for off, rf in sorted(c._unit.items()):
+        for off, rf in sorted(c.unit_part().items()):
             if not rf.is_poly():
                 raise PreconditionFailed("coefficients must be polynomial "
                                          "in t and u")

@@ -42,6 +42,7 @@ roots are built on the domain's truncated product ``series_mul``, which
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -552,7 +553,8 @@ class Scalar:
         if self.kind == PADIC:
             v = self.valuation()
             num, den = self._padic_unit()
-            us = str(num) if den == 1 else f"{num}/{den}"
+            us = (_int_str(num) if den == 1
+                  else f"{_int_str(num)}/{_int_str(den)}")
             if v == 0:
                 return us
             return f"{us}*{self.spec.residue_prime}^{v}"
@@ -786,6 +788,15 @@ def _laurent_root(a: Scalar, p: int, v: int) -> Scalar:
 # Scalar literals
 
 
+def _int_str(n: int) -> str:
+    """str(n), also past the interpreter's int-to-str digit limit
+    (``sys.set_int_max_str_digits``), where ``Decimal`` converts."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 class _Tokenizer:
     def __init__(self, s: str):
         self.src = s
@@ -809,7 +820,14 @@ class _Tokenizer:
             start = self.pos
             while self.pos < len(self.src) and self.src[self.pos].isdigit():
                 self.pos += 1
-            return int(self.src[start:self.pos])
+            digits = self.src[start:self.pos]
+            try:
+                return int(digits)
+            except ValueError:
+                if not digits.isdecimal():
+                    raise
+                # past the interpreter's str-to-int limit; Decimal has none
+                return int(Decimal(digits))
         if ch.isalpha():
             start = self.pos
             self.pos += 1

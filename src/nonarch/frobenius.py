@@ -62,7 +62,7 @@ def scalar_decompose(a: Scalar, basis: PBasis):
     if a.is_ring_zero():
         return [Scalar.zero(spec) for _ in range(p)]
     v = a.valuation()
-    for off, c in a._unit.items():
+    for off, c in a.unit_part().items():
         j = v + off
         i = j % p
         root = dom.char_root(c)

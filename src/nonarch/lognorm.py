@@ -9,22 +9,20 @@ builders whose operands are already exact use its trusted ``_make``.
 Formal radii r_j are declared once per session as ``RadiusDecl`` objects
 carrying a refinable interval for log_q(1/r_j).
 
-Comparing two norm values means deciding the sign of the log-difference
-e0 + sum e_j * log_q(1/r_j).  When every radius in it is quadratic,
-log_q(1/r_j) = (a_j + b_j*sqrt(d))/c_j with integers a_j, b_j, c_j over
-one common d, the difference times the lcm of the c_j is A + B*sqrt(d),
-with A, B integers when the exponents are, and its sign is decided
-exactly by comparing A^2 with B^2*d.  Otherwise (radii over different
-sqrt(d), rational stubs) the intervals are refined until the sign is
-decided; that fallback gives up with ``UndecidableAtDepth`` when the
-difference vanishes exactly (dependent radius declarations, a stub pinned
-at a tie) or is too small to separate from zero by depth 256.
+Every norm order is decided by one sign function, ``_log_sign``, of the
+log-difference e0 + sum e_j * log_q(1/r_j).  When every radius in it is
+quadratic, log_q(1/r_j) = (a_j + b_j*sqrt(d))/c_j with integers a_j, b_j,
+c_j over one common d, the difference times the lcm of the c_j is
+A + B*sqrt(d), and its sign is decided exactly by comparing A^2 with
+B^2*d; an exact zero there is final.  Otherwise (radii over different
+sqrt(d), rational stubs) the intervals are refined to depth 256, and a
+difference that vanishes exactly or is too small stays undecided.
 
-Every other norm decision goes through ``ln_compare``: ``ln_max`` is the
-one norm maximum, and ``norm_exceeds`` decides value > bound by
-comparing against the powers of q that bracket the bound.  ``ln_sorted``
-orders many norms at once, keying each by its exact (A, B) where one
-sqrt(d) covers all radii; it never gives up, so series pruning cannot
+``ln_compare`` gives up on an undecided difference with
+``UndecidableAtDepth``; ``ln_max`` is the one norm maximum, and
+``norm_exceeds`` decides value > bound by comparing against the powers of
+q that bracket the bound.  ``ln_sorted`` orders many norms by the same
+sign and keeps undecided pairs in input order, so series pruning cannot
 fail on a tie.
 """
 
@@ -34,7 +32,7 @@ import enum
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd, isqrt, lcm, log
+from math import gcd, isqrt, log
 from operator import add, sub
 
 from .errors import UndecidableAtDepth
@@ -205,25 +203,23 @@ def _sqrt_interval(d: int, depth: int):
 class RadiusDecl:
     """One declared formal radius r, described by log_q(1/r).
 
-    The description is a shrinking-interval stream: ``interval(depth)``
-    returns exact rational bounds [lo, hi] containing log_q(1/r), with
-    width <= 2^-depth (plus stream constants).  Quadratic-irrational
-    streams carry a constructive irrationality proof; other streams only
-    *assert* irrationality.  Quadratic declarations also expose
-    ``quadratic_parts`` = (d, a, b, c), the integers of the exact form
-    (a + b*sqrt(d))/c that ``ln_compare`` decides with; it is None for
-    every other stream kind.
+    A declaration is data: ``kind`` and ``params`` say what log_q(1/r) is,
+    and ``interval(depth)`` computes exact rational bounds [lo, hi] around
+    it, of width <= 2^-depth (times |b|/c for a quadratic one).  A
+    quadratic declaration, log_q(1/r) = (a + b*sqrt(d))/c, exposes
+    ``quadratic_parts`` = (d, a, b, c), the integers ``_log_sign`` decides
+    with exactly, and its irrationality is verified once, when it is
+    built.  A rational stub keeps its ``value``; its irrationality can
+    only be asserted.
     """
 
-    def __init__(self, gen_id, stream, asserts_irrational, kind, params,
-                 note=""):
+    def __init__(self, gen_id, asserts_irrational, kind, params, note=""):
         self.gen_id = gen_id
-        self._stream = stream
         self.asserts_irrational = asserts_irrational
         self.kind = kind
         self.params = params
         self.note = note
-        self.quadratic_parts = None
+        self.quadratic_parts = self.value = None
 
     @classmethod
     def quadratic(cls, gen_id, a, b, c, d, note=""):
@@ -231,35 +227,25 @@ class RadiusDecl:
         a, b, c, d = int(a), int(b), int(c), int(d)
         if c <= 0 or d <= 0:
             raise ValueError("need c > 0 and d > 0")
-
-        def stream(depth):
-            lo, hi = _sqrt_interval(d, depth)
-            if b < 0:
-                lo, hi = hi, lo
-            return (Fraction(a) + b * lo) / c, (Fraction(a) + b * hi) / c
-
         irrational = b != 0 and isqrt(d) ** 2 != d
-        decl = cls(gen_id, stream, irrational, "quadratic",
+        decl = cls(gen_id, irrational, "quadratic",
                    {"a": a, "b": b, "c": c, "d": d}, note)
         decl.quadratic_parts = (d, a, b, c)
         return decl
 
     @classmethod
     def rational_stub(cls, gen_id, value, asserts_irrational=False, note=""):
-        """Test stream pinned near a rational value.
+        """Test declaration pinned near a rational value.
 
         Useful for exercising numeric paths with hand-readable exponents;
         the irrationality assertion is the caller's responsibility and is
-        never verifiable for this stream kind.
+        never verifiable for this kind.
         """
         value = Fraction(value)
-
-        def stream(depth):
-            eps = Fraction(1, 1 << (depth + 2))
-            return value - eps, value + eps
-
-        return cls(gen_id, stream, asserts_irrational, "rational",
+        decl = cls(gen_id, asserts_irrational, "rational",
                    {"value": str(value)}, note)
+        decl.value = value
+        return decl
 
     @classmethod
     def default(cls, gen_id="r1"):
@@ -268,27 +254,27 @@ class RadiusDecl:
                              note="log_q(1/r) = sqrt(2)/2")
 
     def interval(self, depth: int):
-        lo, hi = self._stream(depth)
-        if lo > hi:
-            raise ValueError("stream produced an inverted interval")
-        return lo, hi
+        if self.quadratic_parts is None:
+            eps = Fraction(1, 1 << (depth + 2))
+            return self.value - eps, self.value + eps
+        d, a, b, c = self.quadratic_parts
+        lo, hi = _sqrt_interval(d, depth)
+        if b < 0:
+            lo, hi = hi, lo
+        return (a + b * lo) / c, (a + b * hi) / c
 
     def check_declaration(self, depth: int = 32) -> bool:
         """True iff the irrationality assertion is constructively verified.
 
-        Quadratic streams verify b != 0 and d not a perfect square; other
-        stream kinds cannot be verified at finite depth and return False
-        whenever they assert irrationality.
+        A quadratic declaration asserts exactly the irrationality its
+        constructor verified (b != 0 and d not a perfect square); other
+        kinds cannot be verified at finite depth and return False whenever
+        they assert irrationality.
         """
         lo, hi = self.interval(depth)
         if not lo < hi:
             return False
-        if not self.asserts_irrational:
-            return True
-        if self.kind == "quadratic":
-            b, d = self.params["b"], self.params["d"]
-            return b != 0 and isqrt(d) ** 2 != d
-        return False
+        return not self.asserts_irrational or self.kind == "quadratic"
 
     def to_json(self):
         return {"gen_id": self.gen_id, "kind": self.kind,
@@ -312,18 +298,16 @@ class RadiusDecl:
             if any(type(p.get(k)) is not int for k in "abcd"):
                 raise ValueError('quadratic radius params "a", "b", "c", "d" '
                                  'must be integers')
-            decl = cls.quadratic(obj["gen_id"], p["a"], p["b"], p["c"],
+            return cls.quadratic(obj["gen_id"], p["a"], p["b"], p["c"],
                                  p["d"], obj.get("note", ""))
-        elif kind == "rational":
+        if kind == "rational":
             if type(p.get("value")) not in (str, int):
                 raise ValueError('rational radius param "value" must be a '
                                  'string or an integer')
-            decl = cls.rational_stub(obj["gen_id"], Fraction(p["value"]),
+            return cls.rational_stub(obj["gen_id"], Fraction(p["value"]),
                                      obj.get("asserts_irrational", False),
                                      obj.get("note", ""))
-        else:
-            raise ValueError(f"unknown radius stream kind {kind!r}")
-        return decl
+        raise ValueError(f"unknown radius kind {kind!r}")
 
     def __repr__(self):
         return f"RadiusDecl({self.gen_id}, {self.kind}, {self.params})"
@@ -333,10 +317,10 @@ class RadiusDecl:
 # Comparison
 
 
-def _log_interval(a: LogNorm, radii, depth: int):
-    """Interval for log_q(1/value) = e0 + sum e_j * L_j."""
-    lo = hi = a.base_exp
-    for e, decl in zip(a.radius_exps, radii):
+def _log_interval(base, exps, radii, depth: int):
+    """Interval for base + sum exps[j] * log_q(1/r_j)."""
+    lo = hi = base
+    for e, decl in zip(exps, radii):
         if not e:
             continue
         llo, lhi = decl.interval(depth)
@@ -360,21 +344,23 @@ def _sqrt_sign(A, B, d):
     return sa if lhs > rhs else sb if lhs < rhs else 0
 
 
-def _quadratic_sign(d_base, d_rad, radii):
-    """Exact sign of d_base + sum d_rad[j] * log_q(1/r_j), or 0 when it is
-    not decided here: a radius with a nonzero exponent is not quadratic,
-    two such radii differ in d, or the sum vanishes exactly.
+def _log_sign(base, exps, radii):
+    """Sign of base + sum exps[j] * log_q(1/r_j): 1, -1, or 0 for
+    undecided.
 
-    With log_q(1/r_j) = (a_j + b_j*sqrt(d))/c_j, the sum times the lcm L
-    of the c_j is A + B*sqrt(d); A and B are ints when the exponents are,
-    and Fractions otherwise."""
-    A, B, L, d = d_base, 0, 1, None
-    for e, decl in zip(d_rad, radii):
+    Exact when every radius with a nonzero exponent is quadratic over one
+    sqrt(d): with log_q(1/r_j) = (a_j + b_j*sqrt(d))/c_j, the sum times the
+    lcm L of the c_j is A + B*sqrt(d) (ints when the exponents are,
+    Fractions otherwise), and a 0 there is an exact vanishing.  Otherwise
+    the intervals are refined from depth 8 to ``MAX_REFINE_DEPTH``, and 0
+    means that none of them excluded zero."""
+    A, B, L, d = base, 0, 1, None
+    for e, decl in zip(exps, radii):
         if not e:
             continue
         parts = decl.quadratic_parts
         if parts is None or (d is not None and parts[0] != d):
-            return 0
+            break
         d, a, b, c = parts
         if L % c:
             m = c // gcd(L, c)
@@ -383,16 +369,27 @@ def _quadratic_sign(d_base, d_rad, radii):
         if a:
             A += e * a * m
         B += e * b * m
-    return _sqrt_sign(A, B, d)
+    else:
+        return _sqrt_sign(A, B, d)
+    depth = 8
+    while depth <= MAX_REFINE_DEPTH:
+        lo, hi = _log_interval(base, exps, radii, depth)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        depth *= 2
+    return 0
 
 
 def ln_compare(a: LogNorm, b: LogNorm, radii=()) -> Cmp:
     """Total comparison of two norm values.
 
     EQ only for structurally equal inputs.  A difference whose radius
-    components cancel exactly is decided rationally, one over quadratic
-    radii sharing a sqrt(d) by exact squaring; any other is decided by
-    interval refinement, which can give up (see the module docstring).
+    components cancel exactly is decided rationally, any other by
+    ``_log_sign``; when that leaves it undecided (an exact vanishing, or a
+    difference too small to separate from zero) the comparison gives up
+    with ``UndecidableAtDepth``.
     """
     if a.is_zero:
         return Cmp.EQ if b.is_zero else Cmp.LT
@@ -407,20 +404,10 @@ def ln_compare(a: LogNorm, b: LogNorm, radii=()) -> Cmp:
         return Cmp.GT if d_base < 0 else Cmp.LT if d_base else Cmp.EQ
     if len(radii) < len(ra):
         raise ValueError("missing radius declarations for comparison")
-    d_rad = tuple(map(sub, ra, rb))
-    sign = _quadratic_sign(d_base, d_rad, radii)
+    sign = _log_sign(d_base, tuple(map(sub, ra, rb)), radii)
     if sign:
         # larger log = smaller norm
         return Cmp.LT if sign > 0 else Cmp.GT
-    diff = LogNorm._make(d_base, d_rad)
-    depth = 8
-    while depth <= MAX_REFINE_DEPTH:
-        lo, hi = _log_interval(diff, radii, depth)
-        if lo > 0:
-            return Cmp.LT
-        if hi < 0:
-            return Cmp.GT
-        depth *= 2
     raise UndecidableAtDepth(
         f"norm comparison undecided after depth {MAX_REFINE_DEPTH}: "
         f"{a} vs {b}")
@@ -437,41 +424,20 @@ def ln_max(a: LogNorm, b: LogNorm, radii) -> LogNorm:
 
 def ln_sorted(norms, radii):
     """Positions of ``norms`` in ascending order of value; never raises on
-    a tie.  Equal values keep their input order.
-
-    When all radii are quadratic over one sqrt(d), each nonzero norm is
-    keyed once by the exact (A, B) of its log_q(1/value) times the lcm of
-    the c_j, and keys are ordered by ``_sqrt_sign``.  Otherwise norms are
-    ordered by ``ln_compare``, and a comparison it gives up on (an exact
-    tie of mixed sqrt(d) or stub radii) counts as a tie.
-    """
+    a tie.  Norms whose order ``_log_sign`` leaves undecided (equal
+    values, or a mixed-sqrt(d) difference too small to separate) keep
+    their input order."""
     order = [i for i, n in enumerate(norms) if n.is_zero]
     rest = [i for i, n in enumerate(norms) if not n.is_zero]
-    parts = [decl.quadratic_parts for decl in radii]
-    if parts and all(p is not None and p[0] == parts[0][0] for p in parts):
-        d = parts[0][0]
-        L = lcm(*(c for _, _, _, c in parts))
-        weights = [(a * (L // c), b * (L // c)) for _, a, b, c in parts]
-        keys = {}
-        for i in rest:
-            n = norms[i]
-            if len(n.radius_exps) != len(weights):
-                raise ValueError("norms from different radius contexts")
-            A, B = n.base_exp * L, 0
-            for e, (wa, wb) in zip(n.radius_exps, weights):
-                A, B = A + e * wa, B + e * wb
-            keys[i] = A, B
+    if any(len(norms[i].radius_exps) != len(radii) for i in rest):
+        raise ValueError("norms from different radius contexts")
 
-        def cmp(i, j):
-            (ai, bi), (aj, bj) = keys[i], keys[j]
-            # larger log = smaller norm
-            return _sqrt_sign(aj - ai, bj - bi, d)
-    else:
-        def cmp(i, j):
-            try:
-                return ln_compare(norms[i], norms[j], radii).value
-            except UndecidableAtDepth:
-                return 0
+    def cmp(i, j):
+        a, b = norms[i], norms[j]
+        # larger log = smaller norm
+        return -_log_sign(a.base_exp - b.base_exp,
+                          tuple(map(sub, a.radius_exps, b.radius_exps)),
+                          radii)
     return order + sorted(rest, key=cmp_to_key(cmp))
 
 
@@ -520,5 +486,5 @@ def norm_exceeds(a: LogNorm, radii, q: int, bound: Fraction) -> bool:
 def log_q_interval(a: LogNorm, radii):
     """Interval [lo, hi] for log_q(value) = -(e0 + sum e_j L_j), at the
     fixed refinement depth 48 (artifacts print it)."""
-    lo, hi = _log_interval(a, radii, 48)
+    lo, hi = _log_interval(a.base_exp, a.radius_exps, radii, 48)
     return -hi, -lo

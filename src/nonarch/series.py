@@ -139,13 +139,8 @@ class TateSeries:
         lost = []
         for e, c in other.support.items():
             _accumulate(out, lost, e, c)
-        tail = ln_max(self.tail, other.tail, self.radii)
-        for b in lost:
-            tail = ln_max(tail, b, self.radii)
-        result = TateSeries._make(self.spec, self.kind, self.radii, out, tail)
-        if len(result.support) > SUPPORT_CAP:
-            result = result.pruned(SUPPORT_CAP)
-        return result
+        return self._finish(out, ln_max(self.tail, other.tail, self.radii),
+                            lost)
 
     def __neg__(self):
         return TateSeries._make(self.spec, self.kind, self.radii,
@@ -170,10 +165,16 @@ class TateSeries:
             tail = ln_max(ln_mul(self.tail, other._term_max(other.tail)),
                           ln_mul(other.tail, self._term_max(self.tail)),
                           self.radii)
+        return self._finish(out, tail, lost)
+
+    def _finish(self, out, tail, lost):
+        """The sum or product with support `out`: the bounds of the `lost`
+        terms are folded into `tail`, and a support above SUPPORT_CAP is
+        pruned."""
         for b in lost:
             tail = ln_max(tail, b, self.radii)
         result = TateSeries._make(self.spec, self.kind, self.radii, out, tail)
-        if len(result.support) > SUPPORT_CAP:
+        if len(out) > SUPPORT_CAP:
             result = result.pruned(SUPPORT_CAP)
         return result
 

@@ -1,6 +1,8 @@
 """CLI subcommands: artifacts, exit codes, determinism and replay."""
 
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -136,6 +138,49 @@ def test_field_over_a_61_bit_prime(tmp_path):
     assert main(["--config", str(cfg), "gauss-norm", "--field", "q61",
                  "--series", SER_Q3, "--out", str(tmp_path)]) == 0
     assert main(["--check", str(tmp_path / "gauss-norm.json")]) == 0
+
+
+@pytest.mark.parametrize("limit", [None, 640], ids=["default", "640"])
+def test_root_with_literals_past_the_int_str_limit(tmp_path, limit):
+    # q = 2^61 - 1 and |f - 1| = 1/q: the Newton steps' units run to tens
+    # of thousands of digits, past the interpreter's int-to-str limit
+    cfg = tmp_path / "session.json"
+    cfg.write_text(json.dumps({"fields": {"q61": {
+        "kind": "PADIC", "residue_prime": (1 << 61) - 1,
+        "precision_cap": 30}}}))
+    old = sys.get_int_max_str_digits()
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+    try:
+        assert main(["--config", str(cfg), "pth-root", "--field", "q61",
+                     "--prime", "2", "--target", str(1 << 61),
+                     "--out", str(tmp_path)]) == 0
+        assert main(["--check", str(tmp_path / "pth-root.json")]) == 0
+    finally:
+        sys.set_int_max_str_digits(old)
+    art = _read(tmp_path, "pth-root")
+    assert art["verdict"] == "CERTIFIED"
+    longest = max(len(s["h"]) for s in art["result"]["trace"]["steps"])
+    assert longest > 4300
+
+
+def test_literals_past_the_int_str_limit_round_trip():
+    spec = FieldSpec(PADIC, 5)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        n = int("7" * 6000)
+    finally:
+        sys.set_int_max_str_digits(old)
+    s = scalar_from_literal(spec, "7" * 6000 + "/2")
+    assert s.to_fraction() == Fraction(n, 2)
+    assert scalar_from_literal(spec, s.to_literal()).equals(s)
+    assert s.to_literal() == "7" * 6000 + "/2"
+    # under the limit the literal is plain str() of the ints
+    assert scalar_from_literal(spec, "4301/7").to_literal() == "4301/7"
+    # non-decimal digits stay refused with int()'s message
+    with pytest.raises(ValueError, match="invalid literal"):
+        scalar_from_literal(spec, "²" * 5000)
 
 
 def test_ffinite_decompose(tmp_path):

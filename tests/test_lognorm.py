@@ -7,6 +7,7 @@ import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cache
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from nonarch import (Cmp, LogNorm, RadiusDecl, UndecidableAtDepth,
                      in_value_group_rational, ln_compare, ln_mul, ln_pow)
 from nonarch.fields import PADIC, FieldSpec, Scalar
-from nonarch.lognorm import (_quadratic_sign, ln_sorted, log_q_interval,
+from nonarch.lognorm import (_log_sign, ln_sorted, log_q_interval,
                              norm_exceeds)
 from nonarch.series import POWER, TateSeries
 
@@ -58,8 +59,8 @@ def test_value_group_membership():
 
 
 def test_undecidable_for_dependent_radii():
-    # two generators declared with the same irrational stream: the log
-    # difference of r_1 and r_2 is exactly zero, so refinement never decides
+    # two generators declared with the same irrational radius: the log
+    # difference of r_1 and r_2 is exactly zero, so the comparison gives up
     a = RadiusDecl.default("a")
     b = RadiusDecl.default("b")
     with pytest.raises(UndecidableAtDepth):
@@ -128,12 +129,36 @@ def test_order_respects_mul(a1, b1, a2, b2, a3, b3):
 R_NEG = RadiusDecl.quadratic("rneg", 3, -1, 2, 2)     # (3 - sqrt(2))/2
 R_D5 = RadiusDecl.quadratic("rd5", 1, 1, 4, 5)        # (1 + sqrt(5))/4
 R_D9 = RadiusDecl.quadratic("rd9", 0, 1, 4, 9)        # sqrt(9)/4 = 3/4
-R1_TWIN = RadiusDecl.default("r1twin")                # r1's stream again
+R1_TWIN = RadiusDecl.default("r1twin")                # r1's radius again
 RADIUS_SET = (R1, R_NEG, R_D5, R_D9, R06, R1_TWIN)
 
 
+def _raw_interval(decl, depth):
+    """Bounds on log_q(1/r) computed here from the declaration's params:
+    value -+ 2^-(depth+2) for a stub, (a + b*[lo, hi])/c around
+    sqrt(d) for a quadratic one."""
+    p = decl.params
+    if decl.kind == "rational":
+        eps = Fraction(1, 1 << (depth + 2))
+        return Fraction(p["value"]) - eps, Fraction(p["value"]) + eps
+    scale = 1 << depth
+    s = isqrt(p["d"] * scale * scale)
+    lo, hi = Fraction(s, scale), Fraction(s + 1, scale)
+    if p["b"] < 0:
+        lo, hi = hi, lo
+    return (p["a"] + p["b"] * lo) / p["c"], (p["a"] + p["b"] * hi) / p["c"]
+
+
+def test_interval_matches_raw_interval():
+    for decl in RADIUS_SET + (R_C3, R_C5, R_D5B):
+        for depth in (0, 8, 48, 256):
+            assert decl.interval(depth) == _raw_interval(decl, depth)
+            lo, hi = decl.interval(depth)
+            assert type(lo) is type(hi) is Fraction and lo <= hi
+
+
 def _oracle_compare(a, b, radii, max_depth=256):
-    """The interval loop on the raw streams; None if undecided."""
+    """The interval loop on the raw intervals; None if undecided."""
     if a == b:
         return Cmp.EQ
     d_base = a.base_exp - b.base_exp
@@ -145,7 +170,7 @@ def _oracle_compare(a, b, radii, max_depth=256):
         lo = hi = d_base
         for e, decl in zip(d_rad, radii):
             if e:
-                llo, lhi = decl._stream(depth)
+                llo, lhi = _raw_interval(decl, depth)
                 lo, hi = ((lo + e * llo, hi + e * lhi) if e > 0
                           else (lo + e * lhi, hi + e * llo))
         if lo > 0:
@@ -248,7 +273,7 @@ def _oracle_norm_exceeds(a, radii, q, bound, depth=48):
     hi = a.base_exp
     for e, decl in zip(a.radius_exps, radii):
         if e:
-            llo, lhi = decl._stream(depth)
+            llo, lhi = _raw_interval(decl, depth)
             hi += e * (lhi if e > 0 else llo)
     for denom_bits in (6, 12, 16):
         D = 1 << denom_bits
@@ -482,6 +507,21 @@ def _rand_int_or_fraction(rng):
     return int(e) if e.denominator == 1 and rng.random() < 0.7 else e
 
 
+def _oracle_sign(base, exps, radii):
+    """The sign of base + sum exps[j] * log_q(1/r_j) by the interval
+    oracle; 0 when it stays undecided."""
+    got = _oracle_compare(LogNorm.of(base, exps),
+                          LogNorm.identity(len(exps)), radii)
+    return {Cmp.LT: 1, Cmp.GT: -1, Cmp.EQ: 0, None: 0}[got]
+
+
+def _want_sign(base, exps, radii):
+    """The exact Fraction-form sign where it decides, else the interval
+    oracle's."""
+    return (_oracle_quadratic_sign(base, exps, radii)
+            or _oracle_sign(base, exps, radii))
+
+
 @pytest.mark.parametrize("radii", [
     (R1,), (R_C3,), (R1, R_C3), (R_C3, R_C5), (R_NEG, R_C5), (R_D9,),
     (R_D5, R_D5B), (R1, R_D5), (R1, R06)],
@@ -493,29 +533,97 @@ def test_integer_quadratic_sign_matches_fraction_form(radii):
         d_base = _rand_int_or_fraction(rng)
         d_rad = tuple(_rand_int_or_fraction(rng) if rng.random() < 0.8
                       else 0 for _ in radii)
-        assert _quadratic_sign(d_base, d_rad, radii) \
-            == _oracle_quadratic_sign(d_base, d_rad, radii), (d_base, d_rad)
+        assert _log_sign(d_base, d_rad, radii) \
+            == _want_sign(d_base, d_rad, radii), (d_base, d_rad)
 
 
 def test_integer_quadratic_sign_edge_cases():
     # an exactly vanishing sum over c = 2 and c = 3:
     #   -1 - 4 * sqrt(2)/2 + 3 * (1 + 2*sqrt(2))/3 = 0
-    assert _quadratic_sign(-1, (-4, 3), (R1, R_C3)) == 0
+    assert _log_sign(-1, (-4, 3), (R1, R_C3)) == 0
     assert _oracle_quadratic_sign(-1, (-4, 3), (R1, R_C3)) == 0
-    assert _quadratic_sign(Fraction(-1), (Fraction(-4), Fraction(3)),
-                           (R1, R_C3)) == 0
+    assert _log_sign(Fraction(-1), (Fraction(-4), Fraction(3)),
+                     (R1, R_C3)) == 0
     # one step off the tie either way is decided
-    assert _quadratic_sign(0, (-4, 3), (R1, R_C3)) == 1
-    assert _quadratic_sign(-2, (-4, 3), (R1, R_C3)) == -1
+    assert _log_sign(0, (-4, 3), (R1, R_C3)) == 1
+    assert _log_sign(-2, (-4, 3), (R1, R_C3)) == -1
     # a perfect-square d: sqrt(9)/4 * 4 = 3 exactly
-    assert _quadratic_sign(-3, (4,), (R_D9,)) == 0
-    assert _quadratic_sign(Fraction(-5, 2), (Fraction(10, 3),), (R_D9,)) == 0
-    # mixed d and stubs are never decided here
-    assert _quadratic_sign(100, (1, 1), (R1, R_D5)) == 0
-    assert _quadratic_sign(100, (1, 1), (R1, R06)) == 0
+    assert _log_sign(-3, (4,), (R_D9,)) == 0
+    assert _log_sign(Fraction(-5, 2), (Fraction(10, 3),), (R_D9,)) == 0
+    # mixed d and stubs are decided by interval refinement
+    assert _log_sign(100, (1, 1), (R1, R_D5)) == 1
+    assert _log_sign(100, (1, 1), (R1, R06)) == 1
+    assert _log_sign(Fraction(-7, 10), (1, 0), (R06, R1)) == -1
+    # ... and a stub pinned at a tie stays undecided: 3 - 5 * 3/5 = 0
+    assert _log_sign(3, (-5,), (R06,)) == 0
     # a zero exponent on the other radius leaves it out
-    assert _quadratic_sign(1, (1, 0), (R1, R_D5)) == 1
-    assert _quadratic_sign(Fraction(-7, 10), (1, 0), (R06, R1)) == 0
+    assert _log_sign(1, (1, 0), (R1, R_D5)) == 1
+    # no radius component at all: the sign of the base
+    assert [_log_sign(b, (0, 0), (R1, R06)) for b in (-2, 0, 3)] \
+        == [-1, 0, 1]
+
+
+def _vanishing(rng, radii):
+    """(base, exps) of an exactly vanishing sum over `radii` (r06 against
+    e0, r1 against its twin, the d = 9 radius against e0), or None."""
+    ids = [d.gen_id for d in radii]
+    exps = [0] * len(radii)
+    k = rng.choice([-3, -2, -1, 1, 2, 3])
+    if "r06" in ids:
+        exps[ids.index("r06")] = 5 * k
+        return -3 * k, exps
+    if "r1" in ids and "r1twin" in ids:
+        exps[ids.index("r1")], exps[ids.index("r1twin")] = k, -k
+        return 0, exps
+    if "rd9" in ids:
+        exps[ids.index("rd9")] = 4 * k
+        return -3 * k, exps
+    return None
+
+
+@pytest.mark.parametrize("exact", [int, Fraction], ids=["int", "fraction"])
+def test_log_sign_matches_both_oracles(exact):
+    rng = random.Random(4242)
+    zeros = 0
+    for _ in range(1500):
+        radii = tuple(rng.sample(RADIUS_SET, rng.randint(1, 3)))
+        drawn = _vanishing(rng, radii) if rng.random() < 0.25 else None
+        if drawn is None:
+            drawn = (rng.randint(-12, 12),
+                     [rng.randint(-12, 12) if rng.random() < 0.8 else 0
+                      for _ in radii])
+        base, exps = drawn
+        if exact is Fraction:
+            den = rng.choice([1, 2, 3, 4])
+            base = Fraction(base, den)
+            exps = [Fraction(e, den) for e in exps]
+        exps = tuple(exps)
+        assert all(type(e) is exact for e in (base,) + exps)
+        want = _want_sign(base, exps, radii)
+        assert _log_sign(base, exps, radii) == want, (base, exps, radii)
+        zeros += want == 0
+    assert zeros > 100      # the exact vanishings really were drawn
+
+
+def test_exact_vanishing_is_final(monkeypatch):
+    # a sum that vanishes exactly over quadratic radii of one sqrt(d)
+    # raises at once: no interval is refined
+    def no_interval(self, depth):
+        raise AssertionError("an exact vanishing refined an interval")
+
+    monkeypatch.setattr(RadiusDecl, "interval", no_interval)
+    a, b = RadiusDecl.default("r1"), RadiusDecl.default("r1")
+    with pytest.raises(UndecidableAtDepth,
+                       match=r"after depth 256: \(0;1;0\) vs \(0;0;1\)"):
+        ln_compare(LogNorm.of(0, (1, 0)), LogNorm.of(0, (0, 1)), (a, b))
+    # -1 - 4 * r1 + 3 * rc3 = 0 over c = 2 and c = 3
+    with pytest.raises(UndecidableAtDepth):
+        ln_compare(LogNorm.of(-1, (-4, 3)), LogNorm.identity(2), (R1, R_C3))
+    with pytest.raises(UndecidableAtDepth):
+        ln_compare(LogNorm.of(Fraction(-1, 2), (-2, Fraction(3, 2))),
+                   LogNorm.of(0, (0, 0)), (R1, R_C3))
+    assert ln_sorted([LogNorm.of(0, (0, 1)), LogNorm.of(0, (1, 0))],
+                     (a, b)) == [0, 1]
 
 
 def test_quadratic_parts_are_integers():

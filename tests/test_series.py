@@ -227,6 +227,19 @@ def test_trusted_results_match_validated_construction(spec, kind):
             assert not any(c.is_ring_zero() for c in r.support.values())
 
 
+def test_sums_and_products_fold_lost_terms_into_the_tail():
+    # a coefficient that cancels below its precision leaves the support,
+    # and its bound q^-2 * r becomes the tail
+    c, m, one = Scalar(Q3, 1, 1, prec=2), Scalar(Q3, -1, 1, prec=2), \
+        Scalar.one(Q3)
+    f = TateSeries(Q3, POWER, (R1,), {(0,): one, (1,): c})
+    g = TateSeries(Q3, POWER, (R1,), {(1,): m})
+    h = TateSeries(Q3, POWER, (R1,), {(0,): one, (1,): one})
+    k = TateSeries(Q3, POWER, (R1,), {(0,): m, (1,): one})
+    for r in (f + g, h * k):
+        assert (1,) not in r.support and r.tail == LogNorm.of(2, (1,))
+
+
 # ---------------------------------------------------------------------------
 # TateSeries.pow_int against scalar-by-scalar powers
 
