@@ -316,18 +316,38 @@ class GF:
     def mul(self, a, b):
         if not a or not b:
             return ()
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            # a prime-field factor scales b componentwise; b's top
+            # component stays nonzero, as p is prime
+            x, p = a[0], self.p
+            if len(b) == 1:
+                return (x * b[0] % p,)
+            return tuple([x * y % p for y in b])
         return _vec_trim(_poly_mulmod(a, b, self.modulus, self.p))
 
     def series_mul(self, a, b, limit):
         """a * b for unit series {offset: element}, offsets >= limit
         dropped (limit None: none).
 
-        Packed into one big-integer product (``_kronecker_mul``) unless an
-        operand is a single term (a scaling) or the operands are too sparse
-        for their spans: more than ``_offsets_per_pair`` offsets in the two
-        spans per term pair.  Those take the schoolbook loop.
+        A single-term operand is a scaling: one ``mul`` per term of the
+        other operand, in its order.  Otherwise the product is packed into
+        one big-integer product (``_kronecker_mul``) unless the operands
+        are too sparse for their spans: more than ``_offsets_per_pair``
+        offsets in the two spans per term pair.  Those take the schoolbook
+        loop.
         """
-        if len(a) > 1 and len(b) > 1 and limit is not None:
+        if len(a) == 1 or len(b) == 1:
+            if len(a) != 1:
+                a, b = b, a
+            (i, x), = a.items()
+            mul, out = self.mul, {}
+            for j, y in b.items():
+                if limit is None or i + j < limit:
+                    out[i + j] = mul(x, y)
+            return out
+        if limit is not None:
             square = a is b
             a = _below(a, limit)
             b = a if square else _below(b, limit)

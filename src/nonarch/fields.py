@@ -174,29 +174,12 @@ def _int_val(n: int, q: int) -> int:
     return v
 
 
-def _vsum(a, b, sign):
-    """v(a) + sign * v(b) for nonzero p-adic a and b when both are cached,
-    else None (left to be computed on use)."""
-    if a._val is None or b._val is None:
-        return None
-    return a._val + sign * b._val
-
-
 def _pmin(a, b):
     if a is None:
         return b
     if b is None:
         return a
     return min(a, b)
-
-
-def _mul_pair(a, b, c, d):
-    """(a/b) * (c/d) as a reduced pair, for reduced pairs with b, d > 0:
-    a is cancelled against d and c against b."""
-    if not a or not c:
-        return 0, 1
-    g, h = gcd(a, d), gcd(c, b)
-    return (a // g) * (c // h), (b // h) * (d // g)
 
 
 def _add_pair(a, b, c, d):
@@ -324,14 +307,14 @@ class Scalar:
         return self._prec is None
 
     def is_ring_zero(self) -> bool:
-        if self.kind == PADIC:
+        if self.spec.kind == PADIC:
             return not self._num and self._prec is None
         return self._val is None
 
     def valuation(self):
         """Exact valuation; None encodes +infinity (the zero element)."""
         v = self._val
-        if v is None and self.kind == PADIC and self._num:
+        if v is None and self.spec.kind == PADIC and self._num:
             # computed once, on first use
             v = self._val = _padic_val(self._num, self._den,
                                        self.spec.residue_prime)
@@ -349,7 +332,7 @@ class Scalar:
     def unit_part(self):
         """Exact representative of the unit (value / q^v resp. t^v): a
         Fraction for a p-adic scalar, a unit series for a Laurent one."""
-        if self.kind == PADIC:
+        if self.spec.kind == PADIC:
             if not self._num:
                 raise ValueError("zero has no unit part")
             return Fraction(*self._padic_unit())
@@ -360,7 +343,7 @@ class Scalar:
     def to_fraction(self) -> Fraction:
         """The rational representative of a p-adic scalar (its value when
         ``exact``)."""
-        if self.kind != PADIC:
+        if self.spec.kind != PADIC:
             raise ValueError("only p-adic scalars have a rational "
                              "representative")
         return Fraction(self._num, self._den)
@@ -388,33 +371,38 @@ class Scalar:
         return v + self._prec
 
     def __add__(self, other):
-        self._check(other)
-        known = _pmin(self._known_abs(), other._known_abs())
-        if self.kind == PADIC:
+        spec = self.spec
+        if not isinstance(other, Scalar) or (other.spec is not spec
+                                             and other.spec != spec):
+            raise ValueError("scalars from different fields")
+        if self._prec is None and other._prec is None:
+            known = None
+        else:
+            known = _pmin(self._known_abs(), other._known_abs())
+        if spec.kind == PADIC:
             num, den = _add_pair(self._num, self._den, other._num,
                                  other._den)
             if known is None:
-                return Scalar(self.spec, num, den)
-            v = _padic_val(num, den, self.spec.residue_prime) if num \
-                else None
+                return Scalar(spec, num, den)
+            v = _padic_val(num, den, spec.residue_prime) if num else None
             if v is None or v >= known:
                 raise PrecisionExhausted(
                     "sum indistinguishable from zero at the cap")
-            return Scalar(self.spec, num, den, val=v, prec=known - v)
-        dom = self.spec.domain()
+            return Scalar(spec, num, den, v, None, known - v)
+        dom = spec._domain
         merged = {}
         for s in (self, other):
             if s._val is not None:
                 series_axpy(merged, None, s._val, s._unit, dom, known)
         if not merged:
             if known is None:
-                return Scalar.zero(self.spec)
+                return Scalar.zero(spec)
             raise PrecisionExhausted(
                 "sum indistinguishable from zero at the cap")
-        return Scalar._laurent(self.spec, 0, merged, known)
+        return Scalar._laurent(spec, 0, merged, known)
 
     def __neg__(self):
-        if self.kind == PADIC:
+        if self.spec.kind == PADIC:
             return Scalar(self.spec, -self._num, self._den, val=self._val,
                           prec=self._prec)
         if self._val is None:
@@ -428,35 +416,45 @@ class Scalar:
         return self + (-other)
 
     def __mul__(self, other):
-        self._check(other)
-        prec = _pmin(self._prec, other._prec)
-        if self.kind == PADIC:
-            num, den = _mul_pair(self._num, self._den, other._num,
-                                 other._den)
-            if not num:
-                return Scalar(self.spec, num, den)      # an exact zero
-            return Scalar(self.spec, num, den, val=_vsum(self, other, 1),
-                          prec=prec)
-        if self._val is None or other._val is None:
-            return Scalar.zero(self.spec)
+        # one body per product, no helper calls: this runs once per term
+        # pair of every series product
+        spec = self.spec
+        if not isinstance(other, Scalar) or (other.spec is not spec
+                                             and other.spec != spec):
+            raise ValueError("scalars from different fields")
+        prec, p2 = self._prec, other._prec
+        if prec is None or p2 is not None and p2 < prec:
+            prec = p2
+        v, w = self._val, other._val
+        if spec.kind == PADIC:
+            a, c = self._num, other._num
+            if not a or not c:
+                return Scalar(spec)                     # an exact zero
+            # (a/b) * (c/d) stays reduced once a is cancelled against d
+            # and c against b
+            b, d = self._den, other._den
+            g, h = gcd(a, d), gcd(c, b)
+            return Scalar(spec, (a // g) * (c // h), (b // h) * (d // g),
+                          None if v is None or w is None else v + w, None,
+                          prec)
+        if v is None or w is None:
+            return Scalar.zero(spec)
         # the constant terms multiply to a nonzero constant term: a unit
-        unit = self.spec.domain().series_mul(self._unit, other._unit, prec)
-        return Scalar(self.spec, val=self._val + other._val, unit=unit,
-                      prec=prec)
+        return Scalar(spec, 0, 1, v + w,
+                      spec._domain.series_mul(self._unit, other._unit, prec),
+                      prec)
 
     def __truediv__(self, other):
         self._check(other)
         if other.is_ring_zero():
             raise DivisionByZero("scalar division by zero")
-        if self.kind == PADIC:
-            # times d/c, the sign moved to the numerator
-            c, d = other._num, other._den
-            num, den = _mul_pair(self._num, self._den, d, c) if c > 0 \
-                else _mul_pair(self._num, self._den, -d, -c)
-            if not num:
-                return Scalar(self.spec, num, den)      # an exact zero
-            return Scalar(self.spec, num, den, val=_vsum(self, other, -1),
-                          prec=_pmin(self._prec, other._prec))
+        if self.spec.kind == PADIC:
+            # times the reciprocal d/c, the sign moved to the numerator
+            c, d, v = other._num, other._den, other._val
+            if c < 0:
+                c, d = -c, -d
+            return self * Scalar(self.spec, d, c, None if v is None else -v,
+                                 None, other._prec)
         if self._val is None:
             return self
         unit, prec = _su_div(self._unit, other._unit, self.spec.domain(),
@@ -469,7 +467,7 @@ class Scalar:
         return Scalar.one(self.spec) / self
 
     def pow_int(self, k: int):
-        if self.kind == PADIC and k and self._num:
+        if self.spec.kind == PADIC and k and self._num:
             # a reduced pair's power needs no gcd, unlike its products
             num, den, v = self._num, self._den, self._val
             if k < 0:
@@ -490,7 +488,7 @@ class Scalar:
         """Equality to the available working precision."""
         self._check(other)
         if self.exact and other.exact:
-            if self.kind == PADIC:
+            if self.spec.kind == PADIC:
                 return self._num == other._num and self._den == other._den
             return self._val == other._val and self._unit == other._unit
         try:
@@ -500,7 +498,7 @@ class Scalar:
 
     def rep_size(self) -> int:
         """Rough bit size of the stored representation."""
-        if self.kind == PADIC:
+        if self.spec.kind == PADIC:
             return self._num.bit_length() + self._den.bit_length()
         return 8 * (1 + len(self._unit or {}))
 
@@ -515,7 +513,7 @@ class Scalar:
         """
         if self.is_ring_zero():
             return self
-        if self.kind == PADIC:
+        if self.spec.kind == PADIC:
             v = self.valuation()
             if self._prec is not None or v >= depth:
                 return self
@@ -534,7 +532,7 @@ class Scalar:
         cap = self.spec.precision_cap
         if self.is_ring_zero():
             return self
-        if self.kind == PADIC:
+        if self.spec.kind == PADIC:
             v = self.valuation()
             prec = cap if self._prec is None else min(self._prec, cap)
             u = _unit_mod(self, prec)
@@ -550,7 +548,7 @@ class Scalar:
     def to_literal(self) -> str:
         if self.is_ring_zero():
             return "0"
-        if self.kind == PADIC:
+        if self.spec.kind == PADIC:
             v = self.valuation()
             num, den = self._padic_unit()
             us = (_int_str(num) if den == 1
@@ -588,12 +586,12 @@ class Scalar:
             return NotImplemented
         return (self.spec == other.spec and self._prec == other._prec
                 and (self._num == other._num and self._den == other._den
-                     if self.kind == PADIC
+                     if self.spec.kind == PADIC
                      else (self._val == other._val
                            and self._unit == other._unit)))
 
     def __hash__(self):
-        if self.kind == PADIC:
+        if self.spec.kind == PADIC:
             return hash((self.spec, self._num, self._den, self._prec))
         unit = tuple(sorted(self._unit.items())) if self._unit else ()
         return hash((self.spec, self._val, unit, self._prec))

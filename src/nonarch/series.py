@@ -138,7 +138,11 @@ class TateSeries:
         out = dict(self.support)
         lost = []
         for e, c in other.support.items():
-            _accumulate(out, lost, e, c)
+            # an exponent met for the first time needs no sum
+            if e in out:
+                _accumulate(out, lost, e, c)
+            elif not c.is_ring_zero():
+                out[e] = c
         return self._finish(out, ln_max(self.tail, other.tail, self.radii),
                             lost)
 
@@ -158,7 +162,11 @@ class TateSeries:
         for e1, c1 in self.support.items():
             for e2, c2 in other.support.items():
                 e = tuple(map(add, e1, e2))
-                _accumulate(out, lost, e, c1 * c2)
+                c = c1 * c2
+                if e in out:
+                    _accumulate(out, lost, e, c)
+                elif not c.is_ring_zero():
+                    out[e] = c
         tail = LogNorm.zero(self.nvars)
         if not self.tail.is_zero or not other.tail.is_zero:
             # |f g - stored product| <= max(tail_f |g|, tail_g |f|)

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from nonarch import (DivisionByZero, FieldSpec, NoRootInField,
                      PrecisionExhausted, Scalar, check_aux_prime,
                      scalar_from_literal, scalar_pth_root)
-from nonarch.fields import FQ_LAURENT, PADIC, RATFUN_LAURENT, _padic_val
+from nonarch.fields import (FQ_LAURENT, PADIC, RATFUN_LAURENT, _add_pair,
+                            _padic_val)
 
 Q3 = FieldSpec(PADIC, 3, precision_cap=40)
 F2T = FieldSpec(FQ_LAURENT, 2, field_size=2, precision_cap=64)
@@ -607,3 +608,108 @@ def test_from_fraction_reads_ints_fractions_and_strings():
         assert s.to_fraction() == want and type(s.to_fraction()) is Fraction
     with pytest.raises(ValueError):
         Scalar.one(F2T).to_fraction()
+
+
+# p-adic products, quotients and sums build their result in one body; the
+# helper path they replaced is kept here verbatim (up to its names) as the
+# oracle, down to which results carry a cached valuation
+
+
+def ref_vsum(a, b, sign):
+    if a._val is None or b._val is None:
+        return None
+    return a._val + sign * b._val
+
+
+def ref_pmin(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
+
+
+def ref_mul_pair(a, b, c, d):
+    if not a or not c:
+        return 0, 1
+    g, h = gcd(a, d), gcd(c, b)
+    return (a // g) * (c // h), (b // h) * (d // g)
+
+
+def ref_known_abs(s):
+    return None if s._prec is None else s.valuation() + s._prec
+
+
+def ref_mul(x, y):
+    prec = ref_pmin(x._prec, y._prec)
+    num, den = ref_mul_pair(x._num, x._den, y._num, y._den)
+    if not num:
+        return Scalar(x.spec, num, den)
+    return Scalar(x.spec, num, den, val=ref_vsum(x, y, 1), prec=prec)
+
+
+def ref_truediv(x, y):
+    c, d = y._num, y._den
+    num, den = ref_mul_pair(x._num, x._den, d, c) if c > 0 \
+        else ref_mul_pair(x._num, x._den, -d, -c)
+    if not num:
+        return Scalar(x.spec, num, den)
+    return Scalar(x.spec, num, den, val=ref_vsum(x, y, -1),
+                  prec=ref_pmin(x._prec, y._prec))
+
+
+def ref_add(x, y):
+    known = ref_pmin(ref_known_abs(x), ref_known_abs(y))
+    num, den = _add_pair(x._num, x._den, y._num, y._den)
+    if known is None:
+        return Scalar(x.spec, num, den)
+    v = _padic_val(num, den, x.spec.residue_prime) if num else None
+    if v is None or v >= known:
+        raise PrecisionExhausted("sum indistinguishable from zero at the cap")
+    return Scalar(x.spec, num, den, val=v, prec=known - v)
+
+
+def _slots(s):
+    return s._num, s._den, s._val, s._prec
+
+
+def _outcome(op, x, y):
+    try:
+        return _slots(op(x, y))
+    except PrecisionExhausted:
+        return PrecisionExhausted
+
+
+@pytest.mark.parametrize("spec", [Q3, Q5], ids=["Q3", "Q5"])
+@settings(max_examples=300, deadline=None)
+@given(a=_value, pa=_prec, b=_value, pb=_prec, warm_a=st.booleans(),
+       warm_b=st.booleans())
+@example(a=Fraction(1), pa=3, b=Fraction(-1), pb=None, warm_a=False,
+         warm_b=False)                                  # capped sum vanishes
+@example(a=Fraction(2, 9), pa=4, b=Fraction(-2, 9), pb=2, warm_a=True,
+         warm_b=True)                                   # both capped
+@example(a=Fraction(5, 3), pa=None, b=Fraction(-9, 5), pb=6, warm_a=True,
+         warm_b=False)                                  # one cached _val
+def test_padic_product_and_sum_match_helper_path(spec, a, pa, b, pb, warm_a,
+                                                 warm_b):
+    x, y = _capped(spec, a, pa), _capped(spec, b, pb)
+    for s, warm in ((x, warm_a), (y, warm_b)):
+        if warm:
+            s.valuation()
+    assert _outcome(Scalar.__mul__, x, y) == _outcome(ref_mul, x, y)
+    assert _outcome(Scalar.__add__, x, y) == _outcome(ref_add, x, y)
+    if b:
+        assert _outcome(Scalar.__truediv__, x, y) \
+            == _outcome(ref_truediv, x, y)
+    # and the values are Fraction arithmetic, at the coarser precision
+    prec = _pmin(x.precision, y.precision)
+    _assert_is(x * y, a * b, None if a * b == 0 else prec)
+    if b:
+        _assert_is(x / y, a / b, None if a == 0 else prec)
+    want = _expected_sum(spec, x, y, a + b)
+    if want is None:
+        assert prec is not None
+        with pytest.raises(PrecisionExhausted):
+            x + y
+    else:
+        _assert_is(x + y, a + b, want.precision)

@@ -10,15 +10,20 @@ and fully cancelling operands.
 import random
 import time
 from fractions import Fraction
+from operator import add
 
 import pytest
 
+from nonarch import coeffs
 from nonarch.coeffs import (GF, PRIME_TEST_BOUND, MPoly, RatFunField,
                             _find_irreducible, _is_irreducible, _poly_mulmod,
-                            is_prime, mpoly_exact_div, poly_axpy, poly_mul,
-                            power)
+                            _vec_trim, is_prime, mpoly_exact_div, poly_axpy,
+                            poly_mul, power, schoolbook_series_mul)
 from nonarch.errors import NonarchError
-from nonarch.fields import _su_div, _su_inverse
+from nonarch.fields import (FQ_LAURENT, PADIC, FieldSpec, Scalar, _su_div,
+                            _su_inverse)
+from nonarch.lognorm import LogNorm, RadiusDecl, ln_max, ln_mul
+from nonarch.series import LAURENT, TateSeries, _accumulate
 
 PRIMES = (2, 3, 5, (1 << 61) - 1)
 SEEDS = range(30)
@@ -516,6 +521,164 @@ def test_sparse_square_takes_the_schoolbook_loop(monkeypatch):
     # the same two terms next to each other are packed
     gf.series_mul({0: (1,), 1: (1,)}, {0: (1,), 1: (1,)}, None)
     assert len(calls) == 1
+
+
+# -- one element product: a prime-field factor is a componentwise scaling
+
+
+def ref_gf_mul(gf, a, b):
+    """GF.mul before the scaling: every product through _poly_mulmod."""
+    if not a or not b:
+        return ()
+    return _vec_trim(_poly_mulmod(a, b, gf.modulus, gf.p))
+
+
+def _refuse(*args):
+    raise AssertionError("a kernel the scaling path must skip was called")
+
+
+@pytest.mark.parametrize("pd", [(2, 2), (2, 3), (3, 2), (3, 3)], ids=_gf_id)
+def test_gf_mul_matches_poly_mulmod_on_every_pair(pd):
+    gf = GF(*pd)
+    elems = list(gf.elements())
+    for a in elems:
+        for b in elems:
+            assert gf.mul(a, b) == ref_gf_mul(gf, a, b), (a, b)
+
+
+def test_prime_field_scalings_skip_poly_mulmod(monkeypatch):
+    rng = random.Random(61)
+    big = GF((1 << 61) - 1)
+    pairs = [(big.from_int(rng.randrange(big.p)),
+              big.from_int(rng.randrange(big.p))) for _ in range(500)]
+    pairs += [(big.from_int(-1), big.from_int(-1)), (big.one, big.zero)]
+    ext = GF(3, 3)
+    pairs_ext = [(a, b) for a in ext.elements() for b in ext.elements()
+                 if len(a) < 2 or len(b) < 2]
+    want = [ref_gf_mul(big, a, b) for a, b in pairs]
+    want_ext = [ref_gf_mul(ext, a, b) for a, b in pairs_ext]
+    monkeypatch.setattr(coeffs, "_poly_mulmod", _refuse)
+    assert [big.mul(a, b) for a, b in pairs] == want
+    assert [ext.mul(a, b) for a, b in pairs_ext] == want_ext
+
+
+@pytest.mark.parametrize("pd", GF_FIELDS, ids=_gf_id)
+def test_single_term_series_mul_matches_schoolbook(pd, monkeypatch):
+    gf = GF(*pd)
+    rng = random.Random(f"{pd}")
+    cases = []
+    for _ in range(20):
+        n = rng.randint(1, 12)
+        b = rand_series(rng, gf, n, n + rng.choice((0, 4, 50)),
+                        start=rng.choice((0, 3)))
+        i = rng.randint(0, 5)
+        a = {i: rand_series(rng, gf, 1, 1)[0]}
+        lo, hi = i + min(b), i + max(b)
+        # limit None, below, at, inside and above the product's offsets
+        for limit in (None, i, lo, rng.randint(lo, hi), hi, hi + 1,
+                      hi + 10):
+            for x, y in ((a, b), (b, a)):
+                kept = sum(limit is None or i + j < limit for j in b)
+                cases.append((x, y, limit, kept,
+                              schoolbook_series_mul(x, y, gf, limit)))
+    calls = []
+    mul = gf.mul
+    monkeypatch.setattr(gf, "mul", lambda x, y: calls.append(1) or mul(x, y))
+    monkeypatch.setattr(coeffs, "series_axpy", _refuse)
+    for x, y, limit, kept, want in cases:
+        calls.clear()
+        got = gf.series_mul(x, y, limit)
+        assert got == want and list(got) == list(want)
+        assert len(calls) == kept
+
+
+# -- series sums and products: a first arrival is stored, collisions sum
+
+
+def ref_series_mul(f, g):
+    """TateSeries.__mul__ with every term pair through _accumulate."""
+    out, lost = {}, []
+    for e1, c1 in f.support.items():
+        for e2, c2 in g.support.items():
+            e = tuple(map(add, e1, e2))
+            _accumulate(out, lost, e, c1 * c2)
+    tail = LogNorm.zero(f.nvars)
+    if not f.tail.is_zero or not g.tail.is_zero:
+        tail = ln_max(ln_mul(f.tail, g._term_max(g.tail)),
+                      ln_mul(g.tail, f._term_max(f.tail)), f.radii)
+    return f._finish(out, tail, lost)
+
+
+def ref_series_add(f, g):
+    """TateSeries.__add__ with every term through _accumulate."""
+    out = dict(f.support)
+    lost = []
+    for e, c in g.support.items():
+        _accumulate(out, lost, e, c)
+    return f._finish(out, ln_max(f.tail, g.tail, f.radii), lost)
+
+
+Q3 = FieldSpec(PADIC, 3, precision_cap=40)
+F4T = FieldSpec(FQ_LAURENT, 2, field_size=4, precision_cap=12)
+# log_q(1/r) = sqrt(2)/2 and sqrt(3)/2: no two different norms tie
+RADII = {1: (RadiusDecl.default("r1"),),
+         2: (RadiusDecl.default("r1"),
+             RadiusDecl.quadratic("r2", 0, 1, 2, 3))}
+
+
+def _assert_same_series(got, want):
+    assert list(got.support.items()) == list(want.support.items())
+    assert got.tail == want.tail
+
+
+def rand_coeff_scalar(rng, spec):
+    """A nonzero scalar, exact or capped, from a small set of values so that
+    sums cancel often."""
+    prec = rng.choice((None, None, 1, 2, 3))
+    if spec.kind == PADIC:
+        fr = Fraction(rng.choice((1, -1, 2, 3, -3)), rng.choice((1, 3)))
+        return Scalar(spec, fr.numerator, fr.denominator, prec=prec)
+    unit = {0: rng.choice(((1,), (0, 1), (1, 1)))}
+    if rng.random() < 0.5:
+        unit[1] = (1,)
+    return Scalar._laurent(spec, rng.randint(-1, 1), unit, prec)
+
+
+def rand_tate(rng, spec, arity):
+    support = {}
+    for _ in range(rng.randint(0, 4)):
+        e = tuple(rng.randint(-1, 2) for _ in range(arity))
+        support[e] = rand_coeff_scalar(rng, spec)
+    tail = None
+    if rng.random() < 0.2:
+        tail = LogNorm.of(rng.randint(2, 4), (0,) * arity)
+    return TateSeries(spec, LAURENT, RADII[arity], support, tail)
+
+
+@pytest.mark.parametrize("spec", [Q3, F4T], ids=["Q3", "F4T"])
+@pytest.mark.parametrize("arity", [1, 2])
+def test_series_products_and_sums_match_accumulate_loop(spec, arity):
+    rng = random.Random(f"{spec.kind}-{arity}")
+    for _ in range(300):
+        f, g = rand_tate(rng, spec, arity), rand_tate(rng, spec, arity)
+        _assert_same_series(f * g, ref_series_mul(f, g))
+        _assert_same_series(f + g, ref_series_add(f, g))
+
+
+def test_exponent_that_cancels_and_reappears():
+    def series(terms):
+        return TateSeries(Q3, LAURENT, RADII[1],
+                          {(e,): Scalar.from_int(Q3, c) for e, c in terms})
+    f = series([(0, 1), (1, 1), (2, 1)])
+    g = series([(1, 1), (0, -1), (-1, 1)])
+    # exponents 1, 0 and 2 cancel on the way; 1 then arrives again
+    got = f * g
+    _assert_same_series(got, ref_series_mul(f, g))
+    assert list(got.support) == [(-1,), (3,), (1,)]
+    h = series([(1, -1), (2, 1), (3, 1)])
+    s = (f + h) + g
+    _assert_same_series(s, ref_series_add(ref_series_add(f, h), g))
+    assert list(s.support) == [(2,), (3,), (1,), (-1,)]
 
 
 INVERSE_DOMAINS = [GF(2), GF(3), GF(2, 2), GF(251)]
