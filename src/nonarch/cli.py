@@ -519,12 +519,42 @@ def check_artifact(path):
                 f"{' or '.join(t.__name__ for t in types)}, not "
                 f"{type(params[key]).__name__}")
     result, claim, verdict = COMMANDS[command].run(params)
-    fresh = make_artifact(command, params, result, claim, verdict)
-    same = json.dumps(fresh, sort_keys=True) == \
-        json.dumps(stored, sort_keys=True)
-    print(f"{command}: replay {'matches' if same else 'DIFFERS'} "
-          f"(verdict {verdict})")
-    return 0 if same else 2
+    fresh = json.dumps(make_artifact(command, params, result, claim,
+                                     verdict), sort_keys=True)
+    if fresh == json.dumps(stored, sort_keys=True):
+        print(f"{command}: replay matches (verdict {verdict})")
+        return 0
+    where = _first_difference(json.loads(fresh), stored) or "the top level"
+    print(f"{command}: replay DIFFERS at {where} (verdict {verdict})")
+    return 2
+
+
+_ABSENT = object()
+
+
+def _first_difference(a, b):
+    """The path (``result.trace.steps[3].h``) of the first place, in
+    sorted-key order, where two parsed JSON values differ: a leaf that
+    differs, a key or list item on one side only, or a change of type;
+    "" for the top level or no difference.  Iterative, so that no nesting
+    depth can raise RecursionError."""
+    stack = [("", a, b)]
+    while stack:
+        path, x, y = stack.pop()
+        if type(x) is not type(y):
+            return path
+        if isinstance(x, dict):
+            for k in sorted(x.keys() | y.keys(), reverse=True):
+                stack.append((f"{path}.{k}" if path else k,
+                              x.get(k, _ABSENT), y.get(k, _ABSENT)))
+        elif isinstance(x, list):
+            for i in range(max(len(x), len(y)) - 1, -1, -1):
+                stack.append((f"{path}[{i}]",
+                              x[i] if i < len(x) else _ABSENT,
+                              y[i] if i < len(y) else _ABSENT))
+        elif json.dumps(x) != json.dumps(y):
+            return path
+    return ""
 
 
 # ---------------------------------------------------------------------------

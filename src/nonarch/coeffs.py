@@ -92,7 +92,28 @@ def poly_axpy(out, c, b, p):
 
 
 def poly_mul(a, b, p):
-    """Product of two polynomials with exponent tuples."""
+    """Product of two polynomials with exponent tuples.
+
+    One-variable operands run the same loop on int exponents, and the
+    keys are wrapped back into 1-tuples at the end: the items come out in
+    the same order (a key whose sum vanishes is popped, and one that
+    comes back is reinserted at the end), but no tuple is built or
+    hashed per term pair."""
+    if len(next(iter(a), ())) == 1 == len(next(iter(b), ())):
+        bs = [(e, y) for (e,), y in b.items()]
+        out = {}
+        get, pop = out.get, out.pop
+        for (e1,), x in a.items():
+            for e2, y in bs:
+                e = e1 + e2
+                s = get(e, 0) + x * y
+                if p:
+                    s %= p
+                if s:
+                    out[e] = s
+                else:
+                    pop(e, None)
+        return {(e,): s for e, s in out.items()}
     out = {}
     for e1, x in a.items():
         for e2, y in b.items():

@@ -162,14 +162,29 @@ def _padic_val(num: int, den: int, q: int) -> int:
 
 def _int_val(n: int, q: int) -> int:
     """Exponent of q in n (n divisible by q): the powers q, q^2, q^4, ...
-    bracket it, then its binary digits are read off from the top."""
+    bracket it, then its binary digits are read off from the top, one
+    divmod each.
+
+    Each of those steps is a pass over n, so an n wider than q^64 is
+    first reduced mod q^64, once: a nonzero remainder has the same
+    exponent (below 64), and the steps run on it instead.  A zero one
+    leaves n as it is, with q, ..., q^64 known to divide it, and the
+    bracketing goes on from q^64."""
     powers = [q]
+    if n.bit_length() > q.bit_length() << 6:
+        r = n % q ** 64
+        if r:
+            n = r
+        else:
+            for _ in range(6):
+                powers.append(powers[-1] * powers[-1])
     while n % (sq := powers[-1] * powers[-1]) == 0:
         powers.append(sq)
     v = 0
     for i in range(len(powers) - 1, -1, -1):
-        if n % powers[i] == 0:
-            n //= powers[i]
+        d, r = divmod(n, powers[i])
+        if not r:
+            n = d
             v += 1 << i
     return v
 

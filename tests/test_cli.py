@@ -221,6 +221,59 @@ def test_check_replay(tmp_path):
     assert main(["pth-root", "--check", str(tampered)]) == 2
 
 
+def _set(doc, path, value):
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    if value is _DELETE:
+        del doc[last]
+    else:
+        doc[last] = value
+
+
+_DELETE = object()
+
+
+@pytest.mark.parametrize("path,value,where", [
+    (("result", "trace", "steps", 3, "h"), "1", "result.trace.steps[3].h"),
+    (("result", "trace", "steps", 0, "m"), 99, "result.trace.steps[0].m"),
+    (("result", "trace", "certified"), 1, "result.trace.certified"),
+    (("result", "trace", "steps", 38), _DELETE, "result.trace.steps[38]"),
+    (("result", "trace", "claim"), _DELETE, "result.trace.claim"),
+    (("result", "extra"), [], "result.extra"),
+])
+def test_replay_names_the_first_path_that_differs(path, value, where,
+                                                  tmp_path, capsys):
+    assert main(["pth-root", "--field", "q3", "--prime", "2", "--target",
+                 "25", "--out", str(tmp_path)]) == 0
+    art = _read(tmp_path, "pth-root")
+    assert len(art["result"]["trace"]["steps"]) == 39
+    # "verdict" sorts after "result": the edit there is not the first
+    art["verdict"] = "EDITED"
+    _set(art, path, value)
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(art))
+    capsys.readouterr()
+    assert main(["--check", str(edited)]) == 2
+    assert capsys.readouterr().out == \
+        f"pth-root: replay DIFFERS at {where} (verdict CERTIFIED)\n"
+
+
+def test_first_difference_of_values():
+    first = cli._first_difference
+    assert first({"a": [1, {"b": 2}]}, {"a": [1, {"b": 3}]}) == "a[1].b"
+    assert first({"a": [1, 2]}, {"a": [1]}) == "a[1]"
+    assert first({"a": 1, "b": 1}, {"b": 2}) == "a"
+    assert first({"a": True}, {"a": 1}) == "a"
+    assert first({"a": 0.0}, {"a": -0.0}) == "a"
+    assert first([1], {"a": 1}) == first({"a": 1}, {"a": 1}) == ""
+    deep = inner = []
+    for _ in range(100_000):
+        inner.append([])
+        inner = inner[0]
+    assert first({"x": deep}, {"x": []}) == "x[0]"
+
+
 def test_bad_inputs(tmp_path):
     assert main(["gauss-norm", "--field", "nosuch", "--series", SER_Q3,
                  "--out", str(tmp_path)]) == 1

@@ -143,6 +143,17 @@ CASES = {
     # a relation system of 5405 x 1544, sized by its 6,176 nonzeros
     "unbounded-demo-terms-7": ["unbounded-demo", "--terms", "7", "--radius",
                                "r1", "--bound", "1e6"],
+    # valuations of 64 and more in every Newton step of the root trace
+    "q3-pth-root-valuation-64": ["pth-root", "--field", "q3", "--prime", "2",
+                                 "--target", "1+2*3^64"],
+    # exact series powers whose term sums cancel while they accumulate
+    "q3-spectral-cancelling-powers": [
+        "spectral-radius", "--field", "q3", "--powers", "5", "--series",
+        json.dumps({"kind": "laurent", "radius": ["r1"], "terms": [
+            {"exp": [0], "coeff": "1"}, {"exp": [1], "coeff": "2"},
+            {"exp": [2], "coeff": "-2"}]})],
+    # 2^65 - 1 generator products, listed lazily
+    "pbasis-cert-64-vars": ["pbasis-cert", "--nvars", "64", "--terms", "65"],
 }
 
 

@@ -4,7 +4,9 @@ Each reference below is a loop that ``poly_axpy``, ``poly_mul``,
 ``power``, the gcd of the irreducibility test, ``GF.series_mul``, the
 Newton inverse of unit series or the Miller-Rabin ``is_prime`` took over, kept verbatim (up to its name) as
 the oracle; the inputs are drawn from fixed seeds and include empty, zero
-and fully cancelling operands.
+and fully cancelling operands.  The p-adic valuation ``fields._int_val``
+and the one-variable ``poly_mul`` loop are checked the same way, against
+the versions they replaced.
 """
 
 import random
@@ -20,8 +22,8 @@ from nonarch.coeffs import (GF, PRIME_TEST_BOUND, MPoly, RatFunField,
                             _vec_trim, is_prime, mpoly_exact_div, poly_axpy,
                             poly_mul, power, schoolbook_series_mul)
 from nonarch.errors import NonarchError
-from nonarch.fields import (FQ_LAURENT, PADIC, FieldSpec, Scalar, _su_div,
-                            _su_inverse)
+from nonarch.fields import (FQ_LAURENT, PADIC, FieldSpec, Scalar, _int_val,
+                            _su_div, _su_inverse)
 from nonarch.lognorm import LogNorm, RadiusDecl, ln_max, ln_mul
 from nonarch.series import LAURENT, TateSeries, _accumulate
 
@@ -93,6 +95,35 @@ def ref_mpoly_mul(a, b, p):
             else:
                 out.pop(e, None)
     return out
+
+
+def ref_poly_mul_tuples(a, b, p):
+    """poly_mul before one-variable operands took int exponents."""
+    out = {}
+    for e1, x in a.items():
+        for e2, y in b.items():
+            e = tuple(map(add, e1, e2))
+            s = out.get(e, 0) + x * y
+            if p:
+                s %= p
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def ref_int_val(n, q):
+    """fields._int_val before the reduction mod q^64."""
+    powers = [q]
+    while n % (sq := powers[-1] * powers[-1]) == 0:
+        powers.append(sq)
+    v = 0
+    for i in range(len(powers) - 1, -1, -1):
+        if n % powers[i] == 0:
+            n //= powers[i]
+            v += 1 << i
+    return v
 
 
 def ref_power(x, k, mul, one):
@@ -260,6 +291,72 @@ def test_poly_mul_reduces_mod_p():
     assert poly_mul({(1, 0): 3}, {(0, 2): 3}, 7) == {(1, 2): 2}
 
 
+def rand_laurent_poly(rng, p, fractions, arity, size):
+    """Random {exponent tuple: coefficient} with exponents in [-4, 4] and
+    coefficients in [-3, 3]: few enough values that partial sums of a
+    product vanish and come back."""
+    out = {}
+    for _ in range(size):
+        e = tuple(rng.randint(-4, 4) for _ in range(arity))
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 2)) if fractions \
+            else rng.randint(-3, 3)
+        if p:
+            c %= p
+        if c:
+            out[e] = c
+    return out
+
+
+def _same_items(a, b, p):
+    got, want = poly_mul(a, b, p), ref_poly_mul_tuples(a, b, p)
+    assert list(got.items()) == list(want.items())
+    return got
+
+
+@pytest.mark.parametrize("p,fractions", rings(), ids=RING_IDS)
+@pytest.mark.parametrize("arity", (1, 2, 3))
+def test_poly_mul_keeps_the_tuple_loop_item_order(p, fractions, arity):
+    rng = random.Random(f"{p}-{fractions}-{arity}")
+    unsorted = 0
+    for _ in range(200):
+        a = rand_laurent_poly(rng, p, fractions, arity, rng.randint(0, 9))
+        b = rand_laurent_poly(rng, p, fractions, arity, rng.randint(0, 9))
+        got = _same_items(a, b, p)
+        unsorted += list(got) != sorted(got)
+    # the order pinned is not the sorted one
+    assert unsorted > 20
+
+
+def test_poly_mul_key_that_vanishes_and_comes_back():
+    # (1 + x + x^2)(x - 1 + 1/x): x^1, x^0 and x^2 cancel on the way,
+    # and x^1 arrives again after x^3
+    f = {(0,): 1, (1,): 1, (2,): 1}
+    g = {(1,): 1, (0,): -1, (-1,): 1}
+    for p in (0, 5, (1 << 61) - 1):
+        gp = {e: c % p for e, c in g.items()} if p else g
+        assert list(_same_items(f, gp, p)) == [(-1,), (3,), (1,)]
+    # (1 + 2x - 2x^2)^k: the x^2 sum of the square vanishes midway
+    x = {(0,): 1, (1,): 2, (2,): -2}
+    assert (2,) not in _same_items(x, x, 0)
+    pw = x
+    for _ in range(5):
+        pw = _same_items(pw, x, 0)
+    half = {(0,): Fraction(1, 2), (1,): Fraction(-1, 2)}
+    assert _same_items(half, {(0,): 2, (1,): 2}, None) == \
+        {(0,): 1, (2,): -1}
+
+
+@pytest.mark.parametrize("p", (0, 7))
+def test_poly_mul_of_empty_and_single_terms(p):
+    one, t3 = {(0,): 1}, {(-3,): 5}
+    two_var = {(1, 0): 3, (0, -2): 4}
+    for a, b in ((one, {}), ({}, one), ({}, {}), (t3, t3), (t3, one),
+                 ({(2,): 6, (-1,): 1}, t3), ({}, two_var), (two_var, {}),
+                 (two_var, {(0, 0): 2}), (two_var, two_var)):
+        _same_items(a, b, p)
+    assert poly_mul(t3, t3, 7) == {(-6,): 4}
+
+
 @pytest.mark.parametrize("p", (2, 3, 5))
 @pytest.mark.parametrize("seed", range(10))
 def test_exact_division_inverts_products(p, seed):
@@ -271,6 +368,47 @@ def test_exact_division_inverts_products(p, seed):
     with pytest.raises(ValueError, match="inexact"):
         mpoly_exact_div(MPoly(p, 2, {(1, 1): 1, (0, 0): 1}),
                         MPoly(p, 2, {(1, 0): 1}))
+
+
+# -- p-adic valuations of integers -----------------------------------------
+
+INT_VAL_PRIMES = (2, 3, 5, (1 << 31) - 1, (1 << 61) - 1)
+
+
+def _unit(rng, bits, q):
+    """A random integer of the given width that q does not divide."""
+    u = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+    return u + 2 if u % q == 0 else u
+
+
+@pytest.mark.parametrize("q", INT_VAL_PRIMES)
+def test_int_val_matches_old_bracketing(q):
+    rng = random.Random(q)
+    edge = q.bit_length() << 6              # where the reduction starts
+    checked = 0
+    for v in (0, 1, 63, 64, 65, 127, 128, 129, 500, 8000):
+        qv = q ** v
+        for width in (10, edge - 1, edge, edge + 1, 2000, 12000, 50000):
+            bits = width - qv.bit_length() + 1
+            if bits < 2:
+                continue
+            for sign in (1, -1):
+                n = sign * _unit(rng, bits, q) * qv
+                assert _int_val(n, q) == ref_int_val(n, q) == v
+                checked += 1
+        # n = q^v itself, with no unit above it
+        if qv.bit_length() <= 50000:
+            assert _int_val(qv, q) == ref_int_val(qv, q) == v
+    assert checked >= 60
+
+
+def test_int_val_at_the_reduction_threshold():
+    # q^64 and its neighbours: around the width where n % q^64 starts
+    for q in INT_VAL_PRIMES:
+        q64 = q ** 64
+        for n in (q64, -q64, q64 * (q + 1), q64 * q, q64 // q,
+                  q64 // q * (q + 1), q64 * q64, (q64 + q) * q):
+            assert _int_val(n, q) == ref_int_val(n, q)
 
 
 # -- power -------------------------------------------------------------------
