@@ -709,10 +709,11 @@ class RatFun:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: MPoly, den: MPoly, reduce: bool = True):
+    def __init__(self, num: MPoly, den: MPoly):
         if den.is_zero():
             raise DivisionByZero("rational function with zero denominator")
-        if reduce and not num.is_zero():
+        # a constant part (zero included) already makes the gcd 1
+        if not (num.is_const() or den.is_const()):
             g = mpoly_gcd(num, den)
             if not g.is_one():
                 num = mpoly_exact_div(num, g)
@@ -730,17 +731,15 @@ class RatFun:
 
     @classmethod
     def const(cls, p, nvars, c):
-        return cls(MPoly.const(p, nvars, c), MPoly.const(p, nvars, 1),
-                   reduce=False)
+        return cls(MPoly.const(p, nvars, c), MPoly.const(p, nvars, 1))
 
     @classmethod
     def var(cls, p, nvars, i):
-        return cls(MPoly.var(p, nvars, i), MPoly.const(p, nvars, 1),
-                   reduce=False)
+        return cls(MPoly.var(p, nvars, i), MPoly.const(p, nvars, 1))
 
     @classmethod
     def from_poly(cls, poly: MPoly):
-        return cls(poly, MPoly.const(poly.p, poly.nvars, 1), reduce=False)
+        return cls(poly, MPoly.const(poly.p, poly.nvars, 1))
 
     @property
     def p(self):
@@ -761,7 +760,7 @@ class RatFun:
                       self.den * other.den)
 
     def __neg__(self):
-        return RatFun(-self.num, self.den, reduce=False)
+        return RatFun(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-other)

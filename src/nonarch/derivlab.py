@@ -48,10 +48,6 @@ class Certificate:
     witness: dict
     claim: str
 
-    @property
-    def positive(self) -> bool:
-        return self.verdict in ("NON_INTEGRAL", "P_INDEPENDENT", "UNBOUNDED")
-
     def to_json(self):
         return {"kind": self.kind, "claim": self.claim,
                 "verdict": self.verdict, "params": self.params,
@@ -141,8 +137,7 @@ def _series_prime_coeffs(f: TateSeries):
     return out
 
 
-def nonintegral_certificate(f, n_max: int, d_max: int,
-                            sparse: SparseSeries = None) -> Certificate:
+def nonintegral_certificate(f, n_max: int, d_max: int) -> Certificate:
     """Brute-force refutation of algebraic relations of bounded degree.
 
     Searches for polynomials h_0..h_n over k with deg <= d_max satisfying
@@ -151,18 +146,18 @@ def nonintegral_certificate(f, n_max: int, d_max: int,
     (or every solution forces h_0 = 0); a found relation with h_0 != 0 is
     returned as a witness.
 
-    The system is solved exactly by ``linalg.nullspace`` over the prime
-    field (method tag ``dense-nullspace``, kept for artifact stability),
-    except that a large system with integer coefficients is first tried
-    for full column rank modulo ``CERT_PRIME`` (``sparse-rank-certificate``).
+    The columns T^e f^(n-i) stream from a generator into
+    ``linalg.nullspace`` over the prime field (method tag
+    ``dense-nullspace``, kept for artifact stability), so the system is
+    never held as a whole; a large system with integer coefficients is
+    first tried, from a fresh generator, for full column rank modulo
+    ``CERT_PRIME`` (``sparse-rank-certificate``).
 
     With sparse metadata the claim transfers to the completed gap series:
     the degree-gap condition n_max * i_m + d_max < i_{m+1} guarantees the
     truncation determines every compared coefficient.
     """
-    if isinstance(f, SparseSeries):
-        sparse = f
-        f = f.series
+    sparse, f = (f, f.series) if isinstance(f, SparseSeries) else (None, f)
     if n_max < 1 or d_max < 0:
         raise ValueError("need n_max >= 1 and d_max >= 0")
     params = {"n_max": n_max, "d_max": d_max,
@@ -192,7 +187,7 @@ def nonintegral_certificate(f, n_max: int, d_max: int,
     width = d_max + 1
     n_unk = (n_max + 1) * width
     # powers of f over the prime field; the work counts the products, one
-    # dict per equation and unknown and the nonzeros of T^e f^j (|f^j|)
+    # per equation and unknown and the nonzeros of T^e f^j (|f^j|)
     size = n_eqs + n_unk + width
     fpows = [{(0,): 1}]
     while len(fpows) <= n_max:
@@ -206,17 +201,19 @@ def nonintegral_certificate(f, n_max: int, d_max: int,
             f"relation system of {n_eqs} equations and {n_unk} unknowns "
             f"exceeds the work cap of {MAX_WORK}")
     params["system"] = {"equations": n_eqs, "unknowns": n_unk}
-    # row k: coefficient of T^k; column i*width + e: the unknown h_i[T^e]
-    rows = [{} for _ in range(n_eqs)]
-    for i in range(n_max + 1):
-        for (k,), v in fpows[n_max - i].items():
+
+    def columns():
+        # column i*width + e, the unknown h_i[T^e], is T^e f^(n-i): its
+        # row k + e holds the coefficient of T^k in f^(n-i)
+        for i in range(n_max + 1):
+            fpow = fpows[n_max - i]
             for e in range(width):
-                rows[k + e][i * width + e] = v
+                yield {k + e: v for (k,), v in fpow.items()}
 
     # large rational systems: certify full column rank modulo a big prime
     # (a full-rank minor mod P is nonzero over Q)
     if intish and n_eqs * n_unk > DENSE_ENTRY_LIMIT:
-        r = sparse_rank_mod_p(rows, n_unk)
+        r = sparse_rank_mod_p(columns(), n_unk)
         if r == n_unk:
             params["method"] = "sparse-rank-certificate"
             return Certificate(
@@ -225,7 +222,7 @@ def nonintegral_certificate(f, n_max: int, d_max: int,
                 "no-bounded-degree-algebraic-relation")
         # fall through to the exact path
 
-    basis = nullspace(rows, n_unk, char or None)
+    basis = nullspace(columns(), n_unk, char or None)
     params["method"] = "dense-nullspace"
     witness = {"rank": n_unk - len(basis), "unknowns": n_unk,
                "nullity": len(basis)}
@@ -269,10 +266,6 @@ class PolyInTF:
     @classmethod
     def F(cls, spec, k: int = 1):
         return cls(spec, {(0, k): Scalar.one(spec)})
-
-    @classmethod
-    def const(cls, spec, c):
-        return cls(spec, {(0, 0): c})
 
     def deg_T(self):
         return max((dt for dt, _ in self.terms), default=0)
@@ -409,8 +402,8 @@ def unboundedness_table(terms: int, spec: FieldSpec, radius: RadiusDecl,
         below_one = False
     if not below_one:
         raise PreconditionFailed("table needs a radius r < 1")
-    cert = nonintegral_certificate(f, 1, sp.indices[-2], sparse=sp)
-    if not cert.positive:
+    cert = nonintegral_certificate(sp, 1, sp.indices[-2])
+    if cert.verdict != "NON_INTEGRAL":
         raise PreconditionFailed("transcendence certificate failed")
     ring = SquareZeroRing(f.ring_one())
     one_series = f.ring_one()

@@ -74,6 +74,7 @@ class FieldSpec:
             raise ValueError(f"{self.residue_prime} is not prime")
         if self.precision_cap < 1:
             raise ValueError("precision_cap must be >= 1")
+        dom = None
         if self.kind == FQ_LAURENT:
             q, size = self.residue_prime, self.field_size
             d = 0
@@ -84,29 +85,16 @@ class FieldSpec:
             if s != 1 or d < 1:
                 raise ValueError(
                     f"field_size {size} is not a power of {q}")
-        if self.kind == RATFUN_LAURENT and self.nvars < 0:
-            raise ValueError("nvars must be >= 0")
-        if self.kind == FQ_LAURENT:
-            dom = GF(self.residue_prime, self.ext_degree)
+            dom = GF(q, d)
         elif self.kind == RATFUN_LAURENT:
+            if self.nvars < 0:
+                raise ValueError("nvars must be >= 0")
             dom = RatFunField(self.residue_prime, self.nvars)
-        else:
-            dom = None
         object.__setattr__(self, "_domain", dom)
 
     @property
     def char(self) -> int:
         return 0 if self.kind == PADIC else self.residue_prime
-
-    @property
-    def ext_degree(self) -> int:
-        if self.kind != FQ_LAURENT:
-            return 1
-        d, s = 0, self.field_size
-        while s > 1:
-            s //= self.residue_prime
-            d += 1
-        return d
 
     def domain(self):
         """The coefficient field of a Laurent kind (``GF`` or

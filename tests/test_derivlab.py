@@ -1,6 +1,7 @@
 """Gap series, relation certificates, the derivation and the divergence
 table."""
 
+import inspect
 import random
 from fractions import Fraction
 from itertools import combinations, islice
@@ -9,13 +10,17 @@ import pytest
 
 from nonarch import (FieldSpec, LogNorm, MissingCertificate, PolyInTF,
                      PreconditionFailed, RadiusDecl, Scalar, TateSeries,
-                     deriv_eval, nonintegral_certificate,
+                     derivlab, deriv_eval, nonintegral_certificate,
                      p_independence_certificate, pbasis_series, phi,
                      sparse_indices, sparse_series, unboundedness_table)
+from nonarch.coeffs import poly_mul
 from nonarch.derivlab import pbasis_generators
-from nonarch.fields import PADIC, RATFUN_LAURENT
+from nonarch.fields import FQ_LAURENT, PADIC, RATFUN_LAURENT
+from nonarch.linalg import MAX_WORK
+from nonarch.series import POWER
 
 Q3 = FieldSpec(PADIC, 3, precision_cap=40)
+F2T = FieldSpec(FQ_LAURENT, 2, field_size=2, precision_cap=64)
 RF2 = FieldSpec(RATFUN_LAURENT, 2, nvars=3, precision_cap=64)
 R1 = RadiusDecl.default("r1")
 R06 = RadiusDecl.rational_stub("r06", Fraction(3, 5), asserts_irrational=True)
@@ -65,21 +70,97 @@ def test_degree_gap_precondition():
 
 
 def test_nonintegral_char_p_field():
-    from nonarch.fields import FQ_LAURENT
-    f2t = FieldSpec(FQ_LAURENT, 2, field_size=2, precision_cap=64)
-    sp = sparse_series(3, f2t, R1)
+    sp = sparse_series(3, F2T, R1)
     cert = nonintegral_certificate(sp, 2, 3)
     assert cert.verdict == "NON_INTEGRAL"
     assert cert.witness["rank"] == 12
-    fT = TateSeries.monomial(f2t, (R1,), 1, Scalar.one(f2t))
+    fT = TateSeries.monomial(F2T, (R1,), 1, Scalar.one(F2T))
     assert nonintegral_certificate(fT, 1, 1).verdict == "RELATION_FOUND"
 
 
 def test_large_certificate_fast_path():
     sp = sparse_series(6, Q3, R1)
-    cert = nonintegral_certificate(sp, 1, 153, sparse=sp)
+    cert = nonintegral_certificate(sp, 1, 153)
     assert cert.verdict == "NON_INTEGRAL"
     assert cert.params["method"] == "sparse-rank-certificate"
+
+
+def ref_system_columns(coeffs, n_max, d_max, char):
+    """The relation system as the old code built it: one dict per
+    equation, transposed into columns by the old ``linalg._columns``."""
+    (deg_f,) = max(coeffs, default=(0,))
+    n_eqs = n_max * deg_f + d_max + 1
+    width = d_max + 1
+    n_unk = (n_max + 1) * width
+    fpows = [{(0,): 1}]
+    while len(fpows) <= n_max:
+        fpows.append(poly_mul(fpows[-1], coeffs, char))
+    rows = [{} for _ in range(n_eqs)]
+    for i in range(n_max + 1):
+        for (k,), v in fpows[n_max - i].items():
+            for e in range(width):
+                rows[k + e][i * width + e] = v
+    cols = [{} for _ in range(n_unk)]
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            cols[c][r] = v
+    return cols
+
+
+def _record_linalg_calls(monkeypatch):
+    """Wrap both linalg entry points as derivlab binds them; each call
+    records (name, its columns, ncols)."""
+    calls = []
+    for name in ("sparse_rank_mod_p", "nullspace"):
+        def record(columns, ncols, *rest, name=name,
+                   real=getattr(derivlab, name)):
+            assert inspect.isgenerator(columns)
+            columns = list(columns)
+            calls.append((name, columns, ncols))
+            return real(columns, ncols, *rest)
+        monkeypatch.setattr(derivlab, name, record)
+    return calls
+
+
+RANK, NULL = "sparse_rank_mod_p", "nullspace"
+GAP6 = {e: 1 for e in sparse_indices(6)}
+
+
+@pytest.mark.parametrize("spec,coeffs,n_max,d_max,called", [
+    (Q3, {2: 1, 4: 1, 11: 1}, 2, 3, [NULL]),
+    (Q3, {0: 3, 1: -2, 3: 5}, 3, 7, [NULL]),
+    (Q3, GAP6, 1, 153, [RANK]),
+    (Q3, {0: 3, 1: -2, 3: 5}, 1, 200, [RANK, NULL]),
+    (Q3, {1: 1}, 1, 200, [RANK, NULL]),       # f = T: mod-P fallthrough
+    (Q3, {0: 3, 2: Fraction(1, 2)}, 2, 3, [NULL]),
+    (Q3, {0: Fraction(-2, 3), 5: Fraction(7, 9)}, 3, 40, [NULL]),
+    (F2T, {1: 1, 3: 1}, 3, 4, [NULL]),
+    (F2T, {0: 1, 2: 1, 5: 1}, 2, 30, [NULL]),
+])
+def test_streamed_columns_match_the_row_builder(monkeypatch, spec, coeffs,
+                                                n_max, d_max, called):
+    f = TateSeries(spec, POWER, (R1,), {
+        (e,): Scalar.from_fraction(spec, Fraction(c))
+        for e, c in coeffs.items()})
+    want = ref_system_columns({(e,): c for e, c in coeffs.items()},
+                              n_max, d_max, spec.char)
+    calls = _record_linalg_calls(monkeypatch)
+    nonintegral_certificate(f, n_max, d_max)
+    assert [name for name, _, _ in calls] == called
+    for _, columns, ncols in calls:
+        assert ncols == len(want)
+        assert columns == want
+
+
+def test_oversized_system_refused_before_any_column(monkeypatch):
+    def never(*args):
+        raise AssertionError("a relation system reached the elimination")
+    monkeypatch.setattr(derivlab, "sparse_rank_mod_p", never)
+    monkeypatch.setattr(derivlab, "nullspace", never)
+    with pytest.raises(PreconditionFailed,
+                       match=r"relation system of \d+ equations and \d+ "
+                             rf"unknowns exceeds the work cap of {MAX_WORK}"):
+        unboundedness_table(10, Q3, R1)
 
 
 def test_derivation_values():

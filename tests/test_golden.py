@@ -110,6 +110,9 @@ CASES = {
                   "1 + w*t + t^2", "--depth", "3"],
     "ratfun2-tower": ["tower", "--field", "ratfun2", "--prime", "3",
                       "--target", "1 + u1*t", "--depth", "2"],
+    # coefficients dense in u1 and u2, polynomials throughout: no gcd
+    "ratfun2-tower-two-u": ["tower", "--field", "ratfun2", "--prime", "3",
+                            "--target", "1 + u1*t + u2*t^2", "--depth", "2"],
     "f4t-pth-root-division": ["pth-root", "--field", "f4t", "--prime", "3",
                               "--target", "w/(w + t)"],
     # characteristic-p roots whose Newton steps multiply long dense series

@@ -6,7 +6,8 @@ Newton inverse of unit series or the Miller-Rabin ``is_prime`` took over, kept v
 the oracle; the inputs are drawn from fixed seeds and include empty, zero
 and fully cancelling operands.  The p-adic valuation ``fields._int_val``
 and the one-variable ``poly_mul`` loop are checked the same way, against
-the versions they replaced.
+the versions they replaced, and so is the ``RatFun`` constructor against
+the old one that took a gcd of every pair.
 """
 
 import random
@@ -19,8 +20,9 @@ import pytest
 from nonarch import coeffs
 from nonarch.coeffs import (GF, PRIME_TEST_BOUND, MPoly, RatFunField,
                             _find_irreducible, _is_irreducible, _poly_mulmod,
-                            _vec_trim, is_prime, mpoly_exact_div, poly_axpy,
-                            poly_mul, power, schoolbook_series_mul)
+                            RatFun, _vec_trim, is_prime, mpoly_exact_div,
+                            mpoly_gcd, poly_axpy, poly_mul, power,
+                            schoolbook_series_mul)
 from nonarch.errors import NonarchError
 from nonarch.fields import (FQ_LAURENT, PADIC, FieldSpec, Scalar, _int_val,
                             _su_div, _su_inverse)
@@ -156,6 +158,25 @@ def ref_poly_gcd_deg(a, b, p):
                 a.pop()
         a, b = b, a
     return len(a) - 1 if a else -1
+
+
+def ref_ratfun(num, den):
+    """(num, den) of the old RatFun constructor, which took the gcd of
+    every nonzero numerator and denominator."""
+    if not num.is_zero():
+        g = mpoly_gcd(num, den)
+        if not g.is_one():
+            num = mpoly_exact_div(num, g)
+            den = mpoly_exact_div(den, g)
+    if num.is_zero():
+        den = MPoly.const(den.p, den.nvars, 1)
+    else:
+        _, lc = den.lead()
+        if lc != 1:
+            inv = pow(lc, den.p - 2, den.p)
+            num = num.scale(inv)
+            den = den.scale(inv)
+    return num, den
 
 
 # -- inputs -----------------------------------------------------------------
@@ -368,6 +389,38 @@ def test_exact_division_inverts_products(p, seed):
     with pytest.raises(ValueError, match="inexact"):
         mpoly_exact_div(MPoly(p, 2, {(1, 1): 1, (0, 0): 1}),
                         MPoly(p, 2, {(1, 0): 1}))
+
+
+def _rand_part(rng, p, nvars, shape):
+    """A random MPoly: zero, a constant (monic or not) or non-constant."""
+    if shape == "zero":
+        return MPoly(p, nvars, {})
+    if shape in ("one", "scalar"):
+        c = 1 if shape == "one" else rng.randint(2, p - 1)
+        return MPoly.const(p, nvars, c)
+    return MPoly(p, nvars, rand_poly(rng, p, arity=nvars, size=4)
+                 or {(1,) + (0,) * (nvars - 1): 1})
+
+
+@pytest.mark.parametrize("p", (2, 3))
+@pytest.mark.parametrize("nvars", (1, 2, 3))
+def test_ratfun_skips_only_gcds_of_one(p, nvars):
+    # the constructor takes a gcd only when neither part is constant
+    rng = random.Random(10 * p + nvars)
+    shapes = ["zero", "one", "poly"] + (["scalar"] if p > 2 else [])
+    for _ in range(40):
+        for ns in shapes:
+            for ds in shapes[1:]:
+                num = _rand_part(rng, p, nvars, ns)
+                den = _rand_part(rng, p, nvars, ds)
+                if ns == ds == "poly" and rng.random() < 0.5:
+                    # a common factor to cancel
+                    g = _rand_part(rng, p, nvars, "poly")
+                    num, den = num * g, den * g
+                if den.is_zero():
+                    continue
+                r = RatFun(num, den)
+                assert (r.num, r.den) == ref_ratfun(num, den)
 
 
 # -- p-adic valuations of integers -----------------------------------------

@@ -15,39 +15,37 @@ SEEDS = range(40)
 SMALL_PRIMES = (2, 3, 5)
 
 
-def random_rows(rng):
+def random_columns(rng):
     nrows, ncols = rng.randint(1, 9), rng.randint(1, 8)
     density = rng.choice((0.2, 0.5, 0.9))
-    rows = []
-    for _ in range(nrows):
-        row = {c: rng.randint(-9, 9) for c in range(ncols)
+    columns = []
+    for _ in range(ncols):
+        col = {r: rng.randint(-9, 9) for r in range(nrows)
                if rng.random() < density}
-        rows.append({c: v for c, v in row.items() if v})
+        columns.append({r: v for r, v in col.items() if v})
     if rng.random() < 0.3 and ncols > 1:
         # force a dependency: the last column repeats the first
-        for row in rows:
-            row.pop(ncols - 1, None)
-            if 0 in row:
-                row[ncols - 1] = row[0]
-    return rows, ncols
+        columns[-1] = dict(columns[0])
+    return columns, nrows, ncols
 
 
-def dense(rows, ncols, p=None):
-    return [[row.get(c, 0) % p if p else row.get(c, 0) for c in range(ncols)]
-            for row in rows]
+def dense(columns, nrows, p=None):
+    return [[col.get(r, 0) % p if p else col.get(r, 0) for col in columns]
+            for r in range(nrows)]
 
 
-def check_contract(rows, ncols, basis, p):
-    """Oracle-free: each vector kills every row and is 1 at its own
-    (last nonzero) column; the basis vectors have distinct own columns."""
+def check_contract(columns, nrows, basis, p):
+    """Oracle-free: each vector combines the columns to zero and is 1 at
+    its own (last nonzero) column; the basis vectors have distinct own
+    columns."""
     owns = []
     for vec in basis:
         own = max(vec)
         owns.append(own)
         assert vec[own] == 1
         assert all(v != 0 for v in vec.values())
-        for row in rows:
-            s = sum(row.get(c, 0) * v for c, v in vec.items())
+        for r in range(nrows):
+            s = sum(columns[c].get(r, 0) * v for c, v in vec.items())
             assert (s % p if p else s) == 0
     assert owns == sorted(set(owns))
 
@@ -55,16 +53,16 @@ def check_contract(rows, ncols, basis, p):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_rational_against_sympy(seed):
     sympy = pytest.importorskip("sympy")
-    rows, ncols = random_rows(random.Random(seed))
-    basis = nullspace(rows, ncols)
-    check_contract(rows, ncols, basis, None)
-    M = sympy.Matrix(dense(rows, ncols))
+    columns, nrows, ncols = random_columns(random.Random(seed))
+    basis = nullspace(columns, ncols)
+    check_contract(columns, nrows, basis, None)
+    M = sympy.Matrix(dense(columns, nrows))
     rank = M.rank()
     assert len(basis) == ncols - rank
     want = [[Fraction(int(x.p), int(x.q)) for x in v] for v in M.nullspace()]
     got = [[Fraction(vec.get(c, 0)) for c in range(ncols)] for vec in basis]
     assert got == want
-    assert sparse_rank_mod_p(rows, ncols) == rank
+    assert sparse_rank_mod_p(columns, ncols) == rank
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)
@@ -73,14 +71,14 @@ def test_prime_field_against_sympy(seed, p):
     pytest.importorskip("sympy")
     from sympy import GF
     from sympy.polys.matrices import DomainMatrix
-    rows, ncols = random_rows(random.Random(1000 * p + seed))
-    basis = nullspace(rows, ncols, p)
-    check_contract(rows, ncols, basis, p)
+    columns, nrows, ncols = random_columns(random.Random(1000 * p + seed))
+    basis = nullspace(columns, ncols, p)
+    check_contract(columns, nrows, basis, p)
     K = GF(p)
-    M = DomainMatrix([[K(x) for x in r] for r in dense(rows, ncols, p)],
-                     (len(rows), ncols), K)
+    M = DomainMatrix([[K(x) for x in r] for r in dense(columns, nrows, p)],
+                     (nrows, ncols), K)
     rank = M.rank()
-    assert sparse_rank_mod_p(rows, ncols, p) == rank
+    assert sparse_rank_mod_p(columns, ncols, p) == rank
     assert len(basis) == ncols - rank
     want = []
     if basis:
@@ -95,45 +93,50 @@ def test_prime_field_against_sympy(seed, p):
 
 def test_rank_mod_cert_prime_is_rational_rank():
     for seed in SEEDS:
-        rows, ncols = random_rows(random.Random(seed))
-        assert sparse_rank_mod_p(rows, ncols) == \
-            ncols - len(nullspace(rows, ncols))
+        columns, _, ncols = random_columns(random.Random(seed))
+        assert sparse_rank_mod_p(columns, ncols) == \
+            ncols - len(nullspace(columns, ncols))
 
 
 def test_known_systems():
     # x0 + 2 x1 = 0 and x2 free of any row
-    assert nullspace([{0: 1, 1: 2}], 3) == [{0: -2, 1: 1}, {2: 1}]
-    assert nullspace([{0: 1, 1: 2}], 3, 2) == [{1: 1}, {2: 1}]
-    assert nullspace([{0: 2, 1: 1}, {1: 3}], 2) == []
-    assert nullspace([], 2) == [{0: 1}, {1: 1}]
-    assert nullspace([{0: 3, 1: 1}], 2) == [{0: Fraction(-1, 3), 1: 1}]
-    assert sparse_rank_mod_p([{0: 1, 1: 2}, {1: 3}], 2) == 2
-    assert sparse_rank_mod_p([{0: 3}, {0: 6}], 1, 3) == 0
+    assert nullspace([{0: 1}, {0: 2}, {}], 3) == [{0: -2, 1: 1}, {2: 1}]
+    assert nullspace([{0: 1}, {0: 2}, {}], 3, 2) == [{1: 1}, {2: 1}]
+    assert nullspace([{0: 2}, {0: 1, 1: 3}], 2) == []
+    assert nullspace([{}, {}], 2) == [{0: 1}, {1: 1}]
+    assert nullspace([{0: 3}, {0: 1}], 2) == [{0: Fraction(-1, 3), 1: 1}]
+    assert sparse_rank_mod_p([{0: 1}, {0: 2, 1: 3}], 2) == 2
+    assert sparse_rank_mod_p([{0: 3, 1: 6}], 1, 3) == 0
     assert sparse_rank_mod_p([{0: CERT_PRIME}], 1) == 0
 
 
+def test_columns_stream_once_and_pad_with_zeros():
+    # a one-pass generator is read in order; columns past its end are zero
+    columns = [{0: 1}, {0: 2}]
+    assert nullspace(iter(columns), 3) == nullspace(columns + [{}], 3)
+    assert nullspace([], 2) == nullspace([{}, {}], 2)
+    assert sparse_rank_mod_p((c for c in columns), 2) == 1
+    assert columns == [{0: 1}, {0: 2}]    # the inputs are not reduced
+
+
 def chain(n, a, b):
-    """Rows of the relation system of f = a + bT with n_max 1, d_max n:
+    """Columns of the relation system of f = a + bT with n_max 1, d_max n:
     each column T^e reduces down a chain of e pivots, and its combination
     gains an entry per step."""
-    rows = [{} for _ in range(n + 2)]
-    for e in range(n + 1):
-        rows[e][e] = a
-        rows[e + 1][e] = b
-        rows[e][n + 1 + e] = 1
-    return rows
+    return ([{e: a, e + 1: b} for e in range(n + 1)]
+            + [{e: 1} for e in range(n + 1)])
 
 
 def test_elimination_work_is_capped(monkeypatch):
-    rows = chain(30, 1, 1)
-    assert len(nullspace(rows, 62)) == 30
-    assert sparse_rank_mod_p(rows, 62) == 32
+    columns = chain(30, 1, 1)
+    assert len(nullspace(columns, 62)) == 30
+    assert sparse_rank_mod_p(columns, 62) == 32
     # 34 nonzeros a column at most, but about 2,000 entry operations
     monkeypatch.setattr(linalg, "MAX_WORK", 2000)
     with pytest.raises(PreconditionFailed, match="work cap of 2000"):
-        nullspace(rows, 62)
+        nullspace(columns, 62)
     with pytest.raises(PreconditionFailed, match="work cap of 2000"):
-        sparse_rank_mod_p(rows, 62)
+        sparse_rank_mod_p(columns, 62)
 
 
 def test_elimination_work_counts_words_over_q(monkeypatch):
@@ -152,7 +155,6 @@ def test_elimination_work_counts_words_over_q(monkeypatch):
     small = [r + 2 for r in range(49)] + [1]
     big = [Fraction(10**40 + r, 10**40 - r) for r in range(49)] + [1]
     monkeypatch.setattr(linalg, "MAX_WORK", 4000)
-    assert len(nullspace([{j: v for j in range(20)} for v in small], 20)) \
-        == 19
+    assert len(nullspace([dict(enumerate(small))] * 20, 20)) == 19
     with pytest.raises(PreconditionFailed):
-        nullspace([{j: v for j in range(20)} for v in big], 20)
+        nullspace([dict(enumerate(big))] * 20, 20)
