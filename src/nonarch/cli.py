@@ -38,7 +38,7 @@ from .series import (LAURENT, TateSeries, check_series_json,
                      spectral_power_estimate)
 from .squarezero import SquareZeroRing
 
-SCHEMA = "nonarch-artifact/1"
+SCHEMA = "nonarch-artifact/2"
 
 DEFAULT_CONFIG = {
     "fields": {
@@ -508,6 +508,14 @@ def check_artifact(path):
     command = stored.get("command")
     if not isinstance(command, str) or command not in COMMANDS:
         raise NonarchError(f"unknown artifact command {command!r}")
+    schema = stored.get("schema", "(none)")
+    if schema != SCHEMA:
+        # another schema's bytes differ by design, not at a replay path
+        shown = schema if isinstance(schema, str) and schema.isprintable() \
+            else json.dumps(schema)
+        print(f"{command}: artifact schema {shown} is not {SCHEMA}; "
+              "regenerate it")
+        return 2
     params = stored["params"]
     for key in param_keys(command):
         if key not in params:

@@ -14,6 +14,9 @@ Every step records (g_m, h_m) with their norms; the certified conditions are
     (4) |h_m| <= |g_1|^(m+1),
 
 so the partial sums converge geometrically with contraction factor |g_1|.
+Each running root 1 + g_1 + ... + g_m is an exact representative held to
+a bounded size, and g_m is its exact difference from the previous one, so
+a trace carries no fraction larger than its certificate needs.
 Compatible towers stack roots: tower[e+1]^p = tower[e].
 """
 
@@ -29,14 +32,16 @@ from .lognorm import Cmp, LogNorm, ln_compare, ln_le, ln_pow
 
 DEFAULT_MAX_STEPS = 64
 DEFAULT_TOL_EXPONENT = 40
-# absolute digit depth kept in exact representatives between steps: 3*e0+16
-# for a tolerance q^(-e0)*..., never below this; it must dominate tolerance
+# absolute digit depth kept in the running root between steps: 3*e0+16 for
+# a tolerance q^(-e0)*..., never below this; it must dominate tolerance
 # exponent + step count so no certified valuation is disturbed (the exact
 # p-adic iteration otherwise doubles its representation size at every step)
 MIN_WORK_DEPTH = 3 * DEFAULT_TOL_EXPONENT + 16
-# exact representatives below this bit size are never rewritten, so small
-# traces show the textbook rationals verbatim
-REDUCE_THRESHOLD_BITS = 4096
+# a running root below this bit size is never rewritten, so small traces
+# show the textbook rationals verbatim; above it the root is cut back to
+# the work depth (for |f - 1| = 1/q no stored g, h or root then outgrows
+# p + 1 times this plus the target's own size)
+REDUCE_THRESHOLD_BITS = 1024
 
 
 def _tame(x, work_depth):
@@ -102,11 +107,13 @@ def pth_root_near_one(f, p: int, max_steps: int = DEFAULT_MAX_STEPS,
     Runs on exact representations; the caller caps the output if a capped
     scalar is wanted.  Stops once |h_m| <= tol (default |g_1|^40).
 
-    Each correction g_{m+1} = -h_m/p is replaced by an exact representative
-    agreeing with it to an absolute digit depth set by the tolerance (see
-    ``MIN_WORK_DEPTH``); the recorded conditions (1)-(4) are exact
-    identities of the stored values, and the perturbation (below that
-    digit) is invisible at every certified valuation.
+    Each running root 1 + g_1 + ... + g_{m+1} (the previous one minus
+    h_m/p) past ``REDUCE_THRESHOLD_BITS`` is replaced by an exact
+    representative agreeing with it to an absolute digit depth set by the
+    tolerance (see ``MIN_WORK_DEPTH``), and g_{m+1} is stored as its exact
+    difference from the previous root.  The recorded conditions (1)-(4)
+    are exact identities of the stored values, and the perturbation
+    (below that digit) is invisible at every certified valuation.
     """
     spec = f.spec
     if not check_aux_prime(spec, p):
@@ -131,10 +138,9 @@ def pth_root_near_one(f, p: int, max_steps: int = DEFAULT_MAX_STEPS,
     if tol is None:
         tol = ln_pow(g1n, DEFAULT_TOL_EXPONENT)
     work_depth = max(MIN_WORK_DEPTH, 3 * ceil(tol.base_exp) + 16)
-    g1 = _tame(g1, work_depth)
     trace = RootTrace(p, f, g1n)
-    partial = one + g1
-    g = g1
+    partial = _tame(one + g1, work_depth)
+    g = partial - one
     for m in range(1, max_steps + 1):
         h = partial.pow_int(p) - f
         gn = g.norm_ln()
@@ -152,8 +158,9 @@ def pth_root_near_one(f, p: int, max_steps: int = DEFAULT_MAX_STEPS,
             trace.certified = True
             trace.reason = f"|h_{m}| within tolerance after {m} steps"
             return partial, trace
-        g = _tame((-h).div_int(p), work_depth)
-        partial = partial + g
+        root = _tame(partial - h.div_int(p), work_depth)
+        g = root - partial
+        partial = root
     trace.result = partial
     trace.reason = f"tolerance not reached in {max_steps} steps"
     raise MaxStepsExceeded(trace.reason, trace)

@@ -259,6 +259,32 @@ def test_replay_names_the_first_path_that_differs(path, value, where,
         f"pth-root: replay DIFFERS at {where} (verdict CERTIFIED)\n"
 
 
+@pytest.mark.parametrize("schema,shown", [
+    ("nonarch-artifact/1", "nonarch-artifact/1"),
+    (_DELETE, "(none)"),
+    (5, "5"),
+], ids=["schema-1", "missing", "number"])
+def test_check_refuses_another_schema(schema, shown, tmp_path, capsys,
+                                      monkeypatch):
+    assert main(["pth-root", "--field", "q3", "--prime", "2", "--target",
+                 "25", "--out", str(tmp_path)]) == 0
+    art = _read(tmp_path, "pth-root")
+    _set(art, ("schema",), schema)
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(art))
+
+    def replay(params):
+        raise AssertionError("an artifact of another schema was replayed")
+
+    monkeypatch.setitem(cli.COMMANDS, "pth-root",
+                        cli.COMMANDS["pth-root"]._replace(run=replay))
+    capsys.readouterr()
+    assert main(["--check", str(edited)]) == 2
+    assert capsys.readouterr().out == (
+        f"pth-root: artifact schema {shown} is not {cli.SCHEMA}; "
+        "regenerate it\n")
+
+
 def test_first_difference_of_values():
     first = cli._first_difference
     assert first({"a": [1, {"b": 2}]}, {"a": [1, {"b": 3}]}) == "a[1].b"

@@ -1,19 +1,26 @@
 """Certified root iteration, recentring and compatible towers."""
 
 from fractions import Fraction
+from math import ceil
 
 import pytest
 
 from nonarch import (FieldSpec, LogNorm, MaxStepsExceeded, PreconditionFailed,
                      RadiusDecl, RootTower, Scalar, TateSeries,
                      TowerObstruction, build_tower, ln_pow, pth_root_near,
-                     pth_root_near_one, scalar_pth_root,
+                     pth_root_near_one, scalar_from_literal, scalar_pth_root,
                      tower_unit_certificate, verify_tower, verify_trace)
-from nonarch.fields import FQ_LAURENT, PADIC
+from nonarch.fields import FQ_LAURENT, PADIC, check_aux_prime
+from nonarch.lognorm import Cmp, ln_compare, ln_le
+from nonarch.rootlift import (DEFAULT_MAX_STEPS, DEFAULT_TOL_EXPONENT,
+                              MIN_WORK_DEPTH, REDUCE_THRESHOLD_BITS, RootStep,
+                              RootTrace)
 from nonarch.series import POWER
 
 Q3 = FieldSpec(PADIC, 3, precision_cap=40)
+Q5 = FieldSpec(PADIC, 5, precision_cap=40)
 F2T = FieldSpec(FQ_LAURENT, 2, field_size=2, precision_cap=64)
+F4T = FieldSpec(FQ_LAURENT, 2, field_size=4, precision_cap=64)
 R1 = RadiusDecl.default("r1")
 
 
@@ -155,3 +162,118 @@ def test_series_carrier_iteration():
     sep = root - root.ring_one()
     # recentring guarantee: |root - 1| <= |g_1| < 1 = |root|
     assert sep.norm_ln() == trace.contraction
+    old_root, old = _old_pth_root_near_one(f, 3, max_steps=6, tol=tol)
+    assert len(trace.steps) == len(old.steps) and old.certified
+    assert _capped(root) == _capped(old_root)
+
+
+# -- bounded traces against the g-only taming they replace -----------------
+
+def _old_tame(x, work_depth):
+    if x.rep_size() <= 4096:
+        return x
+    return x.reduce_representative(work_depth)
+
+
+def _old_pth_root_near_one(f, p, max_steps=DEFAULT_MAX_STEPS, tol=None):
+    """The iteration that tamed each correction only, past 4,096 bits: the
+    running root kept every denominator it picked up."""
+    spec = f.spec
+    if not check_aux_prime(spec, p):
+        raise PreconditionFailed(
+            f"prime {p} does not have norm 1 in {spec.describe()}")
+    radii = f.radius_ctx()
+    one = f.ring_one()
+    diff = f - one
+    if diff.is_ring_zero():
+        trace = RootTrace(p, f, LogNorm.zero(len(radii)), [], one, True,
+                          "target is 1; root is 1")
+        return one, trace
+    g1 = diff.div_int(p)
+    g1n = g1.norm_ln()
+    diffn = diff.norm_ln()
+    if g1n != diffn:
+        raise PreconditionFailed("|p| = 1 failed to hold on this input")
+    ident = LogNorm.identity(len(radii))
+    if ln_compare(g1n, ident, radii) is not Cmp.LT:
+        raise PreconditionFailed(
+            f"|f - 1| = {g1n} is not < 1; the iteration does not contract")
+    if tol is None:
+        tol = ln_pow(g1n, DEFAULT_TOL_EXPONENT)
+    work_depth = max(MIN_WORK_DEPTH, 3 * ceil(tol.base_exp) + 16)
+    g1 = _old_tame(g1, work_depth)
+    trace = RootTrace(p, f, g1n)
+    partial = one + g1
+    g = g1
+    for m in range(1, max_steps + 1):
+        h = partial.pow_int(p) - f
+        gn = g.norm_ln()
+        hn = h.norm_ln() if not h.is_ring_zero() else LogNorm.zero(len(radii))
+        ok_g = ln_le(gn, ln_pow(g1n, m), radii)
+        ok_h = hn.is_zero or ln_le(hn, ln_pow(g1n, m + 1), radii)
+        trace.steps.append(RootStep(m, g, h, gn, hn, ok_g, ok_h))
+        if not (ok_g and ok_h):
+            trace.certified = False
+            trace.reason = f"contraction conditions failed at step {m}"
+            trace.result = partial
+            return partial, trace
+        if hn.is_zero or ln_le(hn, tol, radii):
+            trace.result = partial
+            trace.certified = True
+            trace.reason = f"|h_{m}| within tolerance after {m} steps"
+            return partial, trace
+        g = _old_tame((-h).div_int(p), work_depth)
+        partial = partial + g
+    trace.result = partial
+    trace.reason = f"tolerance not reached in {max_steps} steps"
+    raise MaxStepsExceeded(trace.reason, trace)
+
+
+def _capped(x):
+    if isinstance(x, Scalar):
+        return x.cap().to_literal()
+    return sorted((e, c.cap().to_literal()) for e, c in x.support.items())
+
+
+def _partials(trace):
+    partial = trace.target.ring_one()
+    for s in trace.steps:
+        partial = partial + s.g
+        yield s, partial
+
+
+# every target has |f - 1| = 1/q
+BOUNDED_CASES = [(Q3, 2, t) for t in ("4", "7", "13/4", "-2", "1+2*3")] + \
+    [(Q5, p, t) for p in (2, 3) for t in ("6", "11", "-4", "31/6")] + \
+    [(F2T, 3, "1 + t"), (F2T, 3, "1 + t + t^3"), (F2T, 3, "1 + t + t^2"),
+     (F4T, 3, "1 + t + t^2"), (F4T, 3, "1 + w*t")]
+
+
+@pytest.mark.parametrize("spec,p,target", BOUNDED_CASES)
+def test_bounded_trace_matches_g_only_taming(spec, p, target):
+    f = scalar_from_literal(spec, target)
+    root, trace = pth_root_near_one(f, p)
+    old_root, old = _old_pth_root_near_one(f, p)
+    assert len(trace.steps) == len(old.steps)
+    assert trace.certified and old.certified
+    assert root.cap().equals(old_root.cap())
+    assert verify_trace(trace)
+    bound = (p + 1) * 1024 + f.rep_size()
+    for s, partial in _partials(trace):
+        assert max(s.g.rep_size(), s.h.rep_size(), partial.rep_size()) \
+            <= bound
+    # while the old running root stays below the threshold, the two traces
+    # store the same textbook values
+    for (s, _), (t, partial) in zip(_partials(trace), _partials(old)):
+        if partial.rep_size() > REDUCE_THRESHOLD_BITS:
+            break
+        assert s.g.equals(t.g) and s.h.equals(t.h)
+
+
+def test_bounded_trace_perturbed_below_work_depth_fails():
+    # a change below q^-work_depth is invisible to every certified norm,
+    # but identity (1) is checked exactly
+    _, trace = pth_root_near_one(q3(4), 2)
+    step = trace.steps[5]
+    step.g = step.g + Scalar.from_int(Q3, 3 ** MIN_WORK_DEPTH)
+    assert not verify_trace(trace)
