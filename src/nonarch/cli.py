@@ -262,7 +262,7 @@ def run_pbasis_cert(params):
     if params.get("series") is not None:
         f = TateSeries.from_json(spec, (radius,), params["series"])
     else:
-        f = pbasis_series(p, nvars, params["terms"], spec, radius)
+        f = pbasis_series(spec, params["terms"], radius)
     cert = p_independence_certificate(f, params["T_deg_max"],
                                       params["coeff_deg_max"])
     result = cert.to_json()

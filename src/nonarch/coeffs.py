@@ -11,9 +11,10 @@ Two backends live here:
 ``GF`` and ``RatFunField`` are the coefficient-field protocol that Laurent
 scalars compute on: ``zero``, ``one``, ``from_int`` (the ring map from Z),
 ``is_zero``, ``add``, ``neg``, ``mul``, ``inv``, ``series_mul`` (the
-truncated product of two unit series {offset: element}), ``char_root``,
-``nth_roots``, ``to_str`` and ``atomic_str``.  Elements are canonical, so
-equal values have equal representations.  ``series_axpy`` and
+truncated product of two unit series {offset: element}), ``nth_roots``,
+``to_str`` and ``atomic_str``.  Only ``GF`` has ``char_root``: p-th power
+splits run over F_q((t)) alone.  Elements are canonical, so equal values
+have equal representations.  ``series_axpy`` and
 ``schoolbook_series_mul`` compute on unit series over any of them, one
 ``mul`` per term pair; ``GF.series_mul`` packs dense products into one
 big-integer product instead (Kronecker substitution).
@@ -292,7 +293,8 @@ def _pack(a, lo, stride, w):
 class GF:
     """Arithmetic for F_{p^d}.  Elements are little-endian tuples over F_p.
 
-    The integer encoding sum(c_i * p^i) is used for deterministic ordering.
+    ``elements`` and ``nth_roots`` list in the order of the integer
+    encoding sum(c_i * p^i).
     """
 
     def __init__(self, p: int, d: int = 1):
@@ -321,9 +323,6 @@ class GF:
         if self.d == 1:
             raise ValueError("prime fields have no extension generator")
         return (0, 1)
-
-    def to_int(self, a) -> int:
-        return sum(c * self.p ** i for i, c in enumerate(a))
 
     def is_zero(self, a) -> bool:
         return not a
@@ -448,9 +447,8 @@ class GF:
         return self.pow(a, self.order // self.p)
 
     def nth_roots(self, a, n: int):
-        """All x with x^n = a, sorted by integer encoding."""
-        return sorted((x for x in self.elements() if self.pow(x, n) == a),
-                      key=self.to_int)
+        """All x with x^n = a, in the order of the integer encoding."""
+        return [x for x in self.elements() if self.pow(x, n) == a]
 
     def to_str(self, a) -> str:
         if not a:
@@ -741,14 +739,6 @@ class RatFun:
     def from_poly(cls, poly: MPoly):
         return cls(poly, MPoly.const(poly.p, poly.nvars, 1))
 
-    @property
-    def p(self):
-        return self.num.p
-
-    @property
-    def nvars(self):
-        return self.num.nvars
-
     def is_zero(self):
         return self.num.is_zero()
 
@@ -762,9 +752,6 @@ class RatFun:
     def __neg__(self):
         return RatFun(-self.num, self.den)
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         return RatFun(self.num * other.num, self.den * other.den)
 
@@ -772,9 +759,6 @@ class RatFun:
         if self.is_zero():
             raise DivisionByZero("inverse of zero rational function")
         return RatFun(self.den, self.num)
-
-    def __truediv__(self, other):
-        return self * other.inv()
 
     def __eq__(self, other):
         return (isinstance(other, RatFun) and self.num == other.num
@@ -795,18 +779,10 @@ class RatFun:
 
     __repr__ = __str__
 
-    def char_root(self):
-        """x with x^p = self, or None.  p is the characteristic here."""
-        rn = _poly_char_root(self.num)
-        rd = _poly_char_root(self.den)
-        if rn is None or rd is None:
-            return None
-        return RatFun(rn, rd)
-
 
 class RatFunField:
     """The field F_p(u1..uN) of ``RatFun`` elements, with the protocol of
-    ``GF`` plus ``var``."""
+    ``GF`` but ``char_root``, plus ``var``."""
 
     def __init__(self, p, nvars):
         self.p = p
@@ -838,9 +814,6 @@ class RatFunField:
     def inv(self, a):
         return a.inv()
 
-    def char_root(self, a):
-        return a.char_root()
-
     def nth_roots(self, a, n):
         """Some x with x^n = a: [1] for a = 1, one root for a monomial
         c*u^(n*e) with c an n-th power residue, [] otherwise.  That covers
@@ -863,13 +836,3 @@ class RatFunField:
 
     def atomic_str(self, a):
         return a.is_poly() and len(a.num.terms) <= 1
-
-
-def _poly_char_root(a: MPoly):
-    p = a.p
-    out = {}
-    for e, c in a.terms.items():
-        if any(k % p for k in e):
-            return None
-        out[tuple(k // p for k in e)] = c  # c^(1/p) = c over F_p
-    return MPoly(p, a.nvars, out)

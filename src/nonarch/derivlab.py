@@ -80,10 +80,6 @@ class SparseSeries:
     next_index: int
     completion_tail: LogNorm   # bound r^(i_{m+1}) for the omitted ideal tail
 
-    @property
-    def terms(self) -> int:
-        return len(self.indices)
-
 
 def sparse_series(m: int, spec: FieldSpec, radius: RadiusDecl) -> SparseSeries:
     """First m terms of the gap series, exact, plus completion semantics."""
@@ -337,13 +333,6 @@ class PolyInTF:
             acc = acc + term
         return acc
 
-    def to_json(self):
-        return [{"T": dt, "F": df, "coeff": c.to_literal()}
-                for (dt, df), c in sorted(self.terms.items())]
-
-    def __repr__(self):
-        return f"PolyInTF({self.to_json()})"
-
 
 def _require_cover(cert: Certificate, P: PolyInTF, f: TateSeries):
     if cert is None:
@@ -481,24 +470,18 @@ def _gen_scalar(spec: FieldSpec, exp) -> Scalar:
     return s
 
 
-def pbasis_series(p: int, nvars: int, m: int, spec: FieldSpec = None,
-                  radius: RadiusDecl = None) -> TateSeries:
-    """f = x_{l_0} + x_{l_1} T + ... + x_{l_{m-1}} T^(m-1) with distinct
-    p-basis coefficient monomials of norm <= 1 (x_{l_0} = t)."""
-    if spec is None:
-        spec = FieldSpec(RATFUN_LAURENT, p, nvars=nvars, precision_cap=64)
+def pbasis_series(spec: FieldSpec, m: int, radius: RadiusDecl) -> TateSeries:
+    """f = x_{l_0} + x_{l_1} T + ... + x_{l_{m-1}} T^(m-1) over the
+    rational-function Laurent field ``spec``, T of radius ``radius``, with
+    distinct p-basis coefficient monomials of norm <= 1 (x_{l_0} = t)."""
     if spec.kind != RATFUN_LAURENT:
         raise PreconditionFailed("p-basis series live over the "
                                  "rational-function Laurent field")
-    if spec.residue_prime != p or spec.nvars != nvars:
-        raise PreconditionFailed("field spec disagrees with (p, N)")
-    declared = 2 ** (nvars + 1) - 1
+    declared = 2 ** (spec.nvars + 1) - 1
     if m > declared:
         raise PreconditionFailed(
             f"only {declared} p-basis monomials declared; cannot build "
             f"{m} terms")
-    if radius is None:
-        radius = RadiusDecl.default("r1")
     support = {(i,): _gen_scalar(spec, exp) for i, (_, exp)
                in enumerate(islice(pbasis_generators(spec), m))}
     return TateSeries(spec, POWER, (radius,), support)

@@ -514,37 +514,30 @@ class Scalar:
         representatives; the returned value is still exact, it is simply a
         different point of the same ultrametric ball.
         """
-        if self.is_ring_zero():
+        if self.is_ring_zero() or self._prec is not None:
             return self
-        if self.spec.kind == PADIC:
-            v = self.valuation()
-            if self._prec is not None or v >= depth:
-                return self
-            u = _unit_mod(self, depth - v)
-            return Scalar(self.spec, *_times_q_pow(u, self.spec.residue_prime,
-                                                   v), val=v)
-        if self._prec is not None or self._val >= depth:
-            return self
-        rel = depth - self._val
-        return Scalar._laurent(self.spec, self._val,
-                               {k: c for k, c in self._unit.items()
-                                if k < rel})
+        v = self.valuation()
+        return self if v >= depth else self._cut(depth - v, None)
 
     def cap(self):
         """Canonical representative truncated at the field's precision cap."""
-        cap = self.spec.precision_cap
         if self.is_ring_zero():
             return self
+        cap = self.spec.precision_cap
+        prec = cap if self._prec is None else min(self._prec, cap)
+        return self._cut(prec, prec)
+
+    def _cut(self, rel: int, prec):
+        """Self (nonzero) with its unit cut below q^rel (resp. t^rel), the
+        valuation kept, tagged with precision prec (None: exact)."""
         if self.spec.kind == PADIC:
             v = self.valuation()
-            prec = cap if self._prec is None else min(self._prec, cap)
-            u = _unit_mod(self, prec)
+            u = _unit_mod(self, rel)
             return Scalar(self.spec, *_times_q_pow(u, self.spec.residue_prime,
                                                    v), val=v, prec=prec)
-        prec = cap if self._prec is None else min(self._prec, cap)
         return Scalar._laurent(self.spec, self._val,
                                {k: c for k, c in self._unit.items()
-                                if k < prec}, prec)
+                                if k < rel}, prec)
 
     # -- display / serialisation ---------------------------------------
 
@@ -573,12 +566,6 @@ class Scalar:
                 tp = "t" if e == 1 else f"t^{e}"
                 parts.append(tp if cs == "1" else f"{cs}*{tp}")
         return " + ".join(parts)
-
-    def to_json(self):
-        obj = {"value": self.to_literal()}
-        if self._prec is not None:
-            obj["prec"] = self._prec
-        return obj
 
     def __repr__(self):
         tag = "" if self._prec is None else f" +O(^{self._prec})"

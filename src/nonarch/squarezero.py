@@ -63,12 +63,6 @@ class SquareZeroElem:
         self._check(other)
         return SquareZeroElem(self.ring, self.a + other.a, self.b + other.b)
 
-    def __neg__(self):
-        return SquareZeroElem(self.ring, -self.a, -self.b)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         self._check(other)
         return SquareZeroElem(self.ring, self.a * other.a,

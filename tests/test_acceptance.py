@@ -188,7 +188,7 @@ def test_criterion_5_nonintegrality_oracle():
 
 def test_criterion_6_p_independence_oracle():
     t0 = time.perf_counter()
-    f = pbasis_series(2, 3, 4, RF2, R1)
+    f = pbasis_series(RF2, 4, R1)
     cert = p_independence_certificate(f, 4, 2)
     assert cert.verdict == "P_INDEPENDENT"
     assert len(cert.witness["obstructions"]) == 4

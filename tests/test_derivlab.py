@@ -273,26 +273,26 @@ def test_lazy_pbasis_generators_match_list(nvars):
 
 def test_pbasis_series_at_many_variables():
     spec = FieldSpec(RATFUN_LAURENT, 2, nvars=64, precision_cap=64)
-    f = pbasis_series(2, 64, 67, spec, R1)
+    f = pbasis_series(spec, 67, R1)
     coeffs = [t["coeff"] for t in f.to_json()["terms"]]
     assert coeffs[:3] == ["t", "u1", "u2"]
     assert coeffs[64:] == ["u64", "u1*t", "u2*t"]
     with pytest.raises(PreconditionFailed, match="only 7 p-basis"):
-        pbasis_series(2, 2, 8, FieldSpec(RATFUN_LAURENT, 2, nvars=2), R1)
+        pbasis_series(FieldSpec(RATFUN_LAURENT, 2, nvars=2), 8, R1)
 
 
 def test_pbasis_series():
-    f = pbasis_series(2, 3, 4, RF2, R1)
+    f = pbasis_series(RF2, 4, R1)
     assert f.to_json()["terms"] == [
         {"exp": [0], "coeff": "t"}, {"exp": [1], "coeff": "u1"},
         {"exp": [2], "coeff": "u2"}, {"exp": [3], "coeff": "u3"}]
-    single = pbasis_series(2, 3, 1, RF2, R1)
+    single = pbasis_series(RF2, 1, R1)
     assert single.to_json()["terms"] == [{"exp": [0], "coeff": "t"}]
     # products extend the generator list beyond N + 1
-    f6 = pbasis_series(2, 3, 6, RF2, R1)
+    f6 = pbasis_series(RF2, 6, R1)
     assert f6.to_json()["terms"][4]["coeff"] == "u1*t"
     with pytest.raises(PreconditionFailed):
-        pbasis_series(2, 3, 20, RF2, R1)
+        pbasis_series(RF2, 20, R1)
     ident = LogNorm.identity(1)
     from nonarch import Cmp, ln_compare
     for _, c in f.sorted_terms():
@@ -300,7 +300,7 @@ def test_pbasis_series():
 
 
 def test_p_independence_acceptance():
-    f = pbasis_series(2, 3, 4, RF2, R1)
+    f = pbasis_series(RF2, 4, R1)
     cert = p_independence_certificate(f, 4, 2)
     assert cert.verdict == "P_INDEPENDENT"
     assert len(cert.witness["obstructions"]) == 4
@@ -425,7 +425,7 @@ def test_p_independence_matches_product_enumeration():
         for nvars in range(3):
             spec = FieldSpec(RATFUN_LAURENT, p, nvars=nvars,
                              precision_cap=64)
-            inputs = [pbasis_series(p, nvars, m, spec, R1)
+            inputs = [pbasis_series(spec, m, R1)
                       for m in range(1, min(3, nvars + 1) + 1)]
             inputs += [_planted_series(spec, rng) for _ in range(6)]
             for f in inputs:
@@ -442,7 +442,7 @@ def test_p_independence_matches_product_enumeration():
 
 def test_p_independence_beyond_the_old_enumeration():
     # 6480^2 / 6 products per generator: the enumeration refused this span
-    cert = p_independence_certificate(pbasis_series(2, 3, 4, RF2, R1), 4, 5)
+    cert = p_independence_certificate(pbasis_series(RF2, 4, R1), 4, 5)
     assert cert.verdict == "P_INDEPENDENT"
     m_side = 5 * 6 ** 4
     obs = cert.witness["obstructions"]
@@ -454,5 +454,5 @@ def test_p_independence_beyond_the_old_enumeration():
 @pytest.mark.parametrize("tdeg,cdeg", [(-1, 2), (4, -1)])
 def test_p_independence_rejects_negative_bounds(tdeg, cdeg):
     with pytest.raises(ValueError):
-        p_independence_certificate(pbasis_series(2, 3, 4, RF2, R1), tdeg,
+        p_independence_certificate(pbasis_series(RF2, 4, R1), tdeg,
                                    cdeg)

@@ -10,7 +10,7 @@ from nonarch import (DivisionByZero, FieldSpec, NoRootInField,
                      PrecisionExhausted, Scalar, check_aux_prime,
                      scalar_from_literal, scalar_pth_root)
 from nonarch.fields import (FQ_LAURENT, PADIC, RATFUN_LAURENT, _add_pair,
-                            _padic_val)
+                            _padic_val, _times_q_pow, _unit_mod)
 
 Q3 = FieldSpec(PADIC, 3, precision_cap=40)
 F2T = FieldSpec(FQ_LAURENT, 2, field_size=2, precision_cap=64)
@@ -713,3 +713,87 @@ def test_padic_product_and_sum_match_helper_path(spec, a, pa, b, pb, warm_a,
             x + y
     else:
         _assert_is(x + y, a + b, want.precision)
+
+
+# Scalar.cap and Scalar.reduce_representative before they shared one
+# truncation (Scalar._cut), kept verbatim as the oracle
+
+
+def ref_reduce_representative(self, depth: int):
+    if self.is_ring_zero():
+        return self
+    if self.spec.kind == PADIC:
+        v = self.valuation()
+        if self._prec is not None or v >= depth:
+            return self
+        u = _unit_mod(self, depth - v)
+        return Scalar(self.spec, *_times_q_pow(u, self.spec.residue_prime,
+                                               v), val=v)
+    if self._prec is not None or self._val >= depth:
+        return self
+    rel = depth - self._val
+    return Scalar._laurent(self.spec, self._val,
+                           {k: c for k, c in self._unit.items()
+                            if k < rel})
+
+
+def ref_cap(self):
+    cap = self.spec.precision_cap
+    if self.is_ring_zero():
+        return self
+    if self.spec.kind == PADIC:
+        v = self.valuation()
+        prec = cap if self._prec is None else min(self._prec, cap)
+        u = _unit_mod(self, prec)
+        return Scalar(self.spec, *_times_q_pow(u, self.spec.residue_prime,
+                                               v), val=v, prec=prec)
+    prec = cap if self._prec is None else min(self._prec, cap)
+    return Scalar._laurent(self.spec, self._val,
+                           {k: c for k, c in self._unit.items()
+                            if k < prec}, prec)
+
+
+# exact sums with terms on both sides of the cuts, and quotients (capped)
+_LONG = " + ".join(f"t^{k}" for k in range(-3, 90, 4))
+_CUT_CASES = {
+    "Q3": (Q3, ["1", "-7/5*3^-2", "2/7*3^3", "1/4", "1 + 3^50",
+                "-1/10*3^45"]),
+    "Q5": (Q5, ["3", "1/6*5^-1", "-2*5^4", "1 + 5^39", "7/13"]),
+    "F2T": (F2T, ["1", "t^-2 + t", _LONG, "1/(1 + t)",
+                  "t^3/(1 + t + t^5)"]),
+    "F4T": (F4T, ["w", "w*t^-1 + t^2", f"w*t^2*({_LONG})", "w/(w + t)"]),
+    "RF2": (RF2, ["u1", "u1 + t/(1 + u1)", f"u2*({_LONG}) + u1*t^5",
+                  "1/(u2 + t)"]),
+}
+
+
+def _cut_inputs(spec, literals):
+    """The zero, each literal exact, and each literal capped both below
+    and above the field's precision cap."""
+    out = [Scalar.zero(spec)]
+    for lit in literals:
+        x = scalar_from_literal(spec, lit)
+        out.append(x)
+        for prec in (3, spec.precision_cap + 20):
+            if spec.kind == PADIC:
+                out.append(Scalar(spec, x._num, x._den, prec=prec))
+            else:
+                out.append(Scalar._laurent(spec, x.valuation(),
+                                           x.unit_part(), prec))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_CUT_CASES))
+def test_cap_and_reduce_representative_match_their_old_bodies(name):
+    spec, literals = _CUT_CASES[name]
+    for x in _cut_inputs(spec, literals):
+        got, want = x.cap(), ref_cap(x)
+        assert got == want and got.precision == want.precision, x
+        v = x.valuation()
+        depths = [-5, 0, 1, 7, 60] if v is None \
+            else [v - 1, v, v + 1, v + 7, v + 60]
+        for depth in depths:
+            got = x.reduce_representative(depth)
+            want = ref_reduce_representative(x, depth)
+            assert got == want and got.precision == want.precision, \
+                (x, depth)

@@ -157,6 +157,24 @@ CASES = {
             {"exp": [2], "coeff": "-2"}]})],
     # 2^65 - 1 generator products, listed lazily
     "pbasis-cert-64-vars": ["pbasis-cert", "--nvars", "64", "--terms", "65"],
+    # a monomial residue: its root is u1^3 times a unit series
+    "ratfun2-tower-monomial-residue": [
+        "tower", "--field", "ratfun2", "--prime", "3", "--target",
+        "u1^9*(1 + t)", "--depth", "2"],
+    # coefficients with non-constant denominators, reduced by gcds
+    "ratfun2-tower-true-fraction": [
+        "tower", "--field", "ratfun2", "--prime", "3", "--target",
+        "1 + t/(1 + u1)", "--depth", "2"],
+    # a Laurent root past REDUCE_THRESHOLD_BITS: cut back to the work depth
+    "f2t-pth-root-precision-200": ["pth-root", "--field", "f2t", "--prime",
+                                   "3", "--target", "1 + t", "--precision",
+                                   "200"],
+    # a three-term Laurent series, raised to powers by square-and-multiply
+    "f2t-laurent-spectral": [
+        "spectral-radius", "--field", "f2t", "--powers", "4", "--series",
+        json.dumps({"kind": "laurent", "radius": ["r1"], "terms": [
+            {"exp": [0], "coeff": "1 + t"}, {"exp": [1], "coeff": "t^-1"},
+            {"exp": [3], "coeff": "t^2"}]})],
 }
 
 

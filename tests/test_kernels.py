@@ -953,3 +953,18 @@ def test_gf_of_a_61_bit_prime_builds_quickly():
     f = GF((1 << 61) - 1)
     assert time.perf_counter() - start < 1.0
     assert f.mul(f.from_int(3), f.inv(f.from_int(3))) == f.one
+
+
+@pytest.mark.parametrize("pd", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)],
+                         ids=_gf_id)
+def test_nth_roots_keep_the_integer_encoding_order(pd):
+    gf = GF(*pd)
+
+    def to_int(a):
+        return sum(c * gf.p ** i for i, c in enumerate(a))
+
+    for a in gf.elements():
+        for n in (2, 3):
+            want = sorted((x for x in gf.elements() if gf.pow(x, n) == a),
+                          key=to_int)
+            assert gf.nth_roots(a, n) == want
