@@ -56,11 +56,6 @@ DEFAULT_CONFIG = {
                "params": {"a": 0, "b": 1, "c": 2, "d": 2},
                "asserts_irrational": True,
                "note": "log_q(1/r) = sqrt(2)/2 = 0.70710678..."},
-        "r06": {"gen_id": "r06", "kind": "rational",
-                "params": {"value": "3/5"},
-                "asserts_irrational": True,
-                "note": "test radius pinned near 0.6; the irrationality "
-                        "assertion is a stub for readable exponents"},
     },
     "out": "out",
 }
@@ -453,8 +448,8 @@ def _summary_lines(command, result):
     elif command == "pbasis-cert":
         w = result["witness"]
         for obs in w.get("obstructions", []):
-            yield (f"generator {obs['lambda']}: span parity verified over "
-                   f"{obs['span_products_checked']} products")
+            yield (f"generator {obs['lambda']}: obstruction over "
+                   f"{obs['span_products_checked']} span products")
         if "relation" in w:
             yield f"decomposed {len(w['relation'])} monomials as g * h^p"
     elif command == "ffinite-decompose":

@@ -113,18 +113,23 @@ class FieldSpec:
     @classmethod
     def from_json(cls, obj):
         """Spec from its JSON object (config entry or artifact param); a
-        malformed object raises ValueError."""
+        malformed object or an unknown key raises ValueError."""
         if not isinstance(obj, dict) or not isinstance(obj.get("kind"), str):
             raise ValueError('a field must be a JSON object with a string '
                              '"kind"')
-        for key in ("residue_prime", "field_size", "num_pbasis_vars", "nvars",
-                    "precision_cap"):
+        ints = ("residue_prime", "field_size", "num_pbasis_vars",
+                "precision_cap")
+        unknown = sorted(set(obj) - {"kind", *ints})
+        if unknown:
+            raise ValueError(f"unknown field keys {unknown}; known: "
+                             f"{['kind', *ints]}")
+        for key in ints:
             if (key in obj or key == "residue_prime") \
                     and type(obj.get(key)) is not int:
                 raise ValueError(f"field {key!r} must be an integer")
         return cls(kind=obj["kind"], residue_prime=obj["residue_prime"],
                    field_size=obj.get("field_size", 0),
-                   nvars=obj.get("num_pbasis_vars", obj.get("nvars", 0)),
+                   nvars=obj.get("num_pbasis_vars", 0),
                    precision_cap=obj.get("precision_cap", 40))
 
     def describe(self) -> str:

@@ -208,17 +208,17 @@ class RadiusDecl:
     it, of width <= 2^-depth (times |b|/c for a quadratic one).  A
     quadratic declaration, log_q(1/r) = (a + b*sqrt(d))/c, exposes
     ``quadratic_parts`` = (d, a, b, c), the integers ``_log_sign`` decides
-    with exactly, and its irrationality is verified once, when it is
-    built.  A rational stub keeps its ``value``; its irrationality can
-    only be asserted.
+    with exactly.  ``asserts_irrational`` is computed, never declared: it
+    is True only for a quadratic declaration with b != 0 and d not a
+    perfect square.  A rational stub keeps its ``value``.
     """
 
-    def __init__(self, gen_id, asserts_irrational, kind, params, note=""):
+    def __init__(self, gen_id, kind, params, note=""):
         self.gen_id = gen_id
-        self.asserts_irrational = asserts_irrational
         self.kind = kind
         self.params = params
         self.note = note
+        self.asserts_irrational = False
         self.quadratic_parts = self.value = None
 
     @classmethod
@@ -227,23 +227,18 @@ class RadiusDecl:
         a, b, c, d = int(a), int(b), int(c), int(d)
         if c <= 0 or d <= 0:
             raise ValueError("need c > 0 and d > 0")
-        irrational = b != 0 and isqrt(d) ** 2 != d
-        decl = cls(gen_id, irrational, "quadratic",
-                   {"a": a, "b": b, "c": c, "d": d}, note)
+        decl = cls(gen_id, "quadratic", {"a": a, "b": b, "c": c, "d": d},
+                   note)
+        decl.asserts_irrational = b != 0 and isqrt(d) ** 2 != d
         decl.quadratic_parts = (d, a, b, c)
         return decl
 
     @classmethod
-    def rational_stub(cls, gen_id, value, asserts_irrational=False, note=""):
-        """Test declaration pinned near a rational value.
-
-        Useful for exercising numeric paths with hand-readable exponents;
-        the irrationality assertion is the caller's responsibility and is
-        never verifiable for this kind.
-        """
+    def rational_stub(cls, gen_id, value, note=""):
+        """Declaration pinned at a rational value, for hand-readable
+        exponents; r lies in |k^x|^Q, so it is never irrational."""
         value = Fraction(value)
-        decl = cls(gen_id, asserts_irrational, "rational",
-                   {"value": str(value)}, note)
+        decl = cls(gen_id, "rational", {"value": str(value)}, note)
         decl.value = value
         return decl
 
@@ -263,19 +258,6 @@ class RadiusDecl:
             lo, hi = hi, lo
         return (a + b * lo) / c, (a + b * hi) / c
 
-    def check_declaration(self, depth: int = 32) -> bool:
-        """True iff the irrationality assertion is constructively verified.
-
-        A quadratic declaration asserts exactly the irrationality its
-        constructor verified (b != 0 and d not a perfect square); other
-        kinds cannot be verified at finite depth and return False whenever
-        they assert irrationality.
-        """
-        lo, hi = self.interval(depth)
-        if not lo < hi:
-            return False
-        return not self.asserts_irrational or self.kind == "quadratic"
-
     def to_json(self):
         return {"gen_id": self.gen_id, "kind": self.kind,
                 "params": self.params,
@@ -285,7 +267,9 @@ class RadiusDecl:
     @classmethod
     def from_json(cls, obj):
         """Declaration from its JSON object (config entry or artifact
-        param); a malformed object raises ValueError."""
+        param).  A malformed object, an unknown key, or an
+        "asserts_irrational" other than the computed value raises
+        ValueError."""
         if not (isinstance(obj, dict) and isinstance(obj.get("gen_id"), str)
                 and isinstance(obj.get("params"), dict)
                 and isinstance(obj.get("note", ""), str)
@@ -293,21 +277,32 @@ class RadiusDecl:
             raise ValueError('a radius must be a JSON object with a string '
                              '"gen_id", a "params" object, a string "note" '
                              'and a boolean "asserts_irrational"')
+        known = ["asserts_irrational", "gen_id", "kind", "note", "params"]
+        unknown = sorted(set(obj) - set(known))
+        if unknown:
+            raise ValueError(f"unknown radius keys {unknown}; known: {known}")
         kind, p = obj.get("kind"), obj["params"]
         if kind == "quadratic":
             if any(type(p.get(k)) is not int for k in "abcd"):
                 raise ValueError('quadratic radius params "a", "b", "c", "d" '
                                  'must be integers')
-            return cls.quadratic(obj["gen_id"], p["a"], p["b"], p["c"],
+            decl = cls.quadratic(obj["gen_id"], p["a"], p["b"], p["c"],
                                  p["d"], obj.get("note", ""))
-        if kind == "rational":
+        elif kind == "rational":
             if type(p.get("value")) not in (str, int):
                 raise ValueError('rational radius param "value" must be a '
                                  'string or an integer')
-            return cls.rational_stub(obj["gen_id"], Fraction(p["value"]),
-                                     obj.get("asserts_irrational", False),
+            decl = cls.rational_stub(obj["gen_id"], Fraction(p["value"]),
                                      obj.get("note", ""))
-        raise ValueError(f"unknown radius kind {kind!r}")
+        else:
+            raise ValueError(f"unknown radius kind {kind!r}")
+        claim = obj.get("asserts_irrational", decl.asserts_irrational)
+        if claim != decl.asserts_irrational:
+            raise ValueError(
+                f'radius {decl.gen_id} declares "asserts_irrational": '
+                f"{str(claim).lower()}, but its {kind} params make it "
+                f"{str(decl.asserts_irrational).lower()}")
+        return decl
 
     def __repr__(self):
         return f"RadiusDecl({self.gen_id}, {self.kind}, {self.params})"

@@ -86,7 +86,7 @@ def test_sparse_and_nonintegral(tmp_path):
 
 
 def test_unbounded_demo(tmp_path):
-    assert main(["unbounded-demo", "--terms", "4", "--radius", "r06",
+    assert main(["unbounded-demo", "--terms", "4", "--radius", "r1",
                  "--bound", "1e6", "--field", "q3",
                  "--out", str(tmp_path)]) == 0
     art = _read(tmp_path, "unbounded-demo")
@@ -202,7 +202,7 @@ def test_sz_check(tmp_path):
 def test_determinism(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
-        assert main(["unbounded-demo", "--terms", "4", "--radius", "r06",
+        assert main(["unbounded-demo", "--terms", "4", "--radius", "r1",
                      "--bound", "1e6", "--field", "q3",
                      "--out", str(out)]) == 0
     assert (a / "unbounded-demo.json").read_bytes() \
@@ -481,11 +481,32 @@ def test_malformed_tower_params_rejected(key, value, tmp_path, capsys):
                    lambda params: params.update({key: value}))
 
 
+def _radius(kind, params, **extra):
+    return {"radii": {"r1": {"gen_id": "r1", "kind": kind, "params": params,
+                             **extra}}}
+
+
 @pytest.mark.parametrize("field,cfg", [
     ("q7", {"fields": {"q7": {"residue_prime": 7, "precision_cap": 30}}}),
-    ("q3", {"radii": {"r1": {"gen_id": "r1", "kind": "quadratic",
-                             "params": {"a": 0, "c": 2, "d": 2}}}}),
-], ids=["field-without-kind", "quadratic-without-b"])
+    ("q3", _radius("quadratic", {"a": 0, "c": 2, "d": 2})),
+    ("q7", {"fields": {"q7": {"kind": PADIC, "residue_prime": 7,
+                              "precison_cap": 30}}}),
+    ("rf", {"fields": {"rf": {"kind": "RATFUN_LAURENT", "residue_prime": 2,
+                              "nvars": 3}}}),
+    ("q3", _radius("quadratic", {"a": 0, "b": 1, "c": 2, "d": 2},
+                   asserts_irrational=True, nte="typo")),
+    # an irrationality claim the params do not bear out
+    ("q3", _radius("rational", {"value": "3/5"}, asserts_irrational=True)),
+    ("q3", _radius("quadratic", {"a": 1, "b": 0, "c": 2, "d": 2},
+                   asserts_irrational=True)),
+    ("q3", _radius("quadratic", {"a": 0, "b": 1, "c": 2, "d": 9},
+                   asserts_irrational=True)),
+    ("q3", _radius("quadratic", {"a": 0, "b": 1, "c": 2, "d": 2},
+                   asserts_irrational=False)),
+], ids=["field-without-kind", "quadratic-without-b", "field-unknown-key",
+        "field-nvars-alias", "radius-unknown-key",
+        "rational-claims-irrational", "quadratic-b0-claims-irrational",
+        "quadratic-square-d-claims-irrational", "irrational-denied"])
 def test_malformed_config_entries_rejected(field, cfg, tmp_path, capsys):
     path = tmp_path / "session.json"
     path.write_text(json.dumps(cfg))
@@ -526,18 +547,80 @@ def test_pth_root_step_budget_below_one_rejected(steps, tmp_path, capsys):
     assert capsys.readouterr().err == want
 
 
-@pytest.mark.parametrize("value", ["-1/2", "0"])
-def test_unbounded_demo_needs_radius_below_one(value, tmp_path, capsys):
-    # r = q^(1/2) > 1, and r = 1 exactly, which no refinement decides
+# ids: b/c, the coefficient of sqrt(2) in log_q(1/r)
+@pytest.mark.parametrize("b,want", [
+    (-1, "table needs a radius r < 1"),
+    (0, 'radius rs declares "asserts_irrational": true, but its quadratic '
+        "params make it false"),
+], ids=["-1/2", "0"])
+def test_unbounded_demo_needs_radius_below_one(b, want, tmp_path, capsys):
+    # log_q(1/r) = -sqrt(2)/2 makes r > 1; b = 0 makes r = 1 exactly, a
+    # radius inside |k^x|^Q that cannot be declared irrational
     cfg = tmp_path / "session.json"
     cfg.write_text(json.dumps({"radii": {"rs": {
-        "gen_id": "rs", "kind": "rational", "params": {"value": value},
+        "gen_id": "rs", "kind": "quadratic",
+        "params": {"a": 0, "b": b, "c": 2, "d": 2},
         "asserts_irrational": True}}}))
     capsys.readouterr()
     assert main(["--config", str(cfg), "unbounded-demo", "--terms", "3",
                  "--radius", "rs", "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == "error: table needs a radius r < 1\n"
+    assert capsys.readouterr().err == f"error: {want}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_unbounded_demo_r06_is_not_declared(tmp_path, capsys):
+    # log_q(1/r) = 3/5 puts r inside |k^x|^Q, where every such map is bounded
+    _fails_with_one_line(capsys, [
+        "unbounded-demo", "--terms", "6", "--radius", "r06", "--bound", "1e6",
+        "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+RATIONAL_RADIUS = {"radii": {"rs": {"gen_id": "rs", "kind": "rational",
+                                    "params": {"value": "3/5"}}}}
+
+
+@pytest.mark.parametrize("argv", [
+    ["unbounded-demo", "--terms", "4", "--bound", "1e6"],
+    ["sparse-series", "--terms", "3"],
+    ["nonintegral-cert", "--terms", "3", "--nmax", "1", "--dmax", "1"],
+], ids=["unbounded-demo", "sparse-series", "nonintegral-cert"])
+def test_rational_radius_refused_where_the_gap_series_needs_irrationality(
+        argv, tmp_path, capsys):
+    cfg = tmp_path / "session.json"
+    cfg.write_text(json.dumps(RATIONAL_RADIUS))
+    capsys.readouterr()
+    assert main(["--config", str(cfg)] + argv + [
+        "--radius", "rs", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err \
+        == "error: radius rs is not declared outside |k^x|^Q\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_rational_radius_runs_gauss_norm(tmp_path):
+    cfg = tmp_path / "session.json"
+    cfg.write_text(json.dumps(RATIONAL_RADIUS))
+    series = SER_Q3.replace('"r1"', '"rs"')
+    assert main(["--config", str(cfg), "gauss-norm", "--series", series,
+                 "--out", str(tmp_path)]) == 0
+    art = _read(tmp_path, "gauss-norm")
+    assert art["params"]["radii"] == [RATIONAL_RADIUS["radii"]["rs"]]
+    assert main(["--check", str(tmp_path / "gauss-norm.json")]) == 0
+
+
+@pytest.mark.parametrize("radius", [
+    {"gen_id": "r1", "kind": "rational", "params": {"value": "3/5"},
+     "asserts_irrational": True},
+    {"gen_id": "r1", "kind": "quadratic",
+     "params": {"a": 0, "b": 0, "c": 2, "d": 2}, "asserts_irrational": True},
+], ids=["rational", "quadratic-b0"])
+def test_unbounded_demo_replay_of_false_irrationality_rejected(
+        radius, tmp_path, capsys):
+    # exit 1 with one error line, not a "replay DIFFERS" (exit 2)
+    _replay_edited(tmp_path, capsys,
+                   ["unbounded-demo", "--terms", "4", "--radius", "r1",
+                    "--bound", "1e6"],
+                   lambda params: params.update(radius=radius))
 
 
 @pytest.mark.parametrize("bound", ["1/0", "-5", "0", "1"])

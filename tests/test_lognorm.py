@@ -20,8 +20,7 @@ from nonarch.lognorm import (_log_sign, ln_sorted, log_q_interval,
 from nonarch.series import POWER, TateSeries
 
 R1 = RadiusDecl.default("r1")             # log_q(1/r) = sqrt(2)/2
-R06 = RadiusDecl.rational_stub("r06", Fraction(3, 5),
-                               asserts_irrational=True)
+R06 = RadiusDecl.rational_stub("r06", Fraction(3, 5))
 
 
 def test_mul_examples():
@@ -74,13 +73,33 @@ def test_never_eq_for_distinct_structures():
 
 
 def test_declarations():
-    assert R1.asserts_irrational and R1.check_declaration()
-    assert not R06.check_declaration()     # stub cannot be verified
+    assert R1.asserts_irrational
+    assert not R06.asserts_irrational      # r06 lies inside |k^x|^Q
     sq9 = RadiusDecl.quadratic("bad", 0, 1, 1, 9)
     assert not sq9.asserts_irrational      # sqrt(9) = 3 is rational
     lo, hi = R1.interval(64)
     assert lo < hi and hi - lo <= Fraction(1, 2 ** 63)
     assert Fraction(7, 10) < lo < hi < Fraction(71, 100)
+
+
+@settings(max_examples=200)
+@given(st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 4),
+       st.integers(1, 40))
+def test_irrationality_is_computed(a, b, c, d):
+    decl = RadiusDecl.quadratic("q", a, b, c, d)
+    squares = {k * k for k in range(7)}
+    assert decl.asserts_irrational == (b != 0 and d not in squares)
+    back = RadiusDecl.from_json(decl.to_json())
+    assert back.to_json() == decl.to_json()
+    assert back.quadratic_parts == decl.quadratic_parts == (d, a, b, c)
+    stub = RadiusDecl.rational_stub("s", Fraction(a, c))
+    assert not stub.asserts_irrational
+    assert RadiusDecl.from_json(stub.to_json()).to_json() == stub.to_json()
+    if decl.asserts_irrational:
+        # exact and never 0: r against 1 cannot give up
+        want = Cmp.LT if a + b * d ** 0.5 > 0 else Cmp.GT
+        assert ln_compare(LogNorm.of(0, (1,)), LogNorm.identity(1),
+                          (decl,)) is want
 
 
 def test_pad_and_json():

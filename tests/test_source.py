@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and no module-level name of the package goes unread."""
 
 import ast
 import pathlib
@@ -34,3 +35,46 @@ def test_unused_imports_are_named():
               "from math import gcd, lcm\n"
               "def f(x: lcm):\n    return os.sep\n")
     assert unused_imports(source) == ["gcd", "system"]
+
+
+def unread_module_names(sources):
+    """The module-level functions, classes and constants, as "module:name",
+    that no module of ``sources`` (module name -> source) reads: as a name,
+    an attribute or an import (so an ``__init__`` export counts).  Dunder
+    names are left out."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                defined += [(module, t.id) for t in targets
+                            if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(f"{module}:{name}" for module, name in defined
+                  if name not in read and not name.startswith("__"))
+
+
+def test_no_unread_module_names():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_module_names(sources) == []
+
+
+def test_unread_module_names_are_named():
+    sources = {
+        "a": ("LIMIT = 4\nSPARE: int = 5\n__version__ = '1'\n"
+              "def used():\n    return LIMIT\n"
+              "def spare():\n    pass\n"
+              "class Exported:\n    def method(self):\n        pass\n"),
+        "b": "from .a import Exported\nimport a\nprint(a.used())\n",
+    }
+    assert unread_module_names(sources) == ["a:SPARE", "a:spare"]
