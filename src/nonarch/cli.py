@@ -38,7 +38,7 @@ from .series import (LAURENT, TateSeries, check_series_json,
                      spectral_power_estimate)
 from .squarezero import SquareZeroRing
 
-SCHEMA = "nonarch-artifact/2"
+SCHEMA = "nonarch-artifact/3"
 
 DEFAULT_CONFIG = {
     "fields": {

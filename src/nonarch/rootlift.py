@@ -1,22 +1,29 @@
-"""p-th root extraction by contractive iteration, with per-step certificates.
+"""p-th root extraction by Newton iteration, with per-step certificates.
 
 The iteration works in any multiplicatively normed carrier of this package
 (exact ``Scalar`` values or exact ``TateSeries``): starting from a unit f
-with |f - 1| < 1 and an auxiliary prime p of norm 1, set
+with |f - 1| < 1 and an auxiliary prime p of norm 1, set x_1 = 1 + g_1 and
 
-    g_1 = (f - 1)/p,   g_{m+1} = -h_m/p,   h_m = (1 + g_1 + ... + g_m)^p - f.
+    g_1 = (f - 1)/p,   g_{m+1} = -h_m*y_m/p,   h_m = x_m^p - f,
 
-Every step records (g_m, h_m) with their norms; the certified conditions are
+where x_m = 1 + g_1 + ... + g_m and y_m is an approximate inverse of
+x_m^(p-1), updated without division as y_m = y_(m-1)*(2 - x_m^(p-1)*y_(m-1))
+from y_0 = 1.  Then |h_(m+1)| <= max(|h_m|^2, |h_m|*|1 - x_m^(p-1)*y_m|),
+the inverse's error squares at every update as well, and so
+|h_m| <= |g_1|^(2^m).  Every step records (g_m, h_m) with their norms; the
+certified conditions are
 
     (1) (1 + g_1 + ... + g_m)^p = f + h_m     (exact identity),
     (2) |g_1| = |f - 1|,
     (3) |g_m| <= |g_1|^m,
     (4) |h_m| <= |g_1|^(m+1),
 
-so the partial sums converge geometrically with contraction factor |g_1|.
-Each running root 1 + g_1 + ... + g_m is an exact representative held to
-a bounded size, and g_m is its exact difference from the previous one, so
-a trace carries no fraction larger than its certificate needs.
+which the quadratic steps meet with room to spare.  The iteration stops at
+|h_m| <= q^(-cap) (resp. t^(-cap)) by default, so every digit of the root
+at the field's precision cap is certified.
+Each running root and its inverse are exact representatives held to a
+bounded size, and g_m is the exact difference of two running roots, so a
+trace carries no fraction larger than its certificate needs.
 Compatible towers stack roots: tower[e+1]^p = tower[e].
 """
 
@@ -25,18 +32,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import ceil
 
-from .errors import (MaxStepsExceeded, NoRootInField, PreconditionFailed,
-                     TowerObstruction)
+from .errors import (MaxStepsExceeded, NoRootInField, PrecisionExhausted,
+                     PreconditionFailed, TowerObstruction)
 from .fields import Scalar, check_aux_prime, scalar_pth_root
 from .lognorm import Cmp, LogNorm, ln_compare, ln_le, ln_pow
 
 DEFAULT_MAX_STEPS = 64
-DEFAULT_TOL_EXPONENT = 40
-# absolute digit depth kept in the running root between steps: 3*e0+16 for
-# a tolerance q^(-e0)*..., never below this; it must dominate tolerance
-# exponent + step count so no certified valuation is disturbed (the exact
-# p-adic iteration otherwise doubles its representation size at every step)
-MIN_WORK_DEPTH = 3 * DEFAULT_TOL_EXPONENT + 16
+# absolute digit depth kept in the running root and its inverse between
+# steps: 2*e + MIN_WORK_DEPTH, e the deeper of the tolerance q^(-e)*...
+# and |g_1|.  A step m that does not stop has q^(-e) < |h_m| <=
+# |g_1|^(2^m), so the next defect bound |g_1|^(2^(m+1)) is above q^(-2e),
+# and a cut below it disturbs no certified valuation (the exact iteration
+# otherwise doubles its representation size at every step)
+MIN_WORK_DEPTH = 16
 # a running root below this bit size is never rewritten, so small traces
 # show the textbook rationals verbatim; above it the root is cut back to
 # the work depth (for |f - 1| = 1/q no stored g, h or root then outgrows
@@ -105,15 +113,18 @@ def pth_root_near_one(f, p: int, max_steps: int = DEFAULT_MAX_STEPS,
     """Root of f with |f - 1| < 1; returns (root, RootTrace).
 
     Runs on exact representations; the caller caps the output if a capped
-    scalar is wanted.  Stops once |h_m| <= tol (default |g_1|^40).
+    scalar is wanted.  Stops once |h_m| <= tol (default q^(-cap), the
+    field's precision cap), or once x_m^p agrees with a capped f at every
+    digit f knows.  The loop uses only ring operations, ``pow_int``,
+    ``div_int(p)`` and ``_tame``, so every carrier runs the same code.
 
-    Each running root 1 + g_1 + ... + g_{m+1} (the previous one minus
-    h_m/p) past ``REDUCE_THRESHOLD_BITS`` is replaced by an exact
-    representative agreeing with it to an absolute digit depth set by the
-    tolerance (see ``MIN_WORK_DEPTH``), and g_{m+1} is stored as its exact
-    difference from the previous root.  The recorded conditions (1)-(4)
-    are exact identities of the stored values, and the perturbation
-    (below that digit) is invisible at every certified valuation.
+    Each running root x_m - h_m*y_m/p and each inverse y_m past
+    ``REDUCE_THRESHOLD_BITS`` is replaced by an exact representative
+    agreeing with it to an absolute digit depth set by the tolerance (see
+    ``MIN_WORK_DEPTH``), and g_{m+1} is stored as the exact difference of
+    two running roots.  The recorded conditions (1)-(4) are exact
+    identities of the stored values, and the perturbation (below that
+    digit) is invisible at every certified valuation.
     """
     spec = f.spec
     if not check_aux_prime(spec, p):
@@ -136,13 +147,27 @@ def pth_root_near_one(f, p: int, max_steps: int = DEFAULT_MAX_STEPS,
         raise PreconditionFailed(
             f"|f - 1| = {g1n} is not < 1; the iteration does not contract")
     if tol is None:
-        tol = ln_pow(g1n, DEFAULT_TOL_EXPONENT)
-    work_depth = max(MIN_WORK_DEPTH, 3 * ceil(tol.base_exp) + 16)
+        tol = LogNorm._make(spec.precision_cap, (0,) * len(radii))
+    work_depth = 2 * max(0, ceil(tol.base_exp), ceil(g1n.base_exp)) \
+        + MIN_WORK_DEPTH
     trace = RootTrace(p, f, g1n)
-    partial = _tame(one + g1, work_depth)
-    g = partial - one
+    x = _tame(one + g1, work_depth)
+    g = x - one
+    y = one
+    two = one + one
     for m in range(1, max_steps + 1):
-        h = partial.pow_int(p) - f
+        xp1 = x.pow_int(p - 1)
+        xp = xp1 * x
+        try:
+            h = xp - f
+        except PrecisionExhausted:
+            # x^p agrees with a capped f at every digit f knows: h is 0 at
+            # that precision, as verify_trace's equals finds too
+            h = one - one
+            reason = f"root^{p} agrees with the target at every known " \
+                f"digit after {m} steps"
+        else:
+            reason = f"|h_{m}| within tolerance after {m} steps"
         gn = g.norm_ln()
         hn = h.norm_ln() if not h.is_ring_zero() else LogNorm.zero(len(radii))
         ok_g = ln_le(gn, ln_pow(g1n, m), radii)
@@ -151,17 +176,19 @@ def pth_root_near_one(f, p: int, max_steps: int = DEFAULT_MAX_STEPS,
         if not (ok_g and ok_h):
             trace.certified = False
             trace.reason = f"contraction conditions failed at step {m}"
-            trace.result = partial
-            return partial, trace
+            trace.result = x
+            return x, trace
         if hn.is_zero or ln_le(hn, tol, radii):
-            trace.result = partial
+            trace.result = x
             trace.certified = True
-            trace.reason = f"|h_{m}| within tolerance after {m} steps"
-            return partial, trace
-        root = _tame(partial - h.div_int(p), work_depth)
-        g = root - partial
-        partial = root
-    trace.result = partial
+            trace.reason = reason
+            return x, trace
+        # y ~ x^(1-p), one Newton step for the inverse, then one for the root
+        y = _tame(y * (two - xp1 * y), work_depth)
+        root = _tame(x - (h * y).div_int(p), work_depth)
+        g = root - x
+        x = root
+    trace.result = x
     trace.reason = f"tolerance not reached in {max_steps} steps"
     raise MaxStepsExceeded(trace.reason, trace)
 

@@ -1,5 +1,8 @@
 """Certified root iteration, recentring and compatible towers."""
 
+import importlib.util
+import pathlib
+import sys
 from fractions import Fraction
 from math import ceil
 
@@ -10,12 +13,13 @@ from nonarch import (FieldSpec, LogNorm, MaxStepsExceeded, PreconditionFailed,
                      TowerObstruction, build_tower, ln_pow, pth_root_near,
                      pth_root_near_one, scalar_from_literal, scalar_pth_root,
                      tower_unit_certificate, verify_tower, verify_trace)
+from nonarch.cli import _params_for, build_parser, load_config
 from nonarch.fields import FQ_LAURENT, PADIC, check_aux_prime
 from nonarch.lognorm import Cmp, ln_compare, ln_le
-from nonarch.rootlift import (DEFAULT_MAX_STEPS, DEFAULT_TOL_EXPONENT,
-                              MIN_WORK_DEPTH, REDUCE_THRESHOLD_BITS, RootStep,
+from nonarch.rootlift import (DEFAULT_MAX_STEPS, MIN_WORK_DEPTH, RootStep,
                               RootTrace)
 from nonarch.series import POWER
+from test_golden import CASES
 
 Q3 = FieldSpec(PADIC, 3, precision_cap=40)
 Q5 = FieldSpec(PADIC, 5, precision_cap=40)
@@ -30,16 +34,20 @@ def q3(x):
 
 def test_worked_trace_for_four():
     root, trace = pth_root_near_one(q3(4), 2)
-    assert trace.certified
+    assert trace.certified and len(trace.steps) == 6
     s1, s2 = trace.steps[0], trace.steps[1]
     assert s1.g.equals(q3(Fraction(3, 2)))
     assert s1.h.equals(q3(Fraction(9, 4)))
     assert s1.norm_g.base_exp == 1 and s1.norm_h.base_exp == 2
-    assert s2.g.equals(q3(Fraction(-9, 8)))
-    assert s2.h.equals(q3(Fraction(-135, 64)))
-    assert s2.norm_h.base_exp == 3
+    # y_1 = 1*(2 - x_1) = -1/2, so g_2 = -h_1*y_1/2
+    assert s2.g.equals(q3(Fraction(9, 16)))
+    assert s2.h.equals(q3(Fraction(1377, 256)))     # 3^4 * 17 / 2^8
+    assert s2.norm_g.base_exp == 2 and s2.norm_h.base_exp == 4
     # partial sum after two steps
-    assert (Scalar.one(Q3) + s1.g + s2.g).equals(q3(Fraction(11, 8)))
+    assert (Scalar.one(Q3) + s1.g + s2.g).equals(q3(Fraction(49, 16)))
+    # |h_m| = 3^-2, 3^-4, 3^-8, ..., 3^-64: the digits double every step
+    assert [s.norm_h.base_exp for s in trace.steps] == \
+        [2, 4, 8, 16, 32, 64]
     assert root.cap().equals(q3(-2))
     assert verify_trace(trace)
 
@@ -65,6 +73,7 @@ def test_contraction_is_g1_norm():
         assert step.cond_contraction and step.cond_defect
         assert step.norm_g.base_exp >= step.index * g1.base_exp
         assert step.norm_h.base_exp >= (step.index + 1) * g1.base_exp
+        assert step.norm_h.base_exp >= 2 ** step.index * g1.base_exp
 
 
 def test_preconditions():
@@ -162,12 +171,24 @@ def test_series_carrier_iteration():
     sep = root - root.ring_one()
     # recentring guarantee: |root - 1| <= |g_1| < 1 = |root|
     assert sep.norm_ln() == trace.contraction
-    old_root, old = _old_pth_root_near_one(f, 3, max_steps=6, tol=tol)
-    assert len(trace.steps) == len(old.steps) and old.certified
-    assert _capped(root) == _capped(old_root)
+    _assert_quadratic(trace, (R1,))
+    old_root, old = _old_pth_root_near_one(f, 3, tol, max_steps=6)
+    assert old.certified
+    # here the linear iteration is one step ahead by luck: its second root
+    # 1 + tT + (tT)^2 + (tT)^3 = (1 + tT)(1 + (tT)^2) is the root of
+    # 1 + tT = (1 + tT)(1 + (tT)^2)(1 + (tT)^8)... cubed to (tT)^8 in
+    # characteristic 2, while Newton's inverse is still off by (tT)^2
+    assert (len(trace.steps), len(old.steps)) == (3, 2)
+    # both are p-th roots of f to within tol, and x^3 - y^3 has the norm
+    # of x - y for units x and y that are 1 mod t
+    assert ln_le((root - old_root).norm_ln(), tol, (R1,))
 
 
-# -- bounded traces against the g-only taming they replace -----------------
+# -- Newton traces against the linear iteration they replace ---------------
+
+# the old floor: from the old default tolerance |g_1|^40
+_OLD_WORK_DEPTH = 3 * 40 + 16
+
 
 def _old_tame(x, work_depth):
     if x.rep_size() <= 4096:
@@ -175,9 +196,10 @@ def _old_tame(x, work_depth):
     return x.reduce_representative(work_depth)
 
 
-def _old_pth_root_near_one(f, p, max_steps=DEFAULT_MAX_STEPS, tol=None):
-    """The iteration that tamed each correction only, past 4,096 bits: the
-    running root kept every denominator it picked up."""
+def _old_pth_root_near_one(f, p, tol, max_steps=DEFAULT_MAX_STEPS):
+    """The linear iteration g_{m+1} = -h_m/p, which tamed each correction
+    only, past 4,096 bits: the running root kept every denominator it
+    picked up."""
     spec = f.spec
     if not check_aux_prime(spec, p):
         raise PreconditionFailed(
@@ -198,9 +220,7 @@ def _old_pth_root_near_one(f, p, max_steps=DEFAULT_MAX_STEPS, tol=None):
     if ln_compare(g1n, ident, radii) is not Cmp.LT:
         raise PreconditionFailed(
             f"|f - 1| = {g1n} is not < 1; the iteration does not contract")
-    if tol is None:
-        tol = ln_pow(g1n, DEFAULT_TOL_EXPONENT)
-    work_depth = max(MIN_WORK_DEPTH, 3 * ceil(tol.base_exp) + 16)
+    work_depth = max(_OLD_WORK_DEPTH, 3 * ceil(tol.base_exp) + 16)
     g1 = _old_tame(g1, work_depth)
     trace = RootTrace(p, f, g1n)
     partial = one + g1
@@ -229,17 +249,18 @@ def _old_pth_root_near_one(f, p, max_steps=DEFAULT_MAX_STEPS, tol=None):
     raise MaxStepsExceeded(trace.reason, trace)
 
 
-def _capped(x):
-    if isinstance(x, Scalar):
-        return x.cap().to_literal()
-    return sorted((e, c.cap().to_literal()) for e, c in x.support.items())
-
-
 def _partials(trace):
     partial = trace.target.ring_one()
     for s in trace.steps:
         partial = partial + s.g
         yield s, partial
+
+
+def _assert_quadratic(trace, radii=()):
+    """|h_m| <= |g_1|^(2^m) at every step."""
+    for s in trace.steps:
+        assert ln_le(s.norm_h, ln_pow(trace.contraction, 2 ** s.index),
+                     radii)
 
 
 # every target has |f - 1| = 1/q
@@ -253,27 +274,103 @@ BOUNDED_CASES = [(Q3, 2, t) for t in ("4", "7", "13/4", "-2", "1+2*3")] + \
 def test_bounded_trace_matches_g_only_taming(spec, p, target):
     f = scalar_from_literal(spec, target)
     root, trace = pth_root_near_one(f, p)
-    old_root, old = _old_pth_root_near_one(f, p)
-    assert len(trace.steps) == len(old.steps)
+    # the linear iteration, stopped at the same tolerance, is the oracle
+    old_root, old = _old_pth_root_near_one(f, p,
+                                           LogNorm.of(spec.precision_cap))
+    assert len(trace.steps) <= min(len(old.steps), 6)
     assert trace.certified and old.certified
     assert root.cap().equals(old_root.cap())
     assert verify_trace(trace)
+    _assert_quadratic(trace)
     bound = (p + 1) * 1024 + f.rep_size()
     for s, partial in _partials(trace):
         assert max(s.g.rep_size(), s.h.rep_size(), partial.rep_size()) \
             <= bound
-    # while the old running root stays below the threshold, the two traces
-    # store the same textbook values
-    for (s, _), (t, partial) in zip(_partials(trace), _partials(old)):
-        if partial.rep_size() > REDUCE_THRESHOLD_BITS:
-            break
-        assert s.g.equals(t.g) and s.h.equals(t.h)
+    # the first step is the textbook one in both traces
+    assert trace.steps[0].g.equals(old.steps[0].g)
+    assert trace.steps[0].h.equals(old.steps[0].h)
 
 
 def test_bounded_trace_perturbed_below_work_depth_fails():
-    # a change below q^-work_depth is invisible to every certified norm,
-    # but identity (1) is checked exactly
+    # a change below q^-work_depth (2*cap + 16 for a q3 root with
+    # |f - 1| = 1/3) is invisible to every certified norm, but identity (1)
+    # is checked exactly
     _, trace = pth_root_near_one(q3(4), 2)
     step = trace.steps[5]
-    step.g = step.g + Scalar.from_int(Q3, 3 ** MIN_WORK_DEPTH)
+    depth = 2 * Q3.precision_cap + MIN_WORK_DEPTH
+    step.g = step.g + Scalar.from_int(Q3, 3 ** depth)
     assert not verify_trace(trace)
+
+
+# -- every printed digit is certified: the field's own root is the oracle --
+
+def _load_lift_jobs():
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / \
+        "jobs.py"
+    spec = importlib.util.spec_from_file_location("_bench_jobs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+GOLDEN_ROOTS = [tuple(argv) for _, argv in sorted(CASES.items())
+                if argv[0] == "pth-root"]
+LIFT_ROOTS = sorted({job.argv for seed in (11, 12, 13, 14)
+                     for job in _load_lift_jobs().build("lift", seed)
+                     if job.argv[0] == "pth-root"} - set(GOLDEN_ROOTS))
+ROOT_CASES = pytest.mark.parametrize(
+    "argv", GOLDEN_ROOTS + LIFT_ROOTS, ids=lambda argv: " ".join(argv[1:]))
+
+
+def _root_trace(argv):
+    """(target, prime, root, trace) of a pth-root command line, with the
+    field, target and steps the CLI parses from it."""
+    params = _params_for(build_parser().parse_args(list(argv)),
+                         load_config())
+    f = scalar_from_literal(FieldSpec.from_json(params["field"]),
+                            params["target"])
+    p = params["prime"]
+    kwargs = {} if params.get("max_steps") is None \
+        else {"max_steps": params["max_steps"]}
+    return (f, p) + pth_root_near_one(f, p, **kwargs)
+
+
+@ROOT_CASES
+def test_capped_root_is_the_field_root(argv):
+    f, p, root, trace = _root_trace(argv)
+    assert trace.certified and verify_trace(trace)
+    assert root.cap().to_literal() == scalar_pth_root(f, p).to_literal()
+
+
+@ROOT_CASES
+def test_root_trace_is_quadratic(argv):
+    _, _, _, trace = _root_trace(argv)
+    assert len(trace.steps) <= 8
+    _assert_quadratic(trace)
+
+
+def test_capped_target_stops_at_its_known_digits():
+    # w/(w + t) is known to t^64 only: Newton passes that precision, so the
+    # last step stores h = 0 and replay accepts it through equals
+    f = scalar_from_literal(F4T, "w/(w + t)")
+    assert f.precision == F4T.precision_cap
+    root, trace = pth_root_near_one(f, 3)
+    last = trace.steps[-1]
+    assert trace.certified and last.h.is_ring_zero() and last.norm_h.is_zero
+    assert "every known digit" in trace.reason
+    assert verify_trace(trace)
+    assert root.cap().equals(scalar_pth_root(f, 3))
+
+
+@pytest.mark.parametrize("target,steps", [("1+3^200", 1), ("1+3^700", 1),
+                                          ("1+2*3^64", 1), ("1+3^5", 3)])
+def test_deep_target_stops_at_the_cap(target, steps):
+    # the tolerance is q^-cap, not |g_1|^40; the running root is held past
+    # |g_1|^2 even when |g_1| is below the cap
+    f = scalar_from_literal(Q3, target)
+    root, trace = pth_root_near_one(f, 2)
+    assert trace.certified and len(trace.steps) == steps
+    assert verify_trace(trace)
+    _assert_quadratic(trace)
+    assert root.cap().equals(scalar_pth_root(f, 2))
