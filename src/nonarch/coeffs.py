@@ -815,11 +815,9 @@ class RatFunField:
         return a.inv()
 
     def nth_roots(self, a, n):
-        """Some x with x^n = a: [1] for a = 1, one root for a monomial
-        c*u^(n*e) with c an n-th power residue, [] otherwise.  That covers
-        the residues of the units that root towers start from."""
-        if a == self.one:
-            return [self.one]
+        """Some x with x^n = a: one root for a monomial c*u^(n*e) with c
+        an n-th power residue, [] otherwise.  That covers the residues
+        other than 1 of the units that root towers start from."""
         if a.is_poly() and len(a.num.terms) == 1:
             (e, c), = a.num.terms.items()
             if all(k % n == 0 for k in e):

@@ -11,8 +11,8 @@ Construction chain, all exactly computable:
 * the derivation d/dF on the subring k[T][f], realised on bivariate
   polynomials P(T, F) (``deriv_eval``), with d(f) = 1;
 * the dual-number homomorphism phi(P) = (P(T,f), dP/dF(T,f)) into the
-  square-zero extension, whose norm-ratio table diverges
-  (``unboundedness_table``);
+  square-zero extension, whose norm-ratio table diverges in characteristic
+  0 (``unboundedness_table``);
 * in characteristic p, a series with p-independent coefficients
   (``pbasis_series``) and an exhaustive-span certificate that no bounded
   relation f0^p g0 f = sum g_i f_i^p omitting a declared p-basis generator
@@ -372,8 +372,17 @@ def unboundedness_table(terms: int, spec: FieldSpec, radius: RadiusDecl,
 
     Ratios equal r^(-i_{n+1}) exactly in exponent form and grow without
     bound; the verdict is UNBOUNDED once they are strictly increasing and
-    certified to exceed ``bound``.
+    certified to exceed ``bound``.  Characteristic 0 only: every field of
+    characteristic p here is F-finite, where every homomorphism of
+    affinoid algebras is bounded; there f = sum_{l<p} T^l g_l^p, so every
+    derivation with D(T) = 0 kills f, and phi (which needs D(f) = 1)
+    extends to no homomorphism on A = k<T/r>.
     """
+    if spec.char != 0:
+        raise PreconditionFailed(
+            f"the divergence table needs characteristic 0: "
+            f"{spec.describe()} is F-finite, so every homomorphism of its "
+            f"affinoid algebras is bounded")
     if terms < 2:
         raise ValueError("need at least two terms for one table row")
     sp = sparse_series(terms, spec, radius)

@@ -728,12 +728,14 @@ def _padic_root(a: Scalar, p: int, v: int) -> Scalar:
                                                        spec.precision_cap)
     qm = q ** m
     u = _unit_mod(a, m)
-    u0 = u % q
-    roots = sorted(x for x in range(1, q) if pow(x, p, q) == u0)
-    if not roots:
-        raise NoRootInField(
-            f"residue {u0} has no {p}-th root in F_{q}")
-    r = 1 if u0 == 1 else roots[0]
+    r = u % q
+    if r != 1:
+        # residue 1 keeps its root 1 without listing the residue field
+        roots = [x for x in range(2, q) if pow(x, p, q) == r]
+        if not roots:
+            raise NoRootInField(
+                f"residue {r} has no {p}-th root in F_{q}")
+        r = roots[0]
     for _ in range(m.bit_length() + 2):
         fr = (pow(r, p, qm) - u) % qm
         if fr == 0:
@@ -751,12 +753,14 @@ def _laurent_root(a: Scalar, p: int, v: int) -> Scalar:
     L = spec.precision_cap if a._prec is None else min(a._prec,
                                                        spec.precision_cap)
     unit = a._unit
-    c0 = unit[0]
-    roots = dom.nth_roots(c0, p)
-    if not roots:
-        raise NoRootInField(
-            f"residue coefficient has no {p}-th root in the residue field")
-    r0 = dom.one if (c0 == dom.one and dom.one in roots) else roots[0]
+    r0 = unit[0]
+    if r0 != dom.one:
+        roots = dom.nth_roots(r0, p)
+        if not roots:
+            raise NoRootInField(
+                f"residue coefficient has no {p}-th root in the residue "
+                f"field")
+        r0 = roots[0]
     r = {0: r0}
     minus_one, p_dom = dom.neg(dom.one), dom.from_int(p)
     length = 1

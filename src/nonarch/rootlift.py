@@ -1,7 +1,6 @@
 """p-th root extraction by Newton iteration, with per-step certificates.
 
-The iteration works in any multiplicatively normed carrier of this package
-(exact ``Scalar`` values or exact ``TateSeries``): starting from a unit f
+The iteration runs on field scalars (``Scalar``): starting from a unit f
 with |f - 1| < 1 and an auxiliary prime p of norm 1, set x_1 = 1 + g_1 and
 
     g_1 = (f - 1)/p,   g_{m+1} = -h_m*y_m/p,   h_m = x_m^p - f,
@@ -19,8 +18,8 @@ certified conditions are
     (4) |h_m| <= |g_1|^(m+1),
 
 which the quadratic steps meet with room to spare.  The iteration stops at
-|h_m| <= q^(-cap) (resp. t^(-cap)) by default, so every digit of the root
-at the field's precision cap is certified.
+|h_m| <= q^(-cap) (resp. t^(-cap)), so every digit of the root at the
+field's precision cap is certified.
 Each running root and its inverse are exact representatives held to a
 bounded size, and g_m is the exact difference of two running roots, so a
 trace carries no fraction larger than its certificate needs.
@@ -34,12 +33,12 @@ from math import ceil
 
 from .errors import (MaxStepsExceeded, NoRootInField, PrecisionExhausted,
                      PreconditionFailed, TowerObstruction)
-from .fields import Scalar, check_aux_prime, scalar_pth_root
+from .fields import check_aux_prime, scalar_pth_root
 from .lognorm import Cmp, LogNorm, ln_compare, ln_le, ln_pow
 
 DEFAULT_MAX_STEPS = 64
 # absolute digit depth kept in the running root and its inverse between
-# steps: 2*e + MIN_WORK_DEPTH, e the deeper of the tolerance q^(-e)*...
+# steps: 2*e + MIN_WORK_DEPTH, e the deeper of the tolerance q^(-cap)
 # and |g_1|.  A step m that does not stop has q^(-e) < |h_m| <=
 # |g_1|^(2^m), so the next defect bound |g_1|^(2^(m+1)) is above q^(-2e),
 # and a cut below it disturbs no certified valuation (the exact iteration
@@ -101,22 +100,16 @@ class RootTrace:
 
 
 def _obj_json(x):
-    if x is None:
-        return None
-    if isinstance(x, Scalar):
-        return x.to_literal()
-    return x.to_json()
+    return None if x is None else x.to_literal()
 
 
-def pth_root_near_one(f, p: int, max_steps: int = DEFAULT_MAX_STEPS,
-                      tol: LogNorm = None):
-    """Root of f with |f - 1| < 1; returns (root, RootTrace).
+def pth_root_near_one(f, p: int, max_steps: int = DEFAULT_MAX_STEPS):
+    """Root of the scalar f with |f - 1| < 1; returns (root, RootTrace).
 
     Runs on exact representations; the caller caps the output if a capped
-    scalar is wanted.  Stops once |h_m| <= tol (default q^(-cap), the
-    field's precision cap), or once x_m^p agrees with a capped f at every
-    digit f knows.  The loop uses only ring operations, ``pow_int``,
-    ``div_int(p)`` and ``_tame``, so every carrier runs the same code.
+    scalar is wanted.  Stops once |h_m| <= q^(-cap) (t^(-cap)), the field's
+    precision cap, or once x_m^p agrees with a capped f at every digit f
+    knows.
 
     Each running root x_m - h_m*y_m/p and each inverse y_m past
     ``REDUCE_THRESHOLD_BITS`` is replaced by an exact representative
@@ -130,11 +123,10 @@ def pth_root_near_one(f, p: int, max_steps: int = DEFAULT_MAX_STEPS,
     if not check_aux_prime(spec, p):
         raise PreconditionFailed(
             f"prime {p} does not have norm 1 in {spec.describe()}")
-    radii = f.radius_ctx()
     one = f.ring_one()
     diff = f - one
     if diff.is_ring_zero():
-        trace = RootTrace(p, f, LogNorm.zero(len(radii)), [], one, True,
+        trace = RootTrace(p, f, LogNorm.zero(0), [], one, True,
                           "target is 1; root is 1")
         return one, trace
     g1 = diff.div_int(p)
@@ -142,12 +134,10 @@ def pth_root_near_one(f, p: int, max_steps: int = DEFAULT_MAX_STEPS,
     diffn = diff.norm_ln()
     if g1n != diffn:
         raise PreconditionFailed("|p| = 1 failed to hold on this input")
-    ident = LogNorm.identity(len(radii))
-    if ln_compare(g1n, ident, radii) is not Cmp.LT:
+    if ln_compare(g1n, LogNorm.identity(0), ()) is not Cmp.LT:
         raise PreconditionFailed(
             f"|f - 1| = {g1n} is not < 1; the iteration does not contract")
-    if tol is None:
-        tol = LogNorm._make(spec.precision_cap, (0,) * len(radii))
+    tol = LogNorm._make(spec.precision_cap, ())
     work_depth = 2 * max(0, ceil(tol.base_exp), ceil(g1n.base_exp)) \
         + MIN_WORK_DEPTH
     trace = RootTrace(p, f, g1n)
@@ -169,16 +159,16 @@ def pth_root_near_one(f, p: int, max_steps: int = DEFAULT_MAX_STEPS,
         else:
             reason = f"|h_{m}| within tolerance after {m} steps"
         gn = g.norm_ln()
-        hn = h.norm_ln() if not h.is_ring_zero() else LogNorm.zero(len(radii))
-        ok_g = ln_le(gn, ln_pow(g1n, m), radii)
-        ok_h = hn.is_zero or ln_le(hn, ln_pow(g1n, m + 1), radii)
+        hn = h.norm_ln() if not h.is_ring_zero() else LogNorm.zero(0)
+        ok_g = ln_le(gn, ln_pow(g1n, m), ())
+        ok_h = hn.is_zero or ln_le(hn, ln_pow(g1n, m + 1), ())
         trace.steps.append(RootStep(m, g, h, gn, hn, ok_g, ok_h))
         if not (ok_g and ok_h):
             trace.certified = False
             trace.reason = f"contraction conditions failed at step {m}"
             trace.result = x
             return x, trace
-        if hn.is_zero or ln_le(hn, tol, radii):
+        if hn.is_zero or ln_le(hn, tol, ()):
             trace.result = x
             trace.certified = True
             trace.reason = reason
@@ -197,7 +187,6 @@ def verify_trace(trace: RootTrace) -> bool:
     """Exact replay of identity (1) and conditions (2)-(4) for every step."""
     f = trace.target
     one = f.ring_one()
-    radii = f.radius_ctx()
     if not trace.steps:
         return trace.result is not None and trace.result.equals(one)
     partial = one
@@ -211,13 +200,12 @@ def verify_trace(trace: RootTrace) -> bool:
         if not lhs.equals(f + s.h):
             return False
         gn = s.g.norm_ln()
-        hn = s.h.norm_ln() if not s.h.is_ring_zero() \
-            else LogNorm.zero(len(radii))
+        hn = s.h.norm_ln() if not s.h.is_ring_zero() else LogNorm.zero(0)
         if gn != s.norm_g or hn != s.norm_h:
             return False
-        if not ln_le(gn, ln_pow(g1n, s.index), radii):
+        if not ln_le(gn, ln_pow(g1n, s.index), ()):
             return False
-        if not (hn.is_zero or ln_le(hn, ln_pow(g1n, s.index + 1), radii)):
+        if not (hn.is_zero or ln_le(hn, ln_pow(g1n, s.index + 1), ())):
             return False
     return trace.result is None or trace.result.equals(partial)
 
@@ -229,26 +217,25 @@ class NearRootResult:
     recentred: bool   # |root - g_root| < |root| verified
 
 
-def pth_root_near(f, g, g_root, p: int, max_steps: int = DEFAULT_MAX_STEPS,
-                  tol: LogNorm = None) -> NearRootResult:
+def pth_root_near(f, g, g_root, p: int,
+                  max_steps: int = DEFAULT_MAX_STEPS) -> NearRootResult:
     """Root of f from a known root of a nearby unit g (|f - g| < |f|)."""
-    radii = f.radius_ctx()
     if not g_root.pow_int(p).equals(g):
         raise PreconditionFailed("g_root is not a p-th root of g")
     diff = f - g
     if diff.is_ring_zero():
-        trace = RootTrace(p, f, LogNorm.zero(len(radii)), [], g_root, True,
+        trace = RootTrace(p, f, LogNorm.zero(0), [], g_root, True,
                           "f = g; root reused")
         return NearRootResult(g_root, trace, True)
     fn = f.norm_ln()
-    if ln_compare(diff.norm_ln(), fn, radii) is not Cmp.LT:
+    if ln_compare(diff.norm_ln(), fn, ()) is not Cmp.LT:
         raise PreconditionFailed("|f - g| < |f| fails; cannot recentre")
     u = g.invert() * f
-    unit_root, trace = pth_root_near_one(u, p, max_steps, tol)
+    unit_root, trace = pth_root_near_one(u, p, max_steps)
     root = g_root * unit_root
     sep = root - g_root
     recentred = sep.is_ring_zero() or \
-        ln_compare(sep.norm_ln(), root.norm_ln(), radii) is Cmp.LT
+        ln_compare(sep.norm_ln(), root.norm_ln(), ()) is Cmp.LT
     return NearRootResult(root, trace, recentred)
 
 
@@ -271,17 +258,14 @@ class RootTower:
 
 
 def build_tower(f, p: int, depth: int) -> RootTower:
-    """Compatible p-power roots [f, f^(1/p), ..., f^(1/p^depth)] inside the
-    field (scalars use the deterministic Hensel path; series the iteration).
+    """Compatible p-power roots [f, f^(1/p), ..., f^(1/p^depth)] of the
+    scalar f inside the field, by the deterministic Hensel path.
     Raises TowerObstruction at the first level with no in-field root."""
     elements = [f]
     current = f
     for e in range(1, depth + 1):
         try:
-            if isinstance(current, Scalar):
-                current = scalar_pth_root(current, p)
-            else:
-                current, _ = pth_root_near_one(current, p)
+            current = scalar_pth_root(current, p)
         except (NoRootInField, PreconditionFailed) as exc:
             raise TowerObstruction(
                 f"no in-field {p}-th root at tower level {e}: {exc}", e

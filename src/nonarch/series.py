@@ -197,7 +197,8 @@ class TateSeries:
 
     def pow_int(self, k: int):
         if k < 0:
-            return self.invert().pow_int(-k)
+            # the square-and-multiply loops below never end on k < 0
+            raise ValueError(f"series power {k} is negative")
         if self.tail.is_zero:
             support = padic_support_pow(self.spec, self.support, k,
                                         self.nvars, SUPPORT_CAP)
@@ -206,31 +207,6 @@ class TateSeries:
                                         support, self.tail)
         return power(self, k, mul,
                      TateSeries.one(self.spec, self.radii, self.kind))
-
-    def invert(self):
-        """Inverse, available for single-term (monomial) series only."""
-        if len(self.support) != 1 or not self.tail.is_zero:
-            raise PreconditionFailed(
-                "series inverse implemented for exact monomials only")
-        (e, c), = self.support.items()
-        if self.kind == POWER and any(x > 0 for x in e):
-            raise PreconditionFailed(
-                "monomial inverse needs the Laurent ring")
-        inv_e = tuple(-x for x in e)
-        return TateSeries(self.spec, self.kind, self.radii,
-                          {inv_e: c.invert()})
-
-    def div_int(self, n: int):
-        return self.scalar_mul(Scalar.from_int(self.spec, n).invert())
-
-    def rep_size(self) -> int:
-        return sum(c.rep_size() for c in self.support.values())
-
-    def reduce_representative(self, depth: int):
-        """Coefficient-wise exact representative reduction (see Scalar)."""
-        return TateSeries(self.spec, self.kind, self.radii,
-                          {e: c.reduce_representative(depth)
-                           for e, c in self.support.items()}, self.tail)
 
     def ring_one(self):
         return TateSeries.one(self.spec, self.radii, self.kind)

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -651,6 +652,42 @@ def test_unbounded_demo_malformed_exponent_bound_rejected(bound, tmp_path,
         "unbounded-demo", "--terms", "4", "--bound", bound,
         "--out", str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field", ["f2t", "f4t", "ratfun2"])
+def test_unbounded_demo_over_characteristic_p_refused(field, tmp_path,
+                                                      capsys):
+    # every field of characteristic p here is F-finite, where every
+    # homomorphism of affinoid algebras is bounded: UNBOUNDED would be false
+    _fails_with_one_line(capsys, [
+        "unbounded-demo", "--field", field, "--terms", "5", "--radius", "r1",
+        "--bound", "1e6", "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+def test_unbounded_demo_replay_over_characteristic_p_refused(tmp_path,
+                                                             capsys):
+    f2t = cli.load_config()["fields"]["f2t"]
+    _replay_edited(tmp_path, capsys,
+                   ["unbounded-demo", "--terms", "4", "--radius", "r1",
+                    "--bound", "1e6"],
+                   lambda params: params.update(field=f2t))
+
+
+def test_residue_one_tower_over_a_30_bit_prime(tmp_path):
+    # a unit of residue 1 takes root 1 without listing the 10^9 + 7
+    # residues, which took longer than 20 s
+    cfg = tmp_path / "session.json"
+    cfg.write_text(json.dumps({"fields": {"q30": {
+        "kind": "PADIC", "residue_prime": 10 ** 9 + 7,
+        "precision_cap": 40}}}))
+    start = time.perf_counter()
+    assert main(["--config", str(cfg), "tower", "--field", "q30", "--prime",
+                 "2", "--target", str(10 ** 9 + 8), "--depth", "2",
+                 "--out", str(tmp_path)]) == 0
+    assert main(["--check", str(tmp_path / "tower.json")]) == 0
+    assert time.perf_counter() - start < 2
+    assert _read(tmp_path, "tower")["verdict"] == "VERIFIED"
 
 
 def test_precision_zero_rejected(tmp_path, capsys):

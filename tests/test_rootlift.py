@@ -9,23 +9,20 @@ from math import ceil
 import pytest
 
 from nonarch import (FieldSpec, LogNorm, MaxStepsExceeded, PreconditionFailed,
-                     RadiusDecl, RootTower, Scalar, TateSeries,
-                     TowerObstruction, build_tower, ln_pow, pth_root_near,
-                     pth_root_near_one, scalar_from_literal, scalar_pth_root,
+                     RootTower, Scalar, TowerObstruction, build_tower, ln_pow,
+                     pth_root_near, pth_root_near_one, scalar_from_literal, scalar_pth_root,
                      tower_unit_certificate, verify_tower, verify_trace)
 from nonarch.cli import _params_for, build_parser, load_config
 from nonarch.fields import FQ_LAURENT, PADIC, check_aux_prime
 from nonarch.lognorm import Cmp, ln_compare, ln_le
 from nonarch.rootlift import (DEFAULT_MAX_STEPS, MIN_WORK_DEPTH, RootStep,
                               RootTrace)
-from nonarch.series import POWER
 from test_golden import CASES
 
 Q3 = FieldSpec(PADIC, 3, precision_cap=40)
 Q5 = FieldSpec(PADIC, 5, precision_cap=40)
 F2T = FieldSpec(FQ_LAURENT, 2, field_size=2, precision_cap=64)
 F4T = FieldSpec(FQ_LAURENT, 2, field_size=4, precision_cap=64)
-R1 = RadiusDecl.default("r1")
 
 
 def q3(x):
@@ -161,29 +158,6 @@ def test_root_of_capped_input():
     assert again.pow_int(2).equals(Scalar.from_int(Q3, 4))
 
 
-def test_series_carrier_iteration():
-    f = TateSeries.from_terms(F2T, (R1,), [((0,), "1"), ((1,), "t")],
-                              kind=POWER)
-    tol = ln_pow(LogNorm.of(1, (1,)), 5)
-    root, trace = pth_root_near_one(f, 3, max_steps=6, tol=tol)
-    assert trace.certified
-    assert verify_trace(trace)
-    sep = root - root.ring_one()
-    # recentring guarantee: |root - 1| <= |g_1| < 1 = |root|
-    assert sep.norm_ln() == trace.contraction
-    _assert_quadratic(trace, (R1,))
-    old_root, old = _old_pth_root_near_one(f, 3, tol, max_steps=6)
-    assert old.certified
-    # here the linear iteration is one step ahead by luck: its second root
-    # 1 + tT + (tT)^2 + (tT)^3 = (1 + tT)(1 + (tT)^2) is the root of
-    # 1 + tT = (1 + tT)(1 + (tT)^2)(1 + (tT)^8)... cubed to (tT)^8 in
-    # characteristic 2, while Newton's inverse is still off by (tT)^2
-    assert (len(trace.steps), len(old.steps)) == (3, 2)
-    # both are p-th roots of f to within tol, and x^3 - y^3 has the norm
-    # of x - y for units x and y that are 1 mod t
-    assert ln_le((root - old_root).norm_ln(), tol, (R1,))
-
-
 # -- Newton traces against the linear iteration they replace ---------------
 
 # the old floor: from the old default tolerance |g_1|^40
@@ -256,11 +230,10 @@ def _partials(trace):
         yield s, partial
 
 
-def _assert_quadratic(trace, radii=()):
+def _assert_quadratic(trace):
     """|h_m| <= |g_1|^(2^m) at every step."""
     for s in trace.steps:
-        assert ln_le(s.norm_h, ln_pow(trace.contraction, 2 ** s.index),
-                     radii)
+        assert ln_le(s.norm_h, ln_pow(trace.contraction, 2 ** s.index), ())
 
 
 # every target has |f - 1| = 1/q
