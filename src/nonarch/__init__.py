@@ -2,9 +2,9 @@
 
 Truncated Tate/Laurent series over concrete valued fields, exact log-norm
 arithmetic with interval-refined comparison, certified p-th root lifting
-and compatible root towers, square-zero seminormed extensions, explicit
-unbounded dual-number homomorphisms with divergence certificates, and
-Frobenius p-th power decompositions over F-finite Laurent fields.
+and compatible root towers, dual numbers, explicit unbounded
+dual-number homomorphisms with divergence certificates, and Frobenius
+p-th power decompositions over F-finite Laurent fields.
 """
 
 from .errors import (DivisionByZero, IncompatibleContext, MaxStepsExceeded,
@@ -26,8 +26,8 @@ from .derivlab import (Certificate, PolyInTF, deriv_eval,
                        nonintegral_certificate, p_independence_certificate,
                        pbasis_series, phi, sparse_indices, sparse_series,
                        unboundedness_table)
-from .frobenius import (PBasis, decomposition_artifact,
-                        derivative_span_witness, scalar_decompose,
+from .frobenius import (decomposition_artifact, derivative_span_witness,
+                        pth_power_basis, scalar_decompose,
                         scalar_reconstruct, series_decompose,
                         series_reconstruct, termwise_tail_bound,
                         verify_norm_bound)

@@ -30,7 +30,7 @@ from .derivlab import (nonintegral_certificate,
 from .errors import NonarchError, TowerObstruction
 from .fields import (FQ_LAURENT, PADIC, RATFUN_LAURENT, FieldSpec, Scalar,
                      scalar_from_literal)
-from .frobenius import PBasis, decomposition_artifact, verify_norm_bound
+from .frobenius import decomposition_artifact, verify_norm_bound
 from .lognorm import Cmp, RadiusDecl, ln_compare, ln_mul
 from .rootlift import build_tower, pth_root_near_one, verify_tower, \
     verify_trace, tower_unit_certificate
@@ -266,15 +266,14 @@ def run_pbasis_cert(params):
 
 
 def run_ffinite_decompose(params):
-    f, spec, radii = _series_from_params(params)
+    f, _, _ = _series_from_params(params)
     # VERIFIED of 0 would rest on an empty decomposition
     if f.is_ring_zero():
         raise NonarchError("ffinite-decompose needs a nonzero series")
-    basis = PBasis(spec, spec.char)
-    art = decomposition_artifact(f, basis)
+    art = decomposition_artifact(f)
     ratios = []
     for e, c in f.sorted_terms():
-        ratio, ok = verify_norm_bound(c, basis)
+        ratio, ok = verify_norm_bound(c)
         ratios.append({"exp": list(e), "ratio": ratio.to_json(), "pass": ok})
     art["norm_bounds"] = ratios
     ok = art["round_trip_exact"] and art["derivative_span"] \

@@ -1,18 +1,16 @@
 """p-th power decompositions over F-finite Laurent fields.
 
-Over k = F_Q((t)) with characteristic p the elements 1, t, ..., t^(p-1)
-form a basis of k over k^p, and every scalar splits uniquely as
-a = sum a_i^p x_i by grouping t-exponents modulo p (coefficient roots are
-Frobenius inverses in F_Q).  Series split the same way along T-exponents:
-f = sum f_{e,i}^p x_i T^e.  Both round-trips are exact, the basis-weighted
-norm ratio is exactly 1, and the formal T-derivative is spanned by the
-d(x_i T^e), which is the operational content of the vanishing of the
-relative differentials on truncations.
+Over k = F_Q((t)) with characteristic p the field alone fixes the basis
+1, t, ..., t^(p-1) of k over k^p (`pth_power_basis`), and every scalar
+splits uniquely as a = sum a_i^p t^i by grouping t-exponents modulo p
+(coefficient roots are Frobenius inverses in F_Q).  Series split the same
+way along T-exponents: f = sum f_{e,i}^p t^i T^e.  Both round-trips are
+exact, the basis-weighted norm ratio is exactly 1, and the formal
+T-derivative is spanned by the d(t^i T^e), which is the operational
+content of the vanishing of the relative differentials on truncations.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import PrecisionExhausted, PreconditionFailed
 from .fields import FQ_LAURENT, FieldSpec, Scalar
@@ -20,43 +18,24 @@ from .lognorm import Cmp, LogNorm, ln_compare, ln_max, ln_mul, ln_pow
 from .series import TateSeries
 
 
-@dataclass(frozen=True)
-class PBasis:
-    spec: FieldSpec
-    prime: int
-
-    def __post_init__(self):
-        if self.spec.kind != FQ_LAURENT:
-            raise PreconditionFailed(
-                "p-th power decompositions are implemented for F_Q((t))")
-        if self.prime != self.spec.char:
-            raise PreconditionFailed(
-                "the decomposition prime must be the field characteristic")
-
-    @property
-    def size(self) -> int:
-        return self.prime
-
-    def element(self, i: int) -> Scalar:
-        """Basis element x_{i+1} = t^i."""
-        if not 0 <= i < self.prime:
-            raise IndexError("basis index out of range")
-        if i == 0:
-            return Scalar.one(self.spec)
-        return Scalar.t_power(self.spec, i)
-
-    def to_json(self):
-        return {"field": self.spec.to_json(), "prime": self.prime,
-                "elements": [self.element(i).to_literal()
-                             for i in range(self.size)]}
+def _prime(spec: FieldSpec) -> int:
+    """The characteristic p of F_Q((t)); every other field is refused."""
+    if spec.kind != FQ_LAURENT:
+        raise PreconditionFailed(
+            "p-th power decompositions are implemented for F_Q((t))")
+    return spec.char
 
 
-def scalar_decompose(a: Scalar, basis: PBasis):
-    """[a_1..a_s] with a = sum a_i^p x_i, exact to working precision."""
-    spec = basis.spec
-    if a.spec != spec:
-        raise PreconditionFailed("scalar from another field")
-    p = basis.prime
+def pth_power_basis(spec: FieldSpec):
+    """[1, t, ..., t^(p-1)], the basis of F_Q((t)) over its p-th powers."""
+    return [Scalar.one(spec)] + [Scalar.t_power(spec, i)
+                                 for i in range(1, _prime(spec))]
+
+
+def scalar_decompose(a: Scalar):
+    """[a_0..a_(p-1)] with a = sum a_i^p t^i, exact to working precision."""
+    spec = a.spec
+    p = _prime(spec)
     dom = spec.domain()
     parts = [dict() for _ in range(p)]
     if a.is_ring_zero():
@@ -88,37 +67,33 @@ def scalar_decompose(a: Scalar, basis: PBasis):
     return out
 
 
-def scalar_reconstruct(parts, basis: PBasis) -> Scalar:
-    spec = basis.spec
-    acc = Scalar.zero(spec)
-    for i, ai in enumerate(parts):
-        acc = acc + ai.pow_int(basis.prime) * basis.element(i)
+def scalar_reconstruct(parts) -> Scalar:
+    basis = pth_power_basis(parts[0].spec)
+    acc = Scalar.zero(parts[0].spec)
+    for ai, x in zip(parts, basis):
+        acc = acc + ai.pow_int(len(basis)) * x
     return acc
 
 
-def series_decompose(f: TateSeries, basis: PBasis):
-    """{(e, i): f_{e,i}} with f = sum f_{e,i}^p x_i T^e.
+def series_decompose(f: TateSeries):
+    """{(e, i): f_{e,i}} with f = sum f_{e,i}^p t^i T^e.
 
     e runs over {0..p-1}^n (T-exponent residues), i over basis indices;
     f_{e,i} collects the i-th scalar component of the coefficients at
     exponents congruent to e, with exponents divided by p."""
-    spec = basis.spec
-    if f.spec != spec:
-        raise PreconditionFailed("series from another field")
+    p = _prime(f.spec)
     if not f.is_exact():
         raise PreconditionFailed("decomposition needs an exact truncation")
-    p = basis.prime
-    n = f.nvars
     groups = {}
     for exp, c in f.support.items():
         e = tuple(x % p for x in exp)
         red = tuple((x - r) // p for x, r in zip(exp, e))
-        comps = scalar_decompose(c, basis)
+        comps = scalar_decompose(c)
         for i, ai in enumerate(comps):
             if ai.is_ring_zero():
                 continue
             groups.setdefault((e, i), {})[red] = ai
-    return {key: TateSeries(spec, f.kind, f.radii, sup)
+    return {key: TateSeries(f.spec, f.kind, f.radii, sup)
             for key, sup in groups.items()}
 
 
@@ -131,47 +106,47 @@ def _frobenius_stretch(g: TateSeries, p: int) -> TateSeries:
     return TateSeries(spec, g.kind, g.radii, out)
 
 
-def series_reconstruct(parts, basis: PBasis, like: TateSeries) -> TateSeries:
-    spec = basis.spec
-    p = basis.prime
+def series_reconstruct(parts, like: TateSeries) -> TateSeries:
+    spec = like.spec
+    basis = pth_power_basis(spec)
     acc = TateSeries.zero(spec, like.radii, like.kind)
     for (e, i), g in sorted(parts.items()):
-        term = _frobenius_stretch(g, p)
-        mono = TateSeries.monomial(spec, like.radii, e, basis.element(i),
-                                   like.kind)
+        term = _frobenius_stretch(g, len(basis))
+        mono = TateSeries.monomial(spec, like.radii, e, basis[i], like.kind)
         acc = acc + term * mono
     return acc
 
 
-def verify_norm_bound(a: Scalar, basis: PBasis):
-    """Two-sided comparison of max_i |a_i^p x_i| against |a|.
+def verify_norm_bound(a: Scalar):
+    """Two-sided comparison of max_i |a_i^p t^i| against |a|.
 
     For t-adic fields the decomposition groups by valuation residue, so
     the basis-weighted maximum equals |a| exactly; `pass` reports whether
     the observed ratio is 1 (the bound with C = 1)."""
     if a.is_ring_zero():
         raise PreconditionFailed("norm bound needs a nonzero scalar")
+    basis = pth_power_basis(a.spec)
     best = LogNorm.zero()
-    for i, ai in enumerate(scalar_decompose(a, basis)):
+    for ai, x in zip(scalar_decompose(a), basis):
         if not ai.is_ring_zero():
-            best = ln_max(best, ln_mul(ln_pow(ai.norm_ln(), basis.prime),
-                                       basis.element(i).norm_ln()), ())
+            best = ln_max(best, ln_mul(ln_pow(ai.norm_ln(), len(basis)),
+                                       x.norm_ln()), ())
     ratio = ln_mul(best, ln_pow(a.norm_ln(), -1))
     return ratio, ratio == LogNorm.identity(0)
 
 
-def termwise_tail_bound(f: TateSeries, basis: PBasis) -> bool:
+def termwise_tail_bound(f: TateSeries) -> bool:
     """Basis-weighted termwise bound with C = 1:
 
-        (|a_{p nu' + e, i}| r^(nu'))^p * |x_i| <= |a_{p nu' + e}| r^(p nu')
+        (|a_{p nu' + e, i}| r^(nu'))^p * |t^i| <= |a_{p nu' + e}| r^(p nu')
 
     for every decomposed term (the convergence estimate for the component
     series, in p-th-power form to keep exponents integral)."""
-    p = basis.prime
-    parts = series_decompose(f, basis)
+    basis = pth_power_basis(f.spec)
+    p = len(basis)
     radii = f.radii
-    for (e, i), g in parts.items():
-        weight = basis.element(i).norm_ln(len(radii))
+    for (e, i), g in series_decompose(f).items():
+        weight = basis[i].norm_ln(len(radii))
         for red, c in g.support.items():
             orig = tuple(p * x + r for x, r in zip(red, e))
             lhs = ln_mul(ln_pow(LogNorm(c.valuation(), red), p), weight)
@@ -182,17 +157,18 @@ def termwise_tail_bound(f: TateSeries, basis: PBasis) -> bool:
     return True
 
 
-def derivative_span_witness(f: TateSeries, basis: PBasis) -> bool:
-    """Check d f / d T_j = sum f_{e,i}(T)^p x_i e_j T^(e - delta_j) exactly.
+def derivative_span_witness(f: TateSeries, parts) -> bool:
+    """Check d f / d T_j = sum f_{e,i}(T)^p t^i e_j T^(e - delta_j) exactly,
+    for the decomposition ``parts = series_decompose(f)``.
 
     The p-th power blocks are constant for the derivative (their exponents
     are multiples of p), so the formal derivative of f must reproduce from
     the decomposition with only the basis monomials differentiated."""
     if not f.is_exact():
         raise PreconditionFailed("witness needs an exact truncation")
-    p = basis.prime
-    spec = basis.spec
-    parts = series_decompose(f, basis)
+    spec = f.spec
+    basis = pth_power_basis(spec)
+    p = len(basis)
     for var in range(f.nvars):
         lhs = f.formal_derivative(var)
         acc = TateSeries.zero(spec, f.radii, f.kind)
@@ -201,7 +177,7 @@ def derivative_span_witness(f: TateSeries, basis: PBasis) -> bool:
             if ej % p == 0:
                 continue
             block = _frobenius_stretch(g, p)
-            coeff = basis.element(i) * Scalar.from_int(spec, ej)
+            coeff = basis[i] * Scalar.from_int(spec, ej)
             if coeff.is_ring_zero():
                 continue
             shifted = list(e)
@@ -214,18 +190,18 @@ def derivative_span_witness(f: TateSeries, basis: PBasis) -> bool:
     return True
 
 
-def decomposition_artifact(f: TateSeries, basis: PBasis):
+def decomposition_artifact(f: TateSeries):
     """JSON-ready decomposition with the round-trip verdict."""
-    parts = series_decompose(f, basis)
-    recon = series_reconstruct(parts, basis, f)
-    ok = recon.equals(f)
+    basis = pth_power_basis(f.spec)
+    parts = series_decompose(f)
     return {
         "claim": "pth-power-basis-decomposition-round-trip",
-        "basis": basis.to_json(),
+        "basis": {"field": f.spec.to_json(), "prime": len(basis),
+                  "elements": [x.to_literal() for x in basis]},
         "parts": {
             ",".join([*(str(x) for x in e), str(i)]): g.to_json()
             for (e, i), g in sorted(parts.items())
         },
-        "round_trip_exact": ok,
-        "derivative_span": derivative_span_witness(f, basis),
+        "round_trip_exact": series_reconstruct(parts, f).equals(f),
+        "derivative_span": derivative_span_witness(f, parts),
     }

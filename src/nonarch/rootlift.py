@@ -207,7 +207,7 @@ def verify_trace(trace: RootTrace) -> bool:
             return False
         if not (hn.is_zero or ln_le(hn, ln_pow(g1n, s.index + 1), ())):
             return False
-    return trace.result is None or trace.result.equals(partial)
+    return trace.result is not None and trace.result.equals(partial)
 
 
 @dataclass

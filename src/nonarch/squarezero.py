@@ -1,11 +1,9 @@
-"""Seminormed square-zero extensions A (+) A/J with the twisted product
+"""Dual numbers A[eps] = A (+) A eps over a base carrier A, with
 
-    (a, b) * (a', b') = (a a', pi(a) b' + pi(a') b),
+    (a, b) * (a', b') = (a a', a b' + a' b),
 
-normed by the maximum of the component (semi)norms.  The quotient A/J is
-represented by an evaluator for its seminorm rather than ideal data; the
-default J = 0 gives dual numbers, where the evaluator is the ring norm and
-epsilon = (0, 1) has norm 1.
+normed by the maximum of the component norms, so eps = (0, 1) has norm 1.
+This is where phi(P) = (P(T, f), dP/dF(T, f)) lands.
 """
 
 from __future__ import annotations
@@ -15,22 +13,13 @@ from .lognorm import LogNorm, ln_max
 
 
 class SquareZeroRing:
-    """Square-zero extension of a base carrier (Scalar field or series
-    ring).  ``base_one`` fixes the base ring; ``quotient_norm`` evaluates
-    the seminorm of module components (defaults to the base norm)."""
+    """Dual numbers over a base carrier (Scalar field or series ring);
+    ``base_one`` fixes the base ring."""
 
-    def __init__(self, base_one, quotient_norm=None):
+    def __init__(self, base_one):
         self.base_one = base_one
         self.base_zero = base_one - base_one
         self.radii = base_one.radius_ctx()
-        self._qnorm = quotient_norm
-
-    def quotient_norm(self, b) -> LogNorm:
-        if self._qnorm is not None:
-            return self._qnorm(b)
-        if b.is_ring_zero():
-            return LogNorm.zero(len(self.radii))
-        return b.norm_ln()
 
     def elem(self, a, b) -> "SquareZeroElem":
         return SquareZeroElem(self, a, b)
@@ -73,15 +62,10 @@ class SquareZeroElem:
         return self.a.equals(other.a) and self.b.equals(other.b)
 
     def norm_ln(self) -> LogNorm:
-        na = self.a.norm_ln() if not self.a.is_ring_zero() \
-            else LogNorm.zero(len(self.ring.radii))
-        # nb first, so that a zero b keeps its own ZERO when a is zero too
-        return ln_max(self.ring.quotient_norm(self.b), na, self.ring.radii)
-
-    def to_json(self):
-        def enc(x):
-            return x.to_literal() if hasattr(x, "to_literal") else x.to_json()
-        return {"a": enc(self.a), "b": enc(self.b)}
+        zero = LogNorm.zero(len(self.ring.radii))
+        na = zero if self.a.is_ring_zero() else self.a.norm_ln()
+        nb = zero if self.b.is_ring_zero() else self.b.norm_ln()
+        return ln_max(nb, na, self.ring.radii)
 
     def __repr__(self):
         return f"({self.a!r}, {self.b!r})"

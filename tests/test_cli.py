@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from nonarch import cli
+from nonarch import cli, frobenius
 from nonarch.cli import main
 from nonarch.coeffs import GF
 from nonarch.fields import PADIC, FieldSpec, scalar_from_literal
@@ -924,6 +924,21 @@ def test_sz_check_multiplies_seven_times_per_trial(tmp_path, monkeypatch):
         assert main(["sz-check", "--field", field, "--count", "12",
                      "--out", str(tmp_path)]) == 0
         assert len(calls) == 7 * 12
+
+
+def test_ffinite_decompose_splits_the_series_once(tmp_path, monkeypatch):
+    # the round trip and the derivative witness share one decomposition
+    calls = []
+    decompose = frobenius.series_decompose
+
+    def counting(*args):
+        calls.append(1)
+        return decompose(*args)
+
+    monkeypatch.setattr(frobenius, "series_decompose", counting)
+    assert main(["ffinite-decompose", "--field", "f2t", "--series", SER_F2,
+                 "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 def test_char_p_root_packs_its_series_products(tmp_path, monkeypatch):

@@ -175,6 +175,34 @@ CASES = {
         json.dumps({"kind": "laurent", "radius": ["r1"], "terms": [
             {"exp": [0], "coeff": "1 + t"}, {"exp": [1], "coeff": "t^-1"},
             {"exp": [3], "coeff": "t^2"}]})],
+    # a tail bound compared with the stored maximum: below it, and above
+    "q3-gauss-norm-tail-below": [
+        "gauss-norm", "--field", "q3", "--series",
+        json.dumps({"kind": "power", "radius": ["r1"], "terms": [
+            {"exp": [0], "coeff": "1"}, {"exp": [3], "coeff": "3"}],
+            "tail": {"e0": "1", "radius": ["2"]}})],
+    "q3-gauss-norm-tail-above": [
+        "gauss-norm", "--field", "q3", "--series",
+        json.dumps({"kind": "power", "radius": ["r1"], "terms": [
+            {"exp": [2], "coeff": "9"}],
+            "tail": {"e0": "0", "radius": ["1"]}})],
+    # a planted relation among the coefficients, and a span too small to
+    # decide
+    "pbasis-cert-planted-relation": [
+        "pbasis-cert", "--nvars", "1", "--tdeg", "2", "--cdeg", "1",
+        "--series", json.dumps({"kind": "power", "radius": ["r1"], "terms": [
+            {"exp": [0], "coeff": "t^2"}, {"exp": [2], "coeff": "u1^2"}]})],
+    "pbasis-cert-not-certified": [
+        "pbasis-cert", "--nvars", "1", "--tdeg", "2", "--cdeg", "1",
+        "--series", json.dumps({"kind": "power", "radius": ["r1"], "terms": [
+            {"exp": [0], "coeff": "t^8"}]})],
+    # towers that stop: no square root of 2 in Q_3, and no cube root of the
+    # residue w in F_4
+    "q3-tower-obstructed": ["tower", "--field", "q3", "--prime", "2",
+                            "--target", "2", "--depth", "1"],
+    "f4t-tower-obstructed-residue": [
+        "tower", "--field", "f4t", "--prime", "3", "--target", "w*(1 + t)",
+        "--depth", "2"],
 }
 
 

@@ -49,6 +49,13 @@ def test_worked_trace_for_four():
     assert verify_trace(trace)
 
 
+def test_trace_without_root_fails():
+    _, trace = pth_root_near_one(q3(4), 2)
+    trace.result = None
+    assert trace.certified and len(trace.steps) == 6
+    assert not verify_trace(trace)
+
+
 def test_trivial_target():
     root, trace = pth_root_near_one(Scalar.one(Q3), 2)
     assert root.equals(Scalar.one(Q3))

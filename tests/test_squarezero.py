@@ -1,4 +1,4 @@
-"""Twisted square-zero product, max norm and the reduced quotient."""
+"""Dual-number product, max norm and the reduction to the base."""
 
 import random
 from fractions import Fraction
@@ -45,26 +45,6 @@ def test_norm_is_component_max():
     assert R.zero().norm_ln().is_zero
     only_b = R.elem(Scalar.zero(Q3), Scalar.from_int(Q3, 9))
     assert only_b.norm_ln() == LogNorm.of(2)
-
-
-def test_custom_quotient_seminorm():
-    # quotient seminorm that kills everything: (a, b) behaves like (a, 0)
-    R = SquareZeroRing(Scalar.one(Q3),
-                       quotient_norm=lambda b: LogNorm.zero(0))
-    x = R.elem(Scalar.from_int(Q3, 3), Scalar.one(Q3))
-    assert x.norm_ln() == LogNorm.of(1)
-
-
-def test_pair_json_encoding():
-    R = SquareZeroRing(Scalar.one(Q3))
-    x = R.elem(Scalar.from_int(Q3, 3), Scalar.one(Q3))
-    assert x.to_json() == {"a": "1*3^1", "b": "1"}
-    RS = SquareZeroRing(TateSeries.one(Q3, (R1,), kind=LAURENT))
-    T = TateSeries.monomial(Q3, (R1,), (1,), Scalar.one(Q3), LAURENT)
-    y = RS.elem(T, RS.base_one)
-    enc = y.to_json()
-    assert enc["a"]["terms"] == [{"exp": [1], "coeff": "1"}]
-    assert enc["b"]["terms"] == [{"exp": [0], "coeff": "1"}]
 
 
 def _rand_scalar(rng, spec):
