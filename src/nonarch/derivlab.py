@@ -21,9 +21,7 @@ Construction chain, all exactly computable:
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass
 from itertools import combinations, islice
 from fractions import Fraction
 
@@ -39,13 +37,11 @@ from .squarezero import SquareZeroRing
 DENSE_ENTRY_LIMIT = 40_000
 
 
-@dataclass
 class Certificate:
-    kind: str              # NON_INTEGRAL | P_INDEPENDENT | UNBOUNDED
-    verdict: str           # certificate-specific verdict token
-    params: dict
-    witness: dict
-    claim: str
+    def __init__(self, kind, verdict, params, witness, claim):
+        self.kind = kind          # NON_INTEGRAL | P_INDEPENDENT | UNBOUNDED
+        self.verdict = verdict    # certificate-specific verdict token
+        self.params, self.witness, self.claim = params, witness, claim
 
     def to_json(self):
         return {"kind": self.kind, "claim": self.claim,
@@ -54,6 +50,7 @@ class Certificate:
 
 
 def series_fingerprint(f: TateSeries) -> str:
+    import hashlib   # only here, so that importing the CLI stays light
     blob = json.dumps(f.to_json(), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -72,12 +69,12 @@ def sparse_indices(m: int):
     return seq
 
 
-@dataclass
 class SparseSeries:
-    series: TateSeries
-    indices: list
-    next_index: int
-    completion_tail: LogNorm   # bound r^(i_{m+1}) for the omitted ideal tail
+    def __init__(self, series, indices, next_index, completion_tail):
+        self.series, self.indices = series, indices
+        self.next_index = next_index
+        # bound r^(i_{m+1}) for the omitted ideal tail
+        self.completion_tail = completion_tail
 
 
 def sparse_series(m: int, spec: FieldSpec, radius: RadiusDecl) -> SparseSeries:

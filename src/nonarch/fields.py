@@ -41,15 +41,14 @@ roots are built on the domain's truncated product ``series_mul``, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
 from .coeffs import GF, RatFunField, is_prime, poly_mul, power, series_axpy
-from .errors import (DivisionByZero, NoRootInField, PrecisionExhausted,
-                     PreconditionFailed)
+from .errors import (DivisionByZero, NonarchError, NoRootInField,
+                     PrecisionExhausted, PreconditionFailed)
 from .lognorm import LogNorm
 
 PADIC = "PADIC"
@@ -57,40 +56,57 @@ FQ_LAURENT = "FQ_LAURENT"
 RATFUN_LAURENT = "RATFUN_LAURENT"
 
 _KINDS = (PADIC, FQ_LAURENT, RATFUN_LAURENT)
+# residues a p-adic root scans for the smallest p-th root of its residue
+RESIDUE_SCAN_LIMIT = 1 << 20
 
 
-@dataclass(frozen=True)
 class FieldSpec:
-    kind: str
-    residue_prime: int
-    field_size: int = 0
-    nvars: int = 0
-    precision_cap: int = 40
+    """An immutable field description.  Its fields stay in the instance
+    dict, the fastest attribute read; equality and hash compare ``_key``."""
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown field kind {self.kind!r}")
-        if not is_prime(self.residue_prime):
-            raise ValueError(f"{self.residue_prime} is not prime")
-        if self.precision_cap < 1:
+    def __init__(self, kind, residue_prime, field_size=0, nvars=0,
+                 precision_cap=40):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown field kind {kind!r}")
+        if not is_prime(residue_prime):
+            raise ValueError(f"{residue_prime} is not prime")
+        if precision_cap < 1:
             raise ValueError("precision_cap must be >= 1")
         dom = None
-        if self.kind == FQ_LAURENT:
-            q, size = self.residue_prime, self.field_size
-            d = 0
-            s = size
-            while s > 1 and s % q == 0:
-                s //= q
+        if kind == FQ_LAURENT:
+            d, s = 0, field_size
+            while s > 1 and s % residue_prime == 0:
+                s //= residue_prime
                 d += 1
             if s != 1 or d < 1:
-                raise ValueError(
-                    f"field_size {size} is not a power of {q}")
-            dom = GF(q, d)
-        elif self.kind == RATFUN_LAURENT:
-            if self.nvars < 0:
+                raise ValueError(f"field_size {field_size} is not a power "
+                                 f"of {residue_prime}")
+            dom = GF(residue_prime, d)
+        elif kind == RATFUN_LAURENT:
+            if nvars < 0:
                 raise ValueError("nvars must be >= 0")
-            dom = RatFunField(self.residue_prime, self.nvars)
-        object.__setattr__(self, "_domain", dom)
+            dom = RatFunField(residue_prime, nvars)
+        self.__dict__.update(
+            kind=kind, residue_prime=residue_prime, field_size=field_size,
+            nvars=nvars, precision_cap=precision_cap, _domain=dom,
+            _key=(kind, residue_prime, field_size, nvars, precision_cap))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"FieldSpec field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        return ("FieldSpec(kind={!r}, residue_prime={!r}, field_size={!r}, "
+                "nvars={!r}, precision_cap={!r})".format(*self._key))
 
     @property
     def char(self) -> int:
@@ -254,14 +270,16 @@ class Scalar:
             return cls(spec, fr.numerator, fr.denominator)
         dom = spec.domain()
         num = dom.from_int(fr.numerator)
-        den = dom.from_int(fr.denominator)
-        if dom.is_zero(den):
-            raise DivisionByZero(
-                f"denominator {fr.denominator} vanishes in characteristic "
-                f"{spec.char}")
+        if fr.denominator != 1:
+            den = dom.from_int(fr.denominator)
+            if dom.is_zero(den):
+                raise DivisionByZero(
+                    f"denominator {fr.denominator} vanishes in "
+                    f"characteristic {spec.char}")
+            num = dom.mul(num, dom.inv(den))
         if dom.is_zero(num):
             return cls.zero(spec)
-        return cls(spec, val=0, unit={0: dom.mul(num, dom.inv(den))})
+        return cls(spec, val=0, unit={0: num})
 
     @classmethod
     def t_power(cls, spec, k: int = 1):
@@ -729,13 +747,19 @@ def _padic_root(a: Scalar, p: int, v: int) -> Scalar:
     qm = q ** m
     u = _unit_mod(a, m)
     r = u % q
-    if r != 1:
-        # residue 1 keeps its root 1 without listing the residue field
-        roots = [x for x in range(2, q) if pow(x, p, q) == r]
-        if not roots:
-            raise NoRootInField(
-                f"residue {r} has no {p}-th root in F_{q}")
-        r = roots[0]
+    # residue 1 keeps its root 1; x -> x^p permutes F_q^x if p does not
+    # divide q - 1, and otherwise a scan finds the smallest root
+    if r != 1 and (q - 1) % p:
+        r = pow(r, pow(p, -1, q - 1), q)
+    elif r != 1:
+        if pow(r, (q - 1) // p, q) != 1:   # Euler's criterion
+            raise NoRootInField(f"residue {r} has no {p}-th root in F_{q}")
+        x = next((x for x in range(2, min(q, RESIDUE_SCAN_LIMIT))
+                  if pow(x, p, q) == r), None)
+        if x is None:
+            raise NonarchError(f"no {p}-th root of residue {r} in F_{q} "
+                               f"below {RESIDUE_SCAN_LIMIT}, the scan limit")
+        r = x
     for _ in range(m.bit_length() + 2):
         fr = (pow(r, p, qm) - u) % qm
         if fr == 0:

@@ -29,7 +29,6 @@ fail on a tie.
 from __future__ import annotations
 
 import enum
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, isqrt, log
@@ -49,7 +48,7 @@ class Cmp(enum.Enum):
 class LogNorm:
     """Norm value q^(-base_exp) * prod_j r_j^(radius_exps[j]); ZERO is the
     norm of 0 and is absorbing/minimal.  Immutable: assigning an attribute
-    raises ``FrozenInstanceError``."""
+    raises ``AttributeError``."""
 
     __slots__ = ("base_exp", "radius_exps", "is_zero")
 
@@ -77,10 +76,10 @@ class LogNorm:
         return self
 
     def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

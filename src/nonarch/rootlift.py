@@ -28,7 +28,6 @@ Compatible towers stack roots: tower[e+1]^p = tower[e].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import ceil
 
 from .errors import (MaxStepsExceeded, NoRootInField, PrecisionExhausted,
@@ -57,26 +56,22 @@ def _tame(x, work_depth):
     return x.reduce_representative(work_depth)
 
 
-@dataclass
 class RootStep:
-    index: int
-    g: object
-    h: object
-    norm_g: LogNorm
-    norm_h: LogNorm
-    cond_contraction: bool   # |g_m| <= |g_1|^m
-    cond_defect: bool        # |h_m| <= |g_1|^(m+1)
+    def __init__(self, index, g, h, norm_g, norm_h, cond_contraction,
+                 cond_defect):
+        self.index, self.g, self.h = index, g, h
+        self.norm_g, self.norm_h = norm_g, norm_h
+        self.cond_contraction = cond_contraction   # |g_m| <= |g_1|^m
+        self.cond_defect = cond_defect             # |h_m| <= |g_1|^(m+1)
 
 
-@dataclass
 class RootTrace:
-    prime: int
-    target: object
-    contraction: LogNorm          # |g_1| = |f - 1|
-    steps: list = field(default_factory=list)
-    result: object = None
-    certified: bool = False
-    reason: str = ""
+    def __init__(self, prime, target, contraction, steps=None, result=None,
+                 certified=False, reason=""):
+        self.prime, self.target = prime, target
+        self.contraction = contraction    # |g_1| = |f - 1|
+        self.steps = [] if steps is None else steps
+        self.result, self.certified, self.reason = result, certified, reason
 
     def to_json(self):
         return {
@@ -210,11 +205,10 @@ def verify_trace(trace: RootTrace) -> bool:
     return trace.result is not None and trace.result.equals(partial)
 
 
-@dataclass
 class NearRootResult:
-    root: object
-    trace: RootTrace
-    recentred: bool   # |root - g_root| < |root| verified
+    def __init__(self, root, trace, recentred):
+        self.root, self.trace = root, trace
+        self.recentred = recentred   # |root - g_root| < |root| verified
 
 
 def pth_root_near(f, g, g_root, p: int,
@@ -239,10 +233,10 @@ def pth_root_near(f, g, g_root, p: int,
     return NearRootResult(root, trace, recentred)
 
 
-@dataclass
 class RootTower:
-    prime: int
-    elements: list   # [f, f^(1/p), f^(1/p^2), ...]
+    def __init__(self, prime, elements):
+        self.prime = prime
+        self.elements = elements   # [f, f^(1/p), f^(1/p^2), ...]
 
     @property
     def depth(self) -> int:

@@ -690,6 +690,35 @@ def test_residue_one_tower_over_a_30_bit_prime(tmp_path):
     assert _read(tmp_path, "tower")["verdict"] == "VERIFIED"
 
 
+def _q30_config(tmp_path):
+    cfg = tmp_path / "session.json"
+    cfg.write_text(json.dumps({"fields": {"q30": {
+        "kind": "PADIC", "residue_prime": 10 ** 9 + 7,
+        "precision_cap": 40}}}))
+    return ["--config", str(cfg)]
+
+
+@pytest.mark.parametrize("prime,depth", [(3, 2), (2, 1)])
+def test_other_residue_towers_over_a_30_bit_prime(tmp_path, prime, depth):
+    # 3 does not divide 10^9 + 6, so the cube root of the residue 4 is a
+    # power of it; 2 does, and a scan finds the square root 2
+    start = time.perf_counter()
+    assert main(_q30_config(tmp_path) + [
+        "tower", "--field", "q30", "--prime", str(prime), "--target", "4",
+        "--depth", str(depth), "--out", str(tmp_path)]) == 0
+    assert main(["--check", str(tmp_path / "tower.json")]) == 0
+    assert time.perf_counter() - start < 2
+    assert _read(tmp_path, "tower")["verdict"] == "VERIFIED"
+
+
+def test_residue_root_past_the_scan_limit_refused(tmp_path, capsys):
+    # the square roots of 2 mod 10^9 + 7 lie past the first 2^20 residues
+    _fails_with_one_line(capsys, _q30_config(tmp_path) + [
+        "tower", "--field", "q30", "--prime", "2", "--target", "4",
+        "--depth", "2", "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
 def test_precision_zero_rejected(tmp_path, capsys):
     # a falsy 0 used to fall back to the field's cap of 40
     capsys.readouterr()
@@ -941,9 +970,25 @@ def test_ffinite_decompose_splits_the_series_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_laurent_integers_are_not_inverted(tmp_path, monkeypatch):
+    # Scalar.one and from_int have denominator 1: no GF inversion, where
+    # this run made 11
+    calls = []
+    inv = GF.inv
+
+    def counting(self, a):
+        calls.append(1)
+        return inv(self, a)
+
+    monkeypatch.setattr(GF, "inv", counting)
+    assert main(["ffinite-decompose", "--field", "f2t", "--series", SER_F2,
+                 "--out", str(tmp_path)]) == 0
+    assert calls == []
+
+
 def test_char_p_root_packs_its_series_products(tmp_path, monkeypatch):
     # a product over GF is one packed integer product, not one GF.mul per
-    # term pair: 22,472 GF.mul calls here (scalings and the scalar setup),
+    # term pair: 1,117 GF.mul calls here (scalings and the scalar setup),
     # where one call per term pair made 7.56M
     calls = []
     mul = GF.mul

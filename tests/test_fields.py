@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from nonarch import (DivisionByZero, FieldSpec, NoRootInField,
                      PrecisionExhausted, Scalar, check_aux_prime,
                      scalar_from_literal, scalar_pth_root)
+from nonarch.coeffs import is_prime
 from nonarch.fields import (FQ_LAURENT, PADIC, RATFUN_LAURENT, _add_pair,
                             _padic_val, _times_q_pow, _unit_mod)
 
@@ -29,6 +30,50 @@ def test_spec_validation():
         FieldSpec(FQ_LAURENT, 2, field_size=6)
     with pytest.raises(ValueError):
         FieldSpec(PADIC, 3, precision_cap=0)
+
+
+def test_spec_construction_defaults_and_equality():
+    spec = FieldSpec(PADIC, 3)
+    assert spec == FieldSpec(kind=PADIC, residue_prime=3, field_size=0,
+                             nvars=0, precision_cap=40)
+    assert (spec.field_size, spec.nvars, spec.precision_cap) == (0, 0, 40)
+    assert hash(spec) == hash(FieldSpec(PADIC, 3, 0, 0, 40))
+    assert spec != FieldSpec(PADIC, 3, precision_cap=41)
+    assert spec != (PADIC, 3, 0, 0, 40) and spec != FieldSpec(PADIC, 5)
+    assert len({spec, FieldSpec(PADIC, 3), Q3}) == 1
+    assert {F4T: 1}[FieldSpec(FQ_LAURENT, 2, field_size=4,
+                              precision_cap=64)] == 1
+    assert F4T != FieldSpec(FQ_LAURENT, 2, field_size=2, precision_cap=64)
+    assert RF2 != FieldSpec(RATFUN_LAURENT, 2, nvars=2, precision_cap=64)
+
+
+def test_spec_repr_is_the_field_list():
+    assert repr(FieldSpec(PADIC, 3)) == (
+        "FieldSpec(kind='PADIC', residue_prime=3, field_size=0, nvars=0, "
+        "precision_cap=40)")
+    assert repr(RF2) == (
+        "FieldSpec(kind='RATFUN_LAURENT', residue_prime=2, field_size=0, "
+        "nvars=3, precision_cap=64)")
+
+
+def test_spec_is_immutable():
+    spec = FieldSpec(PADIC, 3)
+    for name in ("kind", "residue_prime", "precision_cap", "_domain",
+                 "other"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(spec, name)
+    assert spec == Q3 and spec.precision_cap == 40
+
+
+@pytest.mark.parametrize("spec", [Q3, F2T, F4T, RF2,
+                                  FieldSpec(PADIC, 10 ** 9 + 7, 0, 0, 7)])
+def test_spec_json_round_trip(spec):
+    again = FieldSpec.from_json(spec.to_json())
+    assert again == spec and repr(again) == repr(spec)
+    assert again.to_json() == spec.to_json()
+    assert type(again.domain()) is type(spec.domain())
 
 
 def test_padic_arith_examples():
@@ -55,6 +100,10 @@ def test_division_by_zero():
         q3(1) / q3(0)
     with pytest.raises(DivisionByZero):
         Scalar.one(F2T) / Scalar.zero(F2T)
+    # a Laurent field inverts a denominator other than 1 in its residues
+    assert Scalar.from_fraction(F4T, Fraction(5, 3)).equals(Scalar.one(F4T))
+    with pytest.raises(DivisionByZero):
+        Scalar.from_fraction(F4T, Fraction(1, 2))
 
 
 def test_check_aux_prime():
@@ -91,6 +140,32 @@ def test_scalar_pth_root_obstructions():
         scalar_pth_root(q3(3), 2)          # odd valuation
     with pytest.raises(NoRootInField):
         scalar_pth_root(q3(2), 2)          # 2 is not a square mod 3
+
+
+def _residue_roots(r, p, q):
+    """Every x in 2..q-1 with x^p = r mod q: the residue enumeration that
+    the p-adic root replaced, kept as its oracle."""
+    return [x for x in range(2, q) if pow(x, p, q) == r]
+
+
+def test_residue_roots_match_the_enumeration():
+    # the unique root when p does not divide q - 1, Euler's criterion and
+    # the smallest root when it does
+    for q in filter(is_prime, range(2, 102)):
+        for p in (2, 3, 5, 7, 11, 13):
+            if p == q:
+                continue
+            spec = FieldSpec(PADIC, q, precision_cap=3)
+            for r in range(2, q):
+                a = Scalar.from_int(spec, r)
+                roots = _residue_roots(r, p, q)
+                if not roots:
+                    with pytest.raises(NoRootInField):
+                        scalar_pth_root(a, p)
+                    continue
+                root = scalar_pth_root(a, p)
+                assert _unit_mod(root, 1) == roots[0], (q, p, r)
+                assert root.pow_int(p).equals(a)
 
 
 def test_dyadic_cube_root():

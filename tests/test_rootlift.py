@@ -138,6 +138,15 @@ def test_corrupted_tower_fails():
     assert verify_tower(RootTower(2, [Scalar.one(Q3)] * 3))
 
 
+def test_default_traces_never_share_their_steps():
+    one = LogNorm.zero(0)
+    a, b = RootTrace(2, q3(4), one), RootTrace(prime=2, target=q3(4),
+                                               contraction=one)
+    a.steps.append("step")
+    assert a.steps == ["step"] and b.steps == []
+    assert (b.result, b.certified, b.reason) == (None, False, "")
+
+
 def test_laurent_scalar_tower():
     f = Scalar.one(F2T) + Scalar.t_power(F2T)    # 1 + t, unit = 1 mod t
     tower = build_tower(f, 3, 2)

@@ -1,8 +1,11 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and no module-level name of the package goes unread."""
+no module-level name of the package goes unread, and importing the CLI
+loads no heavy standard module."""
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -78,3 +81,27 @@ def test_unread_module_names_are_named():
         "b": "from .a import Exported\nimport a\nprint(a.used())\n",
     }
     assert unread_module_names(sources) == ["a:SPARE", "a:spare"]
+
+
+# every standard module the package imports at its top level; they are
+# loaded before the package, so only what the package itself adds is seen
+# (a Python whose random falls back to hashlib cannot fail the check)
+_STDLIB_IMPORTS = ("argparse", "collections", "decimal", "enum", "fractions",
+                   "functools", "itertools", "json", "math", "operator",
+                   "os", "random", "struct", "sys")
+
+
+def test_cli_import_loads_no_heavy_stdlib_module():
+    # dataclasses (with inspect, ast, dis, tokenize) and hashlib took more
+    # than half of the CLI's start-up; hashlib loads when a certificate
+    # fingerprints its series
+    probe = (f"import {', '.join(_STDLIB_IMPORTS)}\n"
+             "before = set(sys.modules)\n"
+             "sys.path.insert(0, sys.argv[1])\n"
+             "import nonarch.cli\n"
+             "print(*sorted(set(sys.modules) - before))\n")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", probe,
+                          str(SRC.parent)], check=True, capture_output=True,
+                         text=True, timeout=60).stdout.split()
+    assert "nonarch.cli" in out
+    assert not {"dataclasses", "inspect", "hashlib"} & set(out), out
