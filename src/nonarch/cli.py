@@ -220,11 +220,18 @@ def run_nonintegral_cert(params):
 
 
 def _table_bound(text):
-    """The bound of an unboundedness table: a finite number > 1.  Every
-    ratio r^(-i) with r < 1 exceeds 1, so a smaller bound certifies
-    nothing."""
+    """The bound of an unboundedness table, e-notation included ("2.5e3"
+    is 2500): a finite number > 1.  Every ratio r^(-i) with r < 1 exceeds
+    1, so a smaller bound certifies nothing.  An exponent past the
+    int-to-str digit limit is refused: 10^exp would never be built."""
+    mant, e, exp = text.lower().partition("e")
+    limit = sys.get_int_max_str_digits()
     try:
-        bound = Fraction(text)
+        if e and limit and abs(int(exp)) > limit:
+            raise NonarchError(f"bound {text!r} has an exponent past "
+                               f"{limit} digits")
+        bound = Fraction(mant) * Fraction(10) ** int(exp) if e \
+            else Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise NonarchError(f"bound {text!r} is not a finite number") \
             from None
@@ -598,18 +605,6 @@ def build_parser():
     return ap
 
 
-def _expand_exponent(bound):
-    """A bound in e-notation as an exact number: "2.5e3" -> "2500"."""
-    mant, e, exp = bound.lower().partition("e")
-    if not e:
-        return bound
-    try:
-        return str(Fraction(mant) * Fraction(10) ** int(exp))
-    except ZeroDivisionError:
-        raise NonarchError(f"bound {bound!r} is not a finite number") \
-            from None
-
-
 def _params_for(args, cfg):
     cmd = COMMANDS[args.command]
     params = {"field": dict(_declared(cfg["fields"], "field", args.field))}
@@ -628,7 +623,7 @@ def _params_for(args, cfg):
     if args.command == "pbasis-cert":
         params["field"]["num_pbasis_vars"] = params["num_pbasis_vars"]
     if args.command == "unbounded-demo":
-        params["bound"] = _expand_exponent(params["bound"])
+        params["bound"] = str(_table_bound(params["bound"]))
     return params
 
 

@@ -37,10 +37,15 @@ truncated multiply-add ``coeffs.series_axpy``; products, powers, truncated
 quotients (a times the Newton inverse of b) and the Newton step of p-th
 roots are built on the domain's truncated product ``series_mul``, which
 ``GF`` computes as one packed integer product.
+
+``scalar_from_literal`` is the one reader of scalar literals: a regex
+splits the text into tokens and four nested grammar functions evaluate
+them by recursive descent.
 """
 
 from __future__ import annotations
 
+import re
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
@@ -818,134 +823,90 @@ def _int_str(n: int) -> str:
         return str(Decimal(n))
 
 
-class _Tokenizer:
-    def __init__(self, s: str):
-        self.src = s
-        self.pos = 0
-
-    def peek(self):
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.src):
-            return None
-        return self.src[self.pos]
-
-    def next_token(self):
-        ch = self.peek()
-        if ch is None:
-            return None
-        if ch in "+-*/^()":
-            self.pos += 1
-            return ch
-        if ch.isdigit():
-            start = self.pos
-            while self.pos < len(self.src) and self.src[self.pos].isdigit():
-                self.pos += 1
-            digits = self.src[start:self.pos]
-            try:
-                return int(digits)
-            except ValueError:
-                if not digits.isdecimal():
-                    raise
-                # past the interpreter's str-to-int limit; Decimal has none
-                return int(Decimal(digits))
-        if ch.isalpha():
-            start = self.pos
-            self.pos += 1
-            while (self.pos < len(self.src)
-                   and self.src[self.pos].isdigit()):
-                self.pos += 1
-            return self.src[start:self.pos]
-        raise ValueError(f"bad character {ch!r} in scalar literal")
+# decimal digits, a name (a letter, then letters and digits) or one other
+# non-space character; "_" joins no word, as int() would read "3_000"
+_TOKEN = re.compile(r"\d+|[^\W\d_][^\W_]*|\S")
 
 
-class _Parser:
-    """Tiny recursive-descent evaluator for scalar literals; parentheses
-    nest at most 200 deep (each level costs four Python frames)."""
-
-    def __init__(self, spec: FieldSpec, s: str):
-        self.spec = spec
-        self.depth = 0
-        self.toks = []
-        tz = _Tokenizer(s)
-        while True:
-            t = tz.next_token()
-            if t is None:
-                break
-            self.toks.append(t)
-        self.i = 0
-
-    def _peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def _take(self):
-        t = self._peek()
-        self.i += 1
-        return t
-
-    def parse(self) -> Scalar:
-        v = self.expr()
-        if self._peek() is not None:
-            raise ValueError(f"trailing input at token {self._peek()!r}")
-        return v
-
-    def expr(self):
-        v = self.term()
-        while self._peek() in ("+", "-"):
-            op = self._take()
-            w = self.term()
-            v = v + w if op == "+" else v - w
-        return v
-
-    def term(self):
-        v = self.factor()
-        while self._peek() in ("*", "/"):
-            op = self._take()
-            w = self.factor()
-            v = v * w if op == "*" else v / w
-        return v
-
-    def factor(self):
-        neg = False
-        while self._peek() in ("+", "-"):
-            if self._take() == "-":
-                neg = not neg
-        v = self.atom()
-        if self._peek() == "^":
-            self._take()
-            esign = 1
-            if self._peek() == "-":
-                self._take()
-                esign = -1
-            e = self._take()
-            if not isinstance(e, int):
-                raise ValueError("exponent must be an integer")
-            v = v.pow_int(esign * e)
-        return -v if neg else v
-
-    def atom(self):
-        t = self._take()
-        if t == "(":
-            self.depth += 1
-            if self.depth > 200:
-                raise ValueError("scalar literal nested too deeply")
-            v = self.expr()
-            if self._take() != ")":
-                raise ValueError("unbalanced parenthesis")
-            self.depth -= 1
-            return v
-        if isinstance(t, int):
-            return Scalar.from_int(self.spec, t)
-        if isinstance(t, str):
-            if t == "t":
-                return Scalar.t_power(self.spec, 1)
-            if t == "w" and self.spec.kind == FQ_LAURENT:
-                gen = self.spec.domain().generator()
-                return Scalar(self.spec, val=0, unit={0: gen})
-            if t.startswith("u") and t[1:].isdigit():
-                return Scalar.uvar(self.spec, int(t[1:]) - 1)
-        raise ValueError(f"unexpected token {t!r} in scalar literal")
+def _token(tok):
+    """An int, a name or one of ``+-*/^()``; ValueError otherwise."""
+    if tok[0].isalpha() or tok in "+-*/^()":
+        return tok
+    if not tok[0].isdigit():
+        raise ValueError(f"bad character {tok!r} in scalar literal")
+    try:
+        return int(tok)             # "invalid literal" for "²"
+    except ValueError:
+        if not tok.isdecimal():
+            raise
+        # past the interpreter's str-to-int limit; Decimal has none
+        return int(Decimal(tok))
 
 
 def scalar_from_literal(spec: FieldSpec, s: str) -> Scalar:
-    return _Parser(spec, s).parse()
+    """The value of a scalar literal; ValueError if it is malformed.
+    Parentheses nest at most 200 deep, four Python frames a level."""
+    toks = [_token(tok) for tok in _TOKEN.findall(s)]
+    toks.append(None)               # the end; nothing is read past it
+    pos = depth = 0
+
+    def expr():
+        nonlocal pos
+        v = term()
+        while (op := toks[pos]) in ("+", "-"):
+            pos += 1
+            v = v + term() if op == "+" else v - term()
+        return v
+
+    def term():
+        nonlocal pos
+        v = factor()
+        while (op := toks[pos]) in ("*", "/"):
+            pos += 1
+            v = v * factor() if op == "*" else v / factor()
+        return v
+
+    def factor():
+        nonlocal pos
+        neg = False
+        while (op := toks[pos]) in ("+", "-"):
+            neg ^= op == "-"
+            pos += 1
+        v = atom()
+        if toks[pos] == "^":
+            neg_exp = toks[pos + 1] == "-"
+            e = toks[pos + 1 + neg_exp]
+            pos += 2 + neg_exp
+            if type(e) is not int:
+                raise ValueError("exponent must be an integer")
+            v = v.pow_int(-e if neg_exp else e)
+        return -v if neg else v
+
+    def atom():
+        nonlocal pos, depth
+        tok = toks[pos]
+        pos += 1
+        if tok == "(":
+            depth += 1
+            if depth > 200:
+                raise ValueError("scalar literal nested too deeply")
+            v = expr()
+            if toks[pos] != ")":
+                raise ValueError("unbalanced parenthesis")
+            pos += 1
+            depth -= 1
+            return v
+        if type(tok) is int:
+            return Scalar.from_int(spec, tok)
+        if tok == "t":
+            return Scalar.t_power(spec, 1)
+        if tok == "w" and spec.kind == FQ_LAURENT:
+            return Scalar(spec, val=0, unit={0: spec.domain().generator()})
+        if tok and tok[0] == "u" and tok[1:].isdigit():
+            return Scalar.uvar(spec, int(tok[1:]) - 1)
+        raise ValueError(f"unexpected token {tok!r} in scalar literal")
+
+    v = expr()
+    if toks[pos] is not None:
+        raise ValueError(f"trailing input at token {toks[pos]!r}")
+    return v

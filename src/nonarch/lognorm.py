@@ -29,6 +29,7 @@ fail on a tie.
 from __future__ import annotations
 
 import enum
+import re
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, isqrt, log
@@ -142,8 +143,9 @@ class LogNorm:
     def from_json(cls, obj):
         if obj.get("zero"):
             return cls.zero()
-        return cls(Fraction(obj["e0"]),
-                   tuple(Fraction(s) for s in obj.get("radius", [])))
+        return cls(_ratio(obj["e0"], "norm exponent"),
+                   tuple(_ratio(s, "norm exponent")
+                         for s in obj.get("radius", [])))
 
     def __str__(self):
         if self.is_zero:
@@ -190,6 +192,15 @@ def in_value_group_rational(a: LogNorm) -> bool:
 
 # ---------------------------------------------------------------------------
 # Radius declarations
+
+
+def _ratio(x, what):
+    """An int, or the string of an integer or of p/q with q > 0, as a
+    Fraction; ValueError for "1/0" or "1e999999999" (10^exp never ends)."""
+    if type(x) is not int and not (
+            type(x) is str and re.fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*)?", x)):
+        raise ValueError(f"{what} {x!r} is not an integer or p/q with q > 0")
+    return Fraction(x)
 
 
 def _sqrt_interval(d: int, depth: int):
@@ -288,11 +299,9 @@ class RadiusDecl:
             decl = cls.quadratic(obj["gen_id"], p["a"], p["b"], p["c"],
                                  p["d"], obj.get("note", ""))
         elif kind == "rational":
-            if type(p.get("value")) not in (str, int):
-                raise ValueError('rational radius param "value" must be a '
-                                 'string or an integer')
-            decl = cls.rational_stub(obj["gen_id"], Fraction(p["value"]),
-                                     obj.get("note", ""))
+            decl = cls.rational_stub(
+                obj["gen_id"], _ratio(p.get("value"), "rational radius value"),
+                obj.get("note", ""))
         else:
             raise ValueError(f"unknown radius kind {kind!r}")
         claim = obj.get("asserts_irrational", decl.asserts_irrational)

@@ -654,6 +654,67 @@ def test_unbounded_demo_malformed_exponent_bound_rejected(bound, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("bound", ["1e999999999999", "1e-999999999999"])
+def test_unbounded_demo_exponent_past_the_digit_limit_rejected(
+        bound, tmp_path, capsys):
+    # 10^exp is refused before it is built, which would never end
+    _fails_with_one_line(capsys, [
+        "unbounded-demo", "--terms", "4", "--bound", bound,
+        "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+    _replay_edited(tmp_path, capsys, ["unbounded-demo", "--terms", "4"],
+                   lambda params: params.update(bound=bound))
+
+
+def test_unbounded_demo_bound_stored_exact(tmp_path):
+    # one reader takes the bound on the run and on the replay, and the
+    # artifact stores what it read: an integer or p/q
+    assert main(["unbounded-demo", "--terms", "4", "--bound", "2.5",
+                 "--out", str(tmp_path)]) == 0
+    assert _read(tmp_path, "unbounded-demo")["params"]["bound"] == "5/2"
+    assert main(["--check", str(tmp_path / "unbounded-demo.json")]) == 0
+
+
+# JSON norm exponents and radius values are integers or p/q: a zero
+# denominator, or e-notation whose power of 10 Fraction() would never
+# finish, exits 1 with one line on the run and on the replay
+_BAD_RATIOS = ["1/0", "1e999999999", "0.5"]
+
+
+@pytest.mark.parametrize("e0", _BAD_RATIOS)
+def test_malformed_tail_exponent_rejected(e0, tmp_path, capsys):
+    series = json.loads(SER_Q3)
+    series["tail"] = {"e0": e0, "radius": ["1"]}
+    _fails_with_one_line(capsys, [
+        "gauss-norm", "--field", "q3", "--series", json.dumps(series),
+        "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+    _replay_edited(tmp_path, capsys, ["gauss-norm", "--series", SER_Q3],
+                   lambda params: params["series"].update(
+                       tail={"e0": e0, "radius": ["1"]}))
+
+
+@pytest.mark.parametrize("value", _BAD_RATIOS + [None, True, 0.5])
+def test_malformed_rational_radius_rejected(value, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"radii": {"rs": {
+        "gen_id": "rs", "kind": "rational", "params": {"value": value}}}}))
+    series = SER_Q3.replace('"r1"', '"rs"')
+    _fails_with_one_line(capsys, [
+        "--config", str(bad), "gauss-norm", "--series", series,
+        "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+    cfg = tmp_path / "session.json"
+    cfg.write_text(json.dumps(RATIONAL_RADIUS))
+    assert main(["--config", str(cfg), "gauss-norm", "--series", series,
+                 "--out", str(tmp_path)]) == 0
+    art = _read(tmp_path, "gauss-norm")
+    art["params"]["radii"][0]["params"]["value"] = value
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(art))
+    _fails_with_one_line(capsys, ["--check", str(edited)])
+
+
 @pytest.mark.parametrize("field", ["f2t", "f4t", "ratfun2"])
 def test_unbounded_demo_over_characteristic_p_refused(field, tmp_path,
                                                       capsys):

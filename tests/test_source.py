@@ -88,7 +88,7 @@ def test_unread_module_names_are_named():
 # (a Python whose random falls back to hashlib cannot fail the check)
 _STDLIB_IMPORTS = ("argparse", "collections", "decimal", "enum", "fractions",
                    "functools", "itertools", "json", "math", "operator",
-                   "os", "random", "struct", "sys")
+                   "os", "random", "re", "struct", "sys")
 
 
 def test_cli_import_loads_no_heavy_stdlib_module():
