@@ -29,7 +29,7 @@ from .derivlab import (nonintegral_certificate,
                        sparse_series, unboundedness_table)
 from .errors import NonarchError, TowerObstruction
 from .fields import (FQ_LAURENT, PADIC, RATFUN_LAURENT, FieldSpec, Scalar,
-                     scalar_from_literal)
+                     _reduced, scalar_from_literal)
 from .frobenius import decomposition_artifact, verify_norm_bound
 from .lognorm import Cmp, RadiusDecl, ln_compare, ln_mul
 from .rootlift import build_tower, pth_root_near_one, verify_tower, \
@@ -290,7 +290,7 @@ def run_ffinite_decompose(params):
 
 def run_sz_check(params):
     spec = FieldSpec.from_json(params["field"])
-    radius = RadiusDecl.from_json(params["radius"])
+    radii = (RadiusDecl.from_json(params["radius"]),)
     rng = random.Random(params["seed"])
     count = params["count"]
     if count < 1:
@@ -303,20 +303,21 @@ def run_sz_check(params):
             den = rng.choice([1, 1, 2, q, q * q])
             if num == 0:
                 num = 1
-            return Scalar.from_fraction(spec, Fraction(num, den))
+            return Scalar(spec, *_reduced(num, den))
         val = rng.randint(-3, 4)
         return Scalar.t_power(spec, val)
 
     def rand_series():
+        # exact, with int 1-tuple keys and no zero coefficient drawn
         terms = {}
         for _ in range(rng.randint(1, 3)):
             terms[(rng.randint(-2, 3),)] = rand_scalar()
-        return TateSeries(spec, LAURENT, (radius,), terms)
+        return TateSeries._make(spec, LAURENT, radii, terms,
+                                series_ring.zero_norm)
 
     failures = []
     scalar_ring = SquareZeroRing(Scalar.one(spec))
-    series_ring = SquareZeroRing(
-        TateSeries.one(spec, (radius,), kind=LAURENT))
+    series_ring = SquareZeroRing(TateSeries.one(spec, radii, kind=LAURENT))
     for trial in range(count):
         use_series = trial % 2 == 1
         ring = series_ring if use_series else scalar_ring
@@ -342,7 +343,7 @@ def run_sz_check(params):
             checks["submult"] = False
         else:
             checks["submult"] = ln_compare(
-                nxy, ln_mul(nx, ny), (radius,)) is not Cmp.GT
+                nxy, ln_mul(nx, ny), radii) is not Cmp.GT
         bad = [k for k, v in checks.items() if not v]
         if bad:
             failures.append({"trial": trial, "failed": bad})

@@ -746,6 +746,9 @@ class RatFun:
         return self.den.is_one()
 
     def __add__(self, other):
+        # two polynomials need no denominator products
+        if self.den.is_one() and other.den.is_one():
+            return RatFun(self.num + other.num, self.den)
         return RatFun(self.num * other.den + other.num * self.den,
                       self.den * other.den)
 
@@ -753,6 +756,8 @@ class RatFun:
         return RatFun(-self.num, self.den)
 
     def __mul__(self, other):
+        if self.den.is_one() and other.den.is_one():
+            return RatFun(self.num * other.num, self.den)
         return RatFun(self.num * other.num, self.den * other.den)
 
     def inv(self):

@@ -420,17 +420,28 @@ class Scalar:
                 raise PrecisionExhausted(
                     "sum indistinguishable from zero at the cap")
             return Scalar(spec, num, den, v, None, known - v)
+        # both units merge at offsets from the lower valuation lo, below
+        # the known precision; the sum is then shifted once, by its lowest
+        # offset
+        v, w = self._val, other._val
+        lo = w if v is None or w is not None and w < v else v
+        limit = None if known is None else known - lo
         dom = spec._domain
         merged = {}
-        for s in (self, other):
-            if s._val is not None:
-                series_axpy(merged, None, s._val, s._unit, dom, known)
+        if v is not None:
+            series_axpy(merged, None, v - lo, self._unit, dom, limit)
+        if w is not None:
+            series_axpy(merged, None, w - lo, other._unit, dom, limit)
         if not merged:
             if known is None:
                 return Scalar.zero(spec)
             raise PrecisionExhausted(
                 "sum indistinguishable from zero at the cap")
-        return Scalar._laurent(spec, 0, merged, known)
+        shift = min(merged)
+        if shift:
+            merged = {k - shift: c for k, c in merged.items()}
+        return Scalar(spec, 0, 1, lo + shift, merged,
+                      None if known is None else limit - shift)
 
     def __neg__(self):
         if self.spec.kind == PADIC:

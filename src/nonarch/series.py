@@ -137,14 +137,11 @@ class TateSeries:
         self._check(other)
         out = dict(self.support)
         lost = []
-        for e, c in other.support.items():
-            # an exponent met for the first time needs no sum
-            if e in out:
-                _accumulate(out, lost, e, c)
-            elif not c.is_ring_zero():
-                out[e] = c
-        return self._finish(out, ln_max(self.tail, other.tail, self.radii),
-                            lost)
+        _merge(out, lost, other.support)
+        tail = self.tail
+        if not other.tail.is_zero:
+            tail = ln_max(tail, other.tail, self.radii)
+        return self._finish(out, tail, lost)
 
     def __neg__(self):
         return TateSeries._make(self.spec, self.kind, self.radii,
@@ -159,16 +156,11 @@ class TateSeries:
         self._check(other)
         out = {}
         lost = []
+        row = other.support
         for e1, c1 in self.support.items():
-            for e2, c2 in other.support.items():
-                e = tuple(map(add, e1, e2))
-                c = c1 * c2
-                if e in out:
-                    _accumulate(out, lost, e, c)
-                elif not c.is_ring_zero():
-                    out[e] = c
-        tail = LogNorm.zero(self.nvars)
-        if not self.tail.is_zero or not other.tail.is_zero:
+            _merge(out, lost, row, e1, c1)
+        tail = self.tail
+        if not tail.is_zero or not other.tail.is_zero:
             # |f g - stored product| <= max(tail_f |g|, tail_g |f|)
             tail = ln_max(ln_mul(self.tail, other._term_max(other.tail)),
                           ln_mul(other.tail, self._term_max(self.tail)),
@@ -215,7 +207,7 @@ class TateSeries:
         self._check(other)
         if self.tail != other.tail:
             return False
-        if set(self.support) != set(other.support):
+        if self.support.keys() != other.support.keys():
             return False
         return all(c.equals(other.support[e])
                    for e, c in self.support.items())
@@ -225,9 +217,11 @@ class TateSeries:
     def _term_max(self, start: LogNorm) -> LogNorm:
         """max(start, every stored term norm), terms in exponent order;
         with start = tail it is an upper bound for |f|."""
-        mx = start
-        for e in sorted(self.support):
-            mx = ln_max(mx, self.term_norm(e), self.radii)
+        mx, support, radii = start, self.support, self.radii
+        for e in sorted(support):
+            n = LogNorm._make(support[e].valuation(), e)
+            if ln_compare(mx, n, radii) is Cmp.LT:
+                mx = n
         return mx
 
     def gauss_norm(self):
@@ -365,30 +359,43 @@ def _str_list(x):
     return isinstance(x, list) and all(isinstance(s, str) for s in x)
 
 
-def _accumulate(out, lost, e, c):
-    """Merge coefficient c at exponent e into out.
+def _merge(out, lost, row, shift=None, scale=None):
+    """out += scale * T^shift * row in place, for row a support {exponent:
+    coefficient}; scale None means unscaled and shift None unshifted.
 
-    A sum that becomes indistinguishable from zero at the working precision
-    is removed from the support and its certified bound appended to `lost`,
-    to be folded into the tail by the caller.
+    One ``Scalar`` product per term of row, with scale on the left.  An
+    exponent met for the first time is stored; a sum that vanishes is
+    removed, and one that becomes indistinguishable from zero at the
+    working precision is removed with its certified bound appended to
+    `lost`, to be folded into the tail by the caller.
     """
-    if c.is_ring_zero():
-        return
-    acc = out.get(e)
-    if acc is None:
-        out[e] = c
-        return
-    try:
-        s = acc + c
-    except PrecisionExhausted:
-        known = _pmin(acc._known_abs(), c._known_abs())
-        lost.append(LogNorm(known, e))
-        del out[e]
-        return
-    if s.is_ring_zero():
-        del out[e]
-    else:
-        out[e] = s
+    get = out.get
+    if shift is not None:
+        one = len(shift) == 1
+        if one:
+            s, = shift
+    for e, c in row.items():
+        if shift is not None:
+            e = (s + e[0],) if one else tuple(map(add, shift, e))
+        if scale is not None:
+            c = scale * c
+        if c.is_ring_zero():
+            continue
+        acc = get(e)
+        if acc is None:
+            out[e] = c
+            continue
+        try:
+            c = acc + c
+        except PrecisionExhausted:
+            known = _pmin(acc._known_abs(), c._known_abs())
+            lost.append(LogNorm(known, e))
+            del out[e]
+            continue
+        if c.is_ring_zero():
+            del out[e]
+        else:
+            out[e] = c
 
 
 # ---------------------------------------------------------------------------

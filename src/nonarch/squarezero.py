@@ -20,6 +20,7 @@ class SquareZeroRing:
         self.base_one = base_one
         self.base_zero = base_one - base_one
         self.radii = base_one.radius_ctx()
+        self.zero_norm = LogNorm.zero(len(self.radii))
 
     def elem(self, a, b) -> "SquareZeroElem":
         return SquareZeroElem(self, a, b)
@@ -62,10 +63,10 @@ class SquareZeroElem:
         return self.a.equals(other.a) and self.b.equals(other.b)
 
     def norm_ln(self) -> LogNorm:
-        zero = LogNorm.zero(len(self.ring.radii))
-        na = zero if self.a.is_ring_zero() else self.a.norm_ln()
-        nb = zero if self.b.is_ring_zero() else self.b.norm_ln()
-        return ln_max(nb, na, self.ring.radii)
+        ring = self.ring
+        na = ring.zero_norm if self.a.is_ring_zero() else self.a.norm_ln()
+        nb = ring.zero_norm if self.b.is_ring_zero() else self.b.norm_ln()
+        return ln_max(nb, na, ring.radii)
 
     def __repr__(self):
         return f"({self.a!r}, {self.b!r})"

@@ -11,7 +11,8 @@ from nonarch import cli, frobenius
 from nonarch.cli import main
 from nonarch.coeffs import GF
 from nonarch.fields import PADIC, FieldSpec, scalar_from_literal
-from nonarch.squarezero import SquareZeroElem
+from nonarch.series import TateSeries
+from nonarch.squarezero import SquareZeroElem, SquareZeroRing
 
 SER_Q3 = json.dumps({"kind": "laurent", "radius": ["r1"],
                      "terms": [{"exp": [1], "coeff": "3"},
@@ -1014,6 +1015,61 @@ def test_sz_check_multiplies_seven_times_per_trial(tmp_path, monkeypatch):
         assert main(["sz-check", "--field", field, "--count", "12",
                      "--out", str(tmp_path)]) == 0
         assert len(calls) == 7 * 12
+
+
+def _drawn(x):
+    """A drawn element as literals: a scalar, or the (exponent,
+    coefficient) terms of a series in insertion order; both exact."""
+    if isinstance(x, TateSeries):
+        assert x.is_exact()
+        return [(e, c.to_literal()) for (e,), c in x.support.items()]
+    assert x.exact
+    return x.to_literal()
+
+
+# (x, y, z) of the first four trials of sz-check --seed 7 as drawn by the
+# Fraction-based draws: scalar trials, then series trials, alternate
+SZ_DRAWS = {
+    "q3": [
+        ("-10", "-5"), ("-26*3^-2", "-4*3^1"), ("7", "28*3^-2"),
+        ([(1, "-28")], [(-2, "5*3^-1")]),
+        ([(3, "-23"), (-2, "10*3^-2"), (1, "2*3^-1")], [(2, "-16")]),
+        ([(-1, "-4")], [(0, "-23*3^-2"), (-2, "5"), (3, "7*3^-2")]),
+        ("-1*3^2", "-8*3^-1"), ("5*3^1", "2*3^1"), ("1*3^2", "1*3^-2"),
+        ([(1, "19/2"), (0, "7*3^-1")], [(3, "-5*3^1"), (-2, "19")]),
+        ([(1, "-11*3^-2"), (3, "13"), (2, "-1")], [(1, "-23*3^-2")]),
+        ([(-1, "1*3^2")], [(3, "-4"), (2, "-26*3^-2")]),
+    ],
+    "f2t": [
+        ("t^2", "t^-1"), ("t^3", "t^-3"), ("t^-2", "t^-2"),
+        ([(2, "t^-3"), (-2, "1")], [(1, "t^3")]),
+        ([(-2, "1")], [(-2, "t^3"), (-1, "t^-2"), (2, "t^-3")]),
+        ([(-2, "1"), (0, "t^-1")], [(2, "t^-2")]),
+        ("t", "t^-1"), ("t^-2", "1"), ("t^2", "t^-2"),
+        ([(2, "t^-3"), (1, "1")], [(0, "t^4"), (2, "t^4")]),
+        ([(-1, "1"), (-2, "1")], [(2, "t"), (0, "t^4")]),
+        ([(-2, "t^-2"), (-1, "t^2")], [(-2, "t^3"), (2, "t^-2")]),
+    ],
+}
+
+
+@pytest.mark.parametrize("field", sorted(SZ_DRAWS))
+def test_sz_check_draws_the_same_elements(field, tmp_path, monkeypatch):
+    # the artifact stores no drawn element, so a change of the draws would
+    # keep its bytes; each trial draws x, y, z, then builds two elements
+    # for the square-zero check
+    seen = []
+    elem = SquareZeroRing.elem
+
+    def recording(self, a, b):
+        seen.append((_drawn(a), _drawn(b)))
+        return elem(self, a, b)
+
+    monkeypatch.setattr(SquareZeroRing, "elem", recording)
+    assert main(["sz-check", "--field", field, "--count", "4", "--seed",
+                 "7", "--out", str(tmp_path)]) == 0
+    assert len(seen) == 5 * 4
+    assert [d for i, d in enumerate(seen) if i % 5 < 3] == SZ_DRAWS[field]
 
 
 def test_ffinite_decompose_splits_the_series_once(tmp_path, monkeypatch):

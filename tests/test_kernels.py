@@ -7,7 +7,10 @@ the oracle; the inputs are drawn from fixed seeds and include empty, zero
 and fully cancelling operands.  The p-adic valuation ``fields._int_val``
 and the one-variable ``poly_mul`` loop are checked the same way, against
 the versions they replaced, and so is the ``RatFun`` constructor against
-the old one that took a gcd of every pair.
+the old one that took a gcd of every pair.  Series sums and products keep
+the per-collision ``_accumulate`` loop as their oracle, Laurent scalar sums
+the two-pass sum, and ``RatFun`` sums and products the general formula
+with its denominator products.
 """
 
 import random
@@ -22,12 +25,12 @@ from nonarch.coeffs import (GF, PRIME_TEST_BOUND, MPoly, RatFunField,
                             _find_irreducible, _is_irreducible, _poly_mulmod,
                             RatFun, _vec_trim, is_prime, mpoly_exact_div,
                             mpoly_gcd, poly_axpy, poly_mul, power,
-                            schoolbook_series_mul)
-from nonarch.errors import NonarchError
-from nonarch.fields import (FQ_LAURENT, PADIC, FieldSpec, Scalar, _int_val,
-                            _su_div, _su_inverse)
+                            schoolbook_series_mul, series_axpy)
+from nonarch.errors import NonarchError, PrecisionExhausted
+from nonarch.fields import (FQ_LAURENT, PADIC, RATFUN_LAURENT, FieldSpec,
+                            Scalar, _int_val, _pmin, _su_div, _su_inverse)
 from nonarch.lognorm import LogNorm, RadiusDecl, ln_max, ln_mul
-from nonarch.series import LAURENT, TateSeries, _accumulate
+from nonarch.series import LAURENT, TateSeries
 
 PRIMES = (2, 3, 5, (1 << 61) - 1)
 SEEDS = range(30)
@@ -786,8 +789,35 @@ def test_single_term_series_mul_matches_schoolbook(pd, monkeypatch):
 # -- series sums and products: a first arrival is stored, collisions sum
 
 
-def ref_series_mul(f, g):
-    """TateSeries.__mul__ with every term pair through _accumulate."""
+def _accumulate(out, lost, e, c):
+    """Merge coefficient c at exponent e into out.
+
+    A sum that becomes indistinguishable from zero at the working precision
+    is removed from the support and its certified bound appended to `lost`,
+    to be folded into the tail by the caller.
+    """
+    if c.is_ring_zero():
+        return
+    acc = out.get(e)
+    if acc is None:
+        out[e] = c
+        return
+    try:
+        s = acc + c
+    except PrecisionExhausted:
+        known = _pmin(acc._known_abs(), c._known_abs())
+        lost.append(LogNorm(known, e))
+        del out[e]
+        return
+    if s.is_ring_zero():
+        del out[e]
+    else:
+        out[e] = s
+
+
+def ref_series_mul(f, g, folds=None):
+    """TateSeries.__mul__ with every term pair through _accumulate; the
+    number of lost bounds folded into the tail is appended to `folds`."""
     out, lost = {}, []
     for e1, c1 in f.support.items():
         for e2, c2 in g.support.items():
@@ -797,15 +827,19 @@ def ref_series_mul(f, g):
     if not f.tail.is_zero or not g.tail.is_zero:
         tail = ln_max(ln_mul(f.tail, g._term_max(g.tail)),
                       ln_mul(g.tail, f._term_max(f.tail)), f.radii)
+    if folds is not None:
+        folds.append(len(lost))
     return f._finish(out, tail, lost)
 
 
-def ref_series_add(f, g):
+def ref_series_add(f, g, folds=None):
     """TateSeries.__add__ with every term through _accumulate."""
     out = dict(f.support)
     lost = []
     for e, c in g.support.items():
         _accumulate(out, lost, e, c)
+    if folds is not None:
+        folds.append(len(lost))
     return f._finish(out, ln_max(f.tail, g.tail, f.radii), lost)
 
 
@@ -850,10 +884,13 @@ def rand_tate(rng, spec, arity):
 @pytest.mark.parametrize("arity", [1, 2])
 def test_series_products_and_sums_match_accumulate_loop(spec, arity):
     rng = random.Random(f"{spec.kind}-{arity}")
+    folds = []
     for _ in range(300):
         f, g = rand_tate(rng, spec, arity), rand_tate(rng, spec, arity)
-        _assert_same_series(f * g, ref_series_mul(f, g))
-        _assert_same_series(f + g, ref_series_add(f, g))
+        _assert_same_series(f * g, ref_series_mul(f, g, folds))
+        _assert_same_series(f + g, ref_series_add(f, g, folds))
+    # capped sums that lose their precision were folded into the tail
+    assert sum(folds) >= 1
 
 
 def test_exponent_that_cancels_and_reappears():
@@ -870,6 +907,133 @@ def test_exponent_that_cancels_and_reappears():
     s = (f + h) + g
     _assert_same_series(s, ref_series_add(ref_series_add(f, h), g))
     assert list(s.support) == [(2,), (3,), (1,), (-1,)]
+
+
+# -- Laurent scalar sums: one merge below the lower valuation
+
+
+def ref_laurent_add(self, other):
+    """Scalar.__add__ over a Laurent field before the one-pass merge: both
+    units merged at their absolute exponents, then Scalar._laurent."""
+    spec = self.spec
+    if not isinstance(other, Scalar) or (other.spec is not spec
+                                         and other.spec != spec):
+        raise ValueError("scalars from different fields")
+    if self._prec is None and other._prec is None:
+        known = None
+    else:
+        known = _pmin(self._known_abs(), other._known_abs())
+    dom = spec._domain
+    merged = {}
+    for s in (self, other):
+        if s._val is not None:
+            series_axpy(merged, None, s._val, s._unit, dom, known)
+    if not merged:
+        if known is None:
+            return Scalar.zero(spec)
+        raise PrecisionExhausted(
+            "sum indistinguishable from zero at the cap")
+    return Scalar._laurent(spec, 0, merged, known)
+
+
+F2T = FieldSpec(FQ_LAURENT, 2, field_size=2, precision_cap=64)
+RF2 = FieldSpec(RATFUN_LAURENT, 2, nvars=3, precision_cap=64)
+
+
+def _laurent_coeffs(spec):
+    """A few nonzero coefficients, so that sums cancel often."""
+    dom = spec.domain()
+    if spec.kind == FQ_LAURENT:
+        return list(dom.elements())[1:]
+    u1, u2, u3 = (dom.var(i) for i in range(3))
+    return [dom.one, u1, dom.add(dom.one, u2), dom.inv(u1),
+            dom.mul(dom.add(dom.one, u1), dom.inv(u3))]
+
+
+def rand_laurent_scalar(rng, spec, coeffs, val=None, lead=None):
+    """t^val times a unit with offsets inserted in random order, exact or
+    capped; `lead` fixes the constant term of the unit."""
+    keys = [0] + [k for k in range(1, 5) if rng.random() < 0.4]
+    rng.shuffle(keys)
+    unit = {k: rng.choice(coeffs) if k or lead is None else lead
+            for k in keys}
+    val = rng.randint(-2, 2) if val is None else val
+    return Scalar._laurent(spec, val, unit,
+                           rng.choice((None, None, 1, 2, 3, 5)))
+
+
+def _sum_outcome(add, a, b):
+    """(val, unit items in order, prec) of a + b, or the exception class."""
+    try:
+        s = add(a, b)
+    except Exception as exc:
+        return type(exc)
+    return s._val, list(s._unit.items()), s._prec
+
+
+@pytest.mark.parametrize("spec", [F2T, F4T, RF2],
+                         ids=["F2T", "F4T", "RF2"])
+def test_laurent_sums_match_the_old_two_pass_sum(spec):
+    rng = random.Random(f"laurent-add-{spec.kind}-{spec.field_size}")
+    coeffs = _laurent_coeffs(spec)
+    dom = spec.domain()
+    zero = Scalar.zero(spec)
+    seen = {"exhausted": 0, "zero": 0, "lead_cancelled": 0, "capped": 0}
+    for _ in range(300):
+        a = rand_laurent_scalar(rng, spec, coeffs)
+        # the constant term of a cancels, the rest of b is random
+        lead = rand_laurent_scalar(rng, spec, coeffs, a._val,
+                                   dom.neg(a._unit[0]))
+        pairs = [(a, rand_laurent_scalar(rng, spec, coeffs)), (a, -a),
+                 (a, lead), (lead, a), (a, zero), (zero, a), (zero, zero)]
+        for x, y in pairs:
+            want = _sum_outcome(ref_laurent_add, x, y)
+            assert _sum_outcome(Scalar.__add__, x, y) == want
+            if want is PrecisionExhausted:
+                seen["exhausted"] += 1
+            elif want[0] is None:
+                seen["zero"] += 1
+            else:
+                seen["capped"] += want[2] is not None
+                seen["lead_cancelled"] += (x is a and y is lead
+                                           and want[0] > a._val)
+    assert all(seen.values()), seen
+
+
+# -- RatFun sums and products: polynomials skip the denominator products
+
+
+@pytest.mark.parametrize("p,nvars", [(2, 3), (3, 2)],
+                         ids=["ratfun2", "F3(u1,u2)"])
+def test_ratfun_sums_and_products_match_the_general_formula(p, nvars):
+    rng = random.Random(f"ratfun-{p}-{nvars}")
+
+    def part(shape):
+        # small parts: gcds of larger sums take seconds each
+        if shape != "poly":
+            return _rand_part(rng, p, nvars, shape)
+        terms = {tuple(rng.randint(0, 2) for _ in range(nvars)):
+                 rng.randint(1, p - 1) for _ in range(rng.randint(1, 3))}
+        return MPoly(p, nvars, terms)
+
+    def operand():
+        return RatFun(part(rng.choice(("zero", "one", "poly"))),
+                      part(rng.choice(("one", "poly"))))
+
+    polys = 0
+    for _ in range(200):
+        a, b = operand(), operand()
+        polys += a.is_poly() and b.is_poly()
+        for x, y in ((a, b), (a, -a), (b, a)):
+            for got, want in (
+                    (x + y, RatFun(x.num * y.den + y.num * x.den,
+                                   x.den * y.den)),
+                    (x * y, RatFun(x.num * y.num, x.den * y.den))):
+                assert list(got.num.terms.items()) \
+                    == list(want.num.terms.items())
+                assert list(got.den.terms.items()) \
+                    == list(want.den.terms.items())
+    assert polys and polys < 200
 
 
 INVERSE_DOMAINS = [GF(2), GF(3), GF(2, 2), GF(251)]
