@@ -22,10 +22,9 @@ from .rootlift import (NearRootResult, RootTower, RootTrace, build_tower,
                        pth_root_near, pth_root_near_one,
                        tower_unit_certificate, verify_tower, verify_trace)
 from .squarezero import SquareZeroElem, SquareZeroRing
-from .derivlab import (Certificate, PolyInTF, deriv_eval,
-                       nonintegral_certificate, p_independence_certificate,
-                       pbasis_series, phi, sparse_indices, sparse_series,
-                       unboundedness_table)
+from .derivlab import (Certificate, PolyInTF, nonintegral_certificate,
+                       p_independence_certificate, pbasis_series, phi,
+                       sparse_indices, sparse_series, unboundedness_table)
 from .frobenius import (decomposition_artifact, derivative_span_witness,
                         pth_power_basis, scalar_decompose,
                         scalar_reconstruct, series_decompose,

@@ -136,8 +136,6 @@ def run_spectral_radius(params):
     f, spec, radii = _series_from_params(params)
     n, exact = f.gauss_norm()
     powers = params.get("powers", 6)
-    if powers < 1:
-        raise NonarchError("spectral-radius needs --powers >= 1")
     # the power estimates are the evidence for VERIFIED; neither input
     # below has any
     if f.is_ring_zero():
@@ -163,8 +161,6 @@ def run_pth_root(params):
     spec = FieldSpec.from_json(params["field"])
     target = scalar_from_literal(spec, params["target"])
     max_steps = params.get("max_steps")
-    if max_steps is not None and max_steps < 1:
-        raise NonarchError("pth-root needs --max-steps >= 1")
     kwargs = {} if max_steps is None else {"max_steps": max_steps}
     root, trace = pth_root_near_one(target, params["prime"], **kwargs)
     replay = verify_trace(trace)
@@ -177,8 +173,6 @@ def run_pth_root(params):
 def run_tower(params):
     spec = FieldSpec.from_json(params["field"])
     target = scalar_from_literal(spec, params["target"])
-    if params["depth"] < 1:
-        raise NonarchError("tower needs --depth >= 1")
     try:
         tower = build_tower(target, params["prime"], params["depth"])
     except TowerObstruction as exc:
@@ -251,10 +245,6 @@ def run_unbounded_demo(params):
 
 def run_pbasis_cert(params):
     p, nvars = params["prime"], params["num_pbasis_vars"]
-    # checked with --series too, which never reads it, so that no
-    # artifact stores a term count below 1
-    if params["terms"] < 1:
-        raise NonarchError("pbasis-cert needs --terms >= 1")
     spec = FieldSpec.from_json(params["field"])
     radius = RadiusDecl.from_json(params["radius"])
     if (spec.residue_prime, spec.nvars) != (p, nvars):
@@ -293,8 +283,6 @@ def run_sz_check(params):
     radii = (RadiusDecl.from_json(params["radius"]),)
     rng = random.Random(params["seed"])
     count = params["count"]
-    if count < 1:
-        raise NonarchError("sz-check needs --count >= 1")
 
     def rand_scalar():
         if spec.kind == PADIC:
@@ -363,6 +351,7 @@ REQUIRED = ...      # the default of a flag that must be given
 # a subcommand: runner, help, default field, whether it reads --radius, how
 # it reads --series (None; "radius": required, its "radius" ids naming the
 # radii; "optional") and its flags, each (flag, key, type, default|REQUIRED)
+# or, for a flag with a least value, (flag, key, type, default, minimum)
 Command = namedtuple("Command", "run help field radius series flags",
                      defaults=("q3", True, None, ()))
 
@@ -372,17 +361,17 @@ COMMANDS = {
                           series="radius"),
     "spectral-radius": Command(
         run_spectral_radius, "spectral radius with power-estimate oracle",
-        series="radius", flags=(("--powers", "powers", int, 6),)),
+        series="radius", flags=(("--powers", "powers", int, 6, 1),)),
     "pth-root": Command(
         run_pth_root, "certified p-th root iteration", radius=False,
         flags=(("--prime", "prime", int, REQUIRED),
                ("--target", "target", str, REQUIRED),
-               ("--max-steps", "max_steps", int, None))),
+               ("--max-steps", "max_steps", int, None, 1))),
     "tower": Command(
         run_tower, "compatible p-power root tower", radius=False,
         flags=(("--prime", "prime", int, REQUIRED),
                ("--target", "target", str, REQUIRED),
-               ("--depth", "depth", int, REQUIRED))),
+               ("--depth", "depth", int, REQUIRED, 1))),
     "sparse-series": Command(
         run_sparse_series, "gap series with certificates",
         flags=(("--terms", "terms", int, REQUIRED),)),
@@ -401,7 +390,7 @@ COMMANDS = {
         field="ratfun2", series="optional",
         flags=(("--prime", "prime", int, 2),
                ("--nvars", "num_pbasis_vars", int, 3),
-               ("--terms", "terms", int, 4),
+               ("--terms", "terms", int, 4, 1),
                ("--tdeg", "T_deg_max", int, 4),
                ("--cdeg", "coeff_deg_max", int, 2))),
     "ffinite-decompose": Command(
@@ -409,7 +398,8 @@ COMMANDS = {
         field="f2t", series="radius"),
     "sz-check": Command(
         run_sz_check, "randomized square-zero ring axioms",
-        flags=(("--count", "count", int, 1000), ("--seed", "seed", int, 7))),
+        flags=(("--count", "count", int, 1000, 1),
+               ("--seed", "seed", int, 7))),
 }
 
 
@@ -471,18 +461,28 @@ def param_types(command):
     """The types of a command's scalar params, which a replayed artifact
     must carry: the flag's type, or None where that is the default."""
     return {key: (typ,) if default is not None else (typ, type(None))
-            for _, key, typ, default in COMMANDS[command].flags}
+            for _, key, typ, default, *_ in COMMANDS[command].flags}
 
 
 def param_keys(command):
     """The params keys every artifact of a command carries."""
     cmd = COMMANDS[command]
-    keys = ["field"] + [key for _, key, _, _ in cmd.flags]
+    keys = ["field"] + [key for _, key, *_ in cmd.flags]
     if cmd.series == "radius":
         keys.append("radii")
     elif cmd.radius:
         keys.append("radius")
     return keys + ["series"] * bool(cmd.series)
+
+
+def _run(command, params):
+    """The command's runner, on params whose flags hold their minimums
+    (a stored param that --series leaves unread included)."""
+    cmd = COMMANDS[command]
+    for flag, key, _, _, *least in cmd.flags:
+        if least and params[key] is not None and params[key] < least[0]:
+            raise NonarchError(f"{command} needs {flag} >= {least[0]}")
+    return cmd.run(params)
 
 
 def make_artifact(command, params, result, claim, verdict):
@@ -528,7 +528,7 @@ def check_artifact(path):
                 f"artifact param {key!r} must be "
                 f"{' or '.join(t.__name__ for t in types)}, not "
                 f"{type(params[key]).__name__}")
-    result, claim, verdict = COMMANDS[command].run(params)
+    result, claim, verdict = _run(command, params)
     fresh = json.dumps(make_artifact(command, params, result, claim,
                                      verdict), sort_keys=True)
     if fresh == json.dumps(stored, sort_keys=True):
@@ -599,7 +599,7 @@ def build_parser():
         if cmd.series:
             sp.add_argument("--series", required=cmd.series == "radius",
                             help="series JSON (inline or file path)")
-        for flag, key, typ, default in cmd.flags:
+        for flag, key, typ, default, *_ in cmd.flags:
             sp.add_argument(flag, dest=key, metavar=flag[2:].upper(),
                             type=typ, required=default is REQUIRED,
                             default=None if default is REQUIRED else default)
@@ -620,7 +620,7 @@ def _params_for(args, cfg):
     if cmd.series == "optional":
         params["series"] = None if args.series is None \
             else _load_series_arg(args.series)
-    params.update((key, getattr(args, key)) for _, key, _, _ in cmd.flags)
+    params.update((key, getattr(args, key)) for _, key, *_ in cmd.flags)
     if args.command == "pbasis-cert":
         params["field"]["num_pbasis_vars"] = params["num_pbasis_vars"]
     if args.command == "unbounded-demo":
@@ -642,7 +642,7 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         cfg = load_config(args.config)
         params = _params_for(args, cfg)
-        result, claim, verdict = COMMANDS[args.command].run(params)
+        result, claim, verdict = _run(args.command, params)
         artifact = make_artifact(args.command, params, result, claim,
                                  verdict)
         path = write_artifact(artifact, args.out or cfg["out"], args.command)

@@ -8,11 +8,10 @@ Construction chain, all exactly computable:
   on the columns T^e f^(n-i), from powers of f taken by
   ``coeffs.poly_mul``, and refuses a system larger than
   ``linalg.MAX_WORK``);
-* the derivation d/dF on the subring k[T][f], realised on bivariate
-  polynomials P(T, F) (``deriv_eval``), with d(f) = 1;
-* the dual-number homomorphism phi(P) = (P(T,f), dP/dF(T,f)) into the
-  square-zero extension, whose norm-ratio table diverges in characteristic
-  0 (``unboundedness_table``);
+* the dual-number homomorphism phi(P) = P(T, f + eps) = P + D(P) eps on
+  bivariate polynomials P(T, F) (``phi``), where D is the derivation with
+  D(T) = 0 and D(f) = 1, into the square-zero extension; its norm-ratio
+  table diverges in characteristic 0 (``unboundedness_table``);
 * in characteristic p, a series with p-independent coefficients
   (``pbasis_series``) and an exhaustive-span certificate that no bounded
   relation f0^p g0 f = sum g_i f_i^p omitting a declared p-basis generator
@@ -26,12 +25,13 @@ from itertools import combinations, islice
 from fractions import Fraction
 
 from .coeffs import poly_mul
-from .errors import MissingCertificate, PreconditionFailed
+from .errors import (MissingCertificate, PrecisionExhausted,
+                     PreconditionFailed)
 from .fields import (PADIC, RATFUN_LAURENT, FieldSpec, Scalar)
 from .lognorm import (Cmp, LogNorm, RadiusDecl, ln_compare, ln_mul, ln_pow,
                       log_q_interval, norm_exceeds)
 from .linalg import MAX_WORK, nullspace, sparse_rank_mod_p
-from .series import POWER, TateSeries
+from .series import POWER, TateSeries, _merge
 from .squarezero import SquareZeroRing
 
 DENSE_ENTRY_LIMIT = 40_000
@@ -229,7 +229,7 @@ def nonintegral_certificate(f, n_max: int, d_max: int) -> Certificate:
 
 
 # ---------------------------------------------------------------------------
-# The derivation d/dF on k[T][f]
+# Polynomials P(T, F) and the homomorphism phi
 
 
 class PolyInTF:
@@ -264,17 +264,9 @@ class PolyInTF:
         return max((df for _, df in self.terms), default=0)
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            if k in out:
-                s = out[k] + c
-                if s.is_ring_zero():
-                    del out[k]
-                else:
-                    out[k] = s
-            else:
-                out[k] = c
-        return PolyInTF(self.spec, out)
+        out, lost = dict(self.terms), []
+        _merge(out, lost, other.terms)
+        return self._exact(out, lost)
 
     def __neg__(self):
         return PolyInTF(self.spec, {k: -c for k, c in self.terms.items()})
@@ -283,49 +275,18 @@ class PolyInTF:
         return self + (-other)
 
     def __mul__(self, other):
-        # not coeffs.poly_mul: the coefficients are capped-precision Scalars
-        out = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                k = (a1 + a2, b1 + b2)
-                v = c1 * c2
-                if k in out:
-                    s = out[k] + v
-                    if s.is_ring_zero():
-                        del out[k]
-                    else:
-                        out[k] = s
-                elif not v.is_ring_zero():
-                    out[k] = v
+        out, lost = {}, []
+        for k, c in self.terms.items():
+            _merge(out, lost, other.terms, k, c)
+        return self._exact(out, lost)
+
+    def _exact(self, out, lost):
+        # a polynomial has no tail to fold a lost coefficient into
+        if lost:
+            raise PrecisionExhausted(
+                "polynomial coefficient indistinguishable from zero at the "
+                "cap")
         return PolyInTF(self.spec, out)
-
-    def d_dF(self):
-        out = {}
-        for (dt, df), c in self.terms.items():
-            if df == 0:
-                continue
-            scaled = c * Scalar.from_int(self.spec, df)
-            if not scaled.is_ring_zero():
-                out[(dt, df - 1)] = scaled
-        return PolyInTF(self.spec, out)
-
-    def eval_at(self, f: TateSeries) -> TateSeries:
-        pows = {0: f.ring_one()}
-
-        def fpow(k):
-            if k not in pows:
-                pows[k] = fpow(k - 1) * f
-            return pows[k]
-
-        acc = TateSeries.zero(f.spec, f.radii, f.kind)
-        for (dt, df), c in sorted(self.terms.items()):
-            term = fpow(df).scalar_mul(c)
-            if dt:
-                term = term * TateSeries.monomial(
-                    f.spec, f.radii, (dt,) + (0,) * (f.nvars - 1),
-                    Scalar.one(f.spec), f.kind)
-            acc = acc + term
-        return acc
 
 
 def _require_cover(cert: Certificate, P: PolyInTF, f: TateSeries):
@@ -344,19 +305,23 @@ def _require_cover(cert: Certificate, P: PolyInTF, f: TateSeries):
             f"(deg_F={P.deg_F()}, deg_T={P.deg_T()})")
 
 
-def deriv_eval(P: PolyInTF, f: TateSeries, cert: Certificate) -> TateSeries:
-    """(dP/dF)(T, f): the derivation vanishing on k[T] with value 1 on f."""
-    _require_cover(cert, P, f)
-    return P.d_dF().eval_at(f)
-
-
 def phi(P: PolyInTF, f: TateSeries, cert: Certificate,
         ring: SquareZeroRing = None):
-    """Dual-number homomorphism P -> (P(T,f), dP/dF(T,f))."""
+    """Dual-number homomorphism P -> P(T, f + eps) = (P(T, f), dP/dF(T, f)),
+    in one Horner pass over the F-degree from the top: with p_j(T) the
+    coefficient of F^j, (a, b) <- (a f + p_j, b f + a)."""
     _require_cover(cert, P, f)
     if ring is None:
         ring = SquareZeroRing(f.ring_one())
-    return ring.elem(P.eval_at(f), P.d_dF().eval_at(f))
+    pad = (0,) * (f.nvars - 1)
+    rows = {}
+    for (dt, df), c in P.terms.items():
+        rows.setdefault(df, {})[(dt,) + pad] = c
+    a = b = TateSeries.zero(f.spec, f.radii, f.kind)
+    for j in range(P.deg_F(), -1, -1):
+        p_j = TateSeries(f.spec, f.kind, f.radii, rows.get(j, {}))
+        a, b = a * f + p_j, b * f + a
+    return ring.elem(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ them by recursive descent.
 from __future__ import annotations
 
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
@@ -890,7 +891,15 @@ def scalar_from_literal(spec: FieldSpec, s: str) -> Scalar:
             pos += 2 + neg_exp
             if type(e) is not int:
                 raise ValueError("exponent must be an integer")
-            v = v.pow_int(-e if neg_exp else e)
+            k = -e if neg_exp else e
+            # a p-adic power is an exact rational, built in full: refuse
+            # one past the int-to-str digit limit, at 10/3 bits a digit
+            limit = sys.get_int_max_str_digits()
+            if spec.kind == PADIC and limit \
+                    and e * v.rep_size() > limit * 10 // 3:
+                raise ValueError(f"power ^{k} of a {v.rep_size()}-bit base "
+                                 f"passes the {limit}-digit int limit")
+            v = v.pow_int(k)
         return -v if neg else v
 
     def atom():

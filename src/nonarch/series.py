@@ -178,15 +178,6 @@ class TateSeries:
             result = result.pruned(SUPPORT_CAP)
         return result
 
-    def scalar_mul(self, c: Scalar):
-        if c.is_ring_zero():
-            return TateSeries.zero(self.spec, self.radii, self.kind)
-        tail = self.tail
-        if not tail.is_zero:
-            tail = ln_mul(tail, c.norm_ln(self.nvars))
-        return TateSeries(self.spec, self.kind, self.radii,
-                          {e: v * c for e, v in self.support.items()}, tail)
-
     def pow_int(self, k: int):
         if k < 0:
             # the square-and-multiply loops below never end on k < 0

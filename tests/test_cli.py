@@ -530,23 +530,36 @@ def test_deep_padic_pth_root_certified(target, tmp_path):
                  str(tmp_path / "pth-root.json")]) == 0
 
 
+# each flag with a minimum of 1: a command line without it, the flag, its
+# params key and a value that runs
+@pytest.mark.parametrize("argv,flag,key,good", [
+    (["pth-root", "--field", "q3", "--prime", "2", "--target", "4"],
+     "--max-steps", "max_steps", "8"),
+    (["spectral-radius", "--field", "q3", "--series", SER_Q3],
+     "--powers", "powers", "2"),
+    (["tower", "--field", "q3", "--prime", "2", "--target", "4"],
+     "--depth", "depth", "1"),
+    (["pbasis-cert"], "--terms", "terms", "2"),
+    (["sz-check", "--field", "q3"], "--count", "count", "2"),
+], ids=["max-steps", "powers", "depth", "terms", "count"])
 @pytest.mark.parametrize("steps", [0, -2])
-def test_pth_root_step_budget_below_one_rejected(steps, tmp_path, capsys):
-    # 0 used to run the default budget, -2 to fail after "-2 steps"
-    argv = ["pth-root", "--field", "q3", "--prime", "2", "--target", "4"]
-    want = "error: pth-root needs --max-steps >= 1\n"
+def test_flag_below_its_minimum_rejected(steps, argv, flag, key, good,
+                                         tmp_path, capsys):
+    # a --max-steps of 0 used to run the default budget, -2 to fail after
+    # "-2 steps"; the minimum holds on the run and on --check alike
+    want = f"error: {argv[0]} needs {flag} >= 1\n"
     capsys.readouterr()
-    assert main(argv + ["--max-steps", str(steps),
+    assert main(argv + [flag, str(steps),
                         "--out", str(tmp_path / "run")]) == 1
     assert capsys.readouterr().err == want
     assert not (tmp_path / "run").exists()
-    assert main(argv + ["--out", str(tmp_path)]) == 0
-    art = _read(tmp_path, "pth-root")
-    art["params"]["max_steps"] = steps
+    assert main(argv + [flag, good, "--out", str(tmp_path)]) == 0
+    art = _read(tmp_path, argv[0])
+    art["params"][key] = steps
     edited = tmp_path / "edited.json"
     edited.write_text(json.dumps(art))
     capsys.readouterr()
-    assert main(["pth-root", "--check", str(edited)]) == 1
+    assert main([argv[0], "--check", str(edited)]) == 1
     assert capsys.readouterr().err == want
 
 
@@ -665,6 +678,23 @@ def test_unbounded_demo_exponent_past_the_digit_limit_rejected(
     assert not (tmp_path / "out").exists()
     _replay_edited(tmp_path, capsys, ["unbounded-demo", "--terms", "4"],
                    lambda params: params.update(bound=bound))
+
+
+def test_padic_literal_powers_past_the_digit_limit_rejected(tmp_path,
+                                                            capsys):
+    # 2^1000000 took 12 s, and 3^100000000 never finished; each is refused
+    # before the power is built, on the run and on the replay
+    big = json.loads(SER_Q3)
+    big["terms"][0]["coeff"] = "3^100000000"
+    for argv, edit in (
+            (["pth-root", "--field", "q3", "--prime", "2", "--target",
+              "2^1000000"], lambda params: params.update(target="2^1000000")),
+            (["gauss-norm", "--field", "q3", "--series", json.dumps(big)],
+             lambda params: params.update(series=big))):
+        _fails_with_one_line(capsys, argv + ["--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+        good = argv[:-1] + ["4" if argv[0] == "pth-root" else SER_Q3]
+        _replay_edited(tmp_path, capsys, good, edit)
 
 
 def test_unbounded_demo_bound_stored_exact(tmp_path):

@@ -9,15 +9,18 @@ from itertools import combinations, islice
 import pytest
 
 from nonarch import (FieldSpec, LogNorm, MissingCertificate, PolyInTF,
-                     PreconditionFailed, RadiusDecl, Scalar, TateSeries,
-                     derivlab, deriv_eval, nonintegral_certificate,
+                     PrecisionExhausted, PreconditionFailed, RadiusDecl,
+                     Scalar, TateSeries, derivlab, nonintegral_certificate,
                      p_independence_certificate, pbasis_series, phi,
-                     sparse_indices, sparse_series, unboundedness_table)
+                     ln_mul, scalar_from_literal, sparse_indices,
+                     sparse_series, unboundedness_table)
+from nonarch.cli import DEFAULT_CONFIG
 from nonarch.coeffs import poly_mul
 from nonarch.derivlab import pbasis_generators
 from nonarch.fields import FQ_LAURENT, PADIC, RATFUN_LAURENT
 from nonarch.linalg import MAX_WORK
 from nonarch.series import POWER
+from nonarch.squarezero import SquareZeroRing
 
 Q3 = FieldSpec(PADIC, 3, precision_cap=40)
 F2T = FieldSpec(FQ_LAURENT, 2, field_size=2, precision_cap=64)
@@ -167,31 +170,31 @@ def test_derivation_values():
     sp = sparse_series(3, Q3, R1)
     f = sp.series
     cert = nonintegral_certificate(sp, 2, 3)
-    assert deriv_eval(PolyInTF.T(Q3, 3), f, cert).is_ring_zero()
+    assert phi(PolyInTF.T(Q3, 3), f, cert).b.is_ring_zero()
     one_s = f.ring_one()
-    assert deriv_eval(PolyInTF.F(Q3), f, cert).equals(one_s)
+    assert phi(PolyInTF.F(Q3), f, cert).b.equals(one_s)
     P = PolyInTF.T(Q3) * PolyInTF.F(Q3, 2)
     expect = TateSeries.monomial(Q3, (R1,), 1,
                                  Scalar.from_int(Q3, 2)) * f
-    assert deriv_eval(P, f, cert).equals(expect)
+    assert phi(P, f, cert).b.equals(expect)
 
 
-def test_phi_homomorphism():
-    sp = sparse_series(3, Q3, R1)
+@pytest.mark.parametrize("spec", [Q3, F2T], ids=["Q3", "F2T"])
+def test_phi_homomorphism(spec):
+    sp = sparse_series(3, spec, R1)
     f, cert = sp.series, nonintegral_certificate(sp, 2, 3)
-    F, T = PolyInTF.F(Q3), PolyInTF.T(Q3)
+    F, T = PolyInTF.F(spec), PolyInTF.T(spec)
     assert phi(T, f, cert).b.is_ring_zero()
     img = phi(F, f, cert)
     assert img.a.equals(f) and img.b.equals(f.ring_one())
     # products need a wider certificate: deg_F <= 4, deg_T <= 6
-    sp5 = sparse_series(5, Q3, R1)
+    sp5 = sparse_series(5, spec, R1)
     f, cert = sp5.series, nonintegral_certificate(sp5, 4, 6)
     rng = random.Random(2)
-    from nonarch.squarezero import SquareZeroRing
     ring = SquareZeroRing(f.ring_one())
     for _ in range(25):
-        P = _rand_poly(rng)
-        Q = _rand_poly(rng)
+        P = _rand_poly(rng, spec)
+        Q = _rand_poly(rng, spec)
         # ring homomorphism and the Leibniz rule, exercised through the ring product
         assert phi(P * Q, f, cert, ring).equals(
             phi(P, f, cert, ring) * phi(Q, f, cert, ring))
@@ -199,26 +202,119 @@ def test_phi_homomorphism():
             phi(P, f, cert, ring) + phi(Q, f, cert, ring))
 
 
-def _rand_poly(rng):
+def _rand_poly(rng, spec=Q3):
     terms = {}
     for _ in range(rng.randint(1, 3)):
-        terms[(rng.randint(0, 3), rng.randint(0, 2))] = \
-            Scalar.from_int(Q3, rng.randint(-4, 4))
-    return PolyInTF(Q3, terms)
+        c = Scalar.from_int(spec, rng.randint(-4, 4))
+        if spec.kind != PADIC:
+            c = c * Scalar.t_power(spec, rng.randint(-2, 2))
+        terms[(rng.randint(0, 3), rng.randint(0, 2))] = c
+    return PolyInTF(spec, terms)
+
+
+def ref_d_dF(P):
+    """dP/dF, as ``PolyInTF.d_dF`` built it before ``phi`` took one
+    Horner pass."""
+    out = {}
+    for (dt, df), c in P.terms.items():
+        if df == 0:
+            continue
+        scaled = c * Scalar.from_int(P.spec, df)
+        if not scaled.is_ring_zero():
+            out[(dt, df - 1)] = scaled
+    return PolyInTF(P.spec, out)
+
+
+def ref_scalar_mul(s, c):
+    """c * s for a series s, as ``TateSeries.scalar_mul`` computed it."""
+    if c.is_ring_zero():
+        return TateSeries.zero(s.spec, s.radii, s.kind)
+    tail = s.tail
+    if not tail.is_zero:
+        tail = ln_mul(tail, c.norm_ln(s.nvars))
+    return TateSeries(s.spec, s.kind, s.radii,
+                      {e: v * c for e, v in s.support.items()}, tail)
+
+
+def ref_eval_at(P, f):
+    """P(T, f), as ``PolyInTF.eval_at`` computed it: one monomial series
+    product per term, on cached powers of f."""
+    pows = {0: f.ring_one()}
+
+    def fpow(k):
+        if k not in pows:
+            pows[k] = fpow(k - 1) * f
+        return pows[k]
+
+    acc = TateSeries.zero(f.spec, f.radii, f.kind)
+    for (dt, df), c in sorted(P.terms.items()):
+        term = ref_scalar_mul(fpow(df), c)
+        if dt:
+            term = term * TateSeries.monomial(
+                f.spec, f.radii, (dt,) + (0,) * (f.nvars - 1),
+                Scalar.one(f.spec), f.kind)
+        acc = acc + term
+    return acc
+
+
+# coefficient literals of each configured field, with denominators on
+# the p-adic side and generators besides t on the Laurent side
+COEFFS = {
+    PADIC: ["1", "-2", "3", "7/9", "-5/2", "4*3^-2", "0"],
+    FQ_LAURENT: ["1", "t", "t^-2", "1 + t^3", "w", "w^2*t + 1", "0"],
+    RATFUN_LAURENT: ["1", "t", "u1", "u2*t^-1 + u3", "u1*u2 + t^2", "0"],
+}
+FIELDS = {name: FieldSpec.from_json(decl)
+          for name, decl in DEFAULT_CONFIG["fields"].items()}
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_phi_matches_two_pass_evaluation(name):
+    spec = FIELDS[name]
+    sp = sparse_series(5, spec, R1)
+    f, cert = sp.series, nonintegral_certificate(sp, 4, 6)
+    assert cert.verdict == "NON_INTEGRAL"
+    # F_2((t)) has no extension generator w
+    coeffs = [scalar_from_literal(spec, s) for s in COEFFS[spec.kind]
+              if "w" not in s or spec.field_size > 2]
+    rng = random.Random(name)
+    for _ in range(100):
+        P = PolyInTF(spec, {(rng.randint(0, 6), rng.randint(0, 4)):
+                            rng.choice(coeffs)
+                            for _ in range(rng.randint(0, 8))})
+        img = phi(P, f, cert)
+        for got, want in ((img.a, ref_eval_at(P, f)),
+                          (img.b, ref_eval_at(ref_d_dF(P), f))):
+            assert got.support == want.support
+            assert got.tail == want.tail and got.is_exact()
+
+
+@pytest.mark.parametrize("op", ["sum", "product"])
+def test_poly_coefficients_cancelling_at_the_cap_raise(op):
+    # a lost coefficient has no tail to be folded into
+    c = Scalar.from_int(Q3, 5).cap()
+    P = PolyInTF(Q3, {(1, 0): c, (0, 1): c})
+    Q = PolyInTF(Q3, {(1, 0): -c} if op == "sum"
+                 else {(1, 0): c, (0, 1): -c})
+    with pytest.raises(PrecisionExhausted):
+        P + Q if op == "sum" else P * Q
+    exact = Scalar.from_int(Q3, 5)
+    P = PolyInTF(Q3, {(1, 0): exact, (0, 1): exact})
+    assert (P - P).terms == {}
 
 
 def test_deriv_requires_covering_certificate():
     sp = sparse_series(3, Q3, R1)
     f, cert = sp.series, nonintegral_certificate(sp, 2, 3)
     with pytest.raises(MissingCertificate):
-        deriv_eval(PolyInTF.F(Q3, 3), f, cert)     # deg_F exceeds n_max
+        phi(PolyInTF.F(Q3, 3), f, cert)     # deg_F exceeds n_max
     with pytest.raises(MissingCertificate):
-        deriv_eval(PolyInTF.T(Q3, 9), f, cert)     # deg_T exceeds d_max
+        phi(PolyInTF.T(Q3, 9), f, cert)     # deg_T exceeds d_max
     other = sparse_series(2, Q3, R1)
     with pytest.raises(MissingCertificate):
-        deriv_eval(PolyInTF.F(Q3), other.series, cert)
+        phi(PolyInTF.F(Q3), other.series, cert)
     with pytest.raises(MissingCertificate):
-        deriv_eval(PolyInTF.F(Q3), f, None)
+        phi(PolyInTF.F(Q3), f, None)
 
 
 def test_unbounded_table_test_radius():

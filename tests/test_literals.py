@@ -2,14 +2,17 @@
 
 ``_Tokenizer`` and ``_Parser`` below are the character scanner and the
 recursive-descent class that ``fields.scalar_from_literal`` took over from,
-kept verbatim as the oracle.  Literals drawn from the grammar (integers
-past the int-to-str digit limit, the names of each field, negative
-exponents, stacked unary signs, parentheses down to depth 200) must give
-equal scalars with the same literal; junk made from the same alphabet and
-a few malformed words must raise the same exception class.
+kept verbatim as the oracle, but for the later bound on the size of a
+p-adic power (``test_padic_powers_past_the_digit_limit_refused``).
+Literals drawn from the grammar (integers past the int-to-str digit
+limit, the names of each field, negative exponents, stacked unary signs,
+parentheses down to depth 200) must give equal scalars with the same
+literal; junk made from the same alphabet and a few malformed words must
+raise the same exception class.
 """
 
 import re
+import sys
 from decimal import Decimal
 
 import pytest
@@ -133,6 +136,11 @@ class _Parser:
             e = self._take()
             if not isinstance(e, int):
                 raise ValueError("exponent must be an integer")
+            # not in the replaced reader: the bound on p-adic powers
+            limit = sys.get_int_max_str_digits()
+            if self.spec.kind == PADIC and limit \
+                    and e * v.rep_size() > limit * 10 // 3:
+                raise ValueError("power past the int-to-str digit limit")
             v = v.pow_int(esign * e)
         return -v if neg else v
 
@@ -269,3 +277,19 @@ def test_junk_raises_alike(name, junk):
 def test_malformed_literals_raise_value_error(lit):
     with pytest.raises(ValueError):
         scalar_from_literal(F2T, lit)
+
+
+def test_padic_powers_past_the_digit_limit_refused():
+    # |e| times the base's bit size against the int-to-str digit limit,
+    # at 10/3 bits a digit; 3 takes 3 bits (2 for 3, 1 for 1)
+    limit = sys.get_int_max_str_digits()
+    top = limit * 10 // 3 // 3
+    three = Scalar.from_int(Q3, 3)
+    for e in (top, -top, 700):
+        assert scalar_from_literal(Q3, f"3^{e}").equals(three.pow_int(e))
+    for lit in (f"3^{top + 1}", f"3^-{top + 1}", "2^1000000",
+                "3^100000000", "7/9^99999999999"):
+        with pytest.raises(ValueError, match="digit int limit"):
+            scalar_from_literal(Q3, lit)
+    # Laurent powers are not bounded this way
+    assert scalar_from_literal(F2T, "t^100000000").valuation() == 10 ** 8
