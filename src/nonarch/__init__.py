@@ -16,7 +16,7 @@ from .fields import (FQ_LAURENT, PADIC, RATFUN_LAURENT, FieldSpec, Scalar,
                      check_aux_prime, scalar_from_literal, scalar_pth_root)
 from .lognorm import (Cmp, LogNorm, RadiusDecl, in_value_group_rational,
                       ln_compare, ln_mul, ln_pow)
-from .series import (LAURENT, POWER, TateSeries, spectral_power_estimate,
+from .series import (LAURENT, POWER, TateSeries, spectral_power_estimates,
                      spectral_radius_laurent)
 from .rootlift import (NearRootResult, RootTower, RootTrace, build_tower,
                        pth_root_near, pth_root_near_one,

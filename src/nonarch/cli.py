@@ -35,7 +35,7 @@ from .lognorm import Cmp, RadiusDecl, ln_compare, ln_mul
 from .rootlift import build_tower, pth_root_near_one, verify_tower, \
     verify_trace, tower_unit_certificate
 from .series import (LAURENT, TateSeries, check_series_json,
-                     spectral_power_estimate)
+                     spectral_power_estimates)
 from .squarezero import SquareZeroRing
 
 SCHEMA = "nonarch-artifact/3"
@@ -143,14 +143,9 @@ def run_spectral_radius(params):
     if not f.is_exact():
         raise NonarchError("spectral-radius needs an exact series (no tail "
                            "bound)")
-    checks = []
-    agree = True
-    for power in range(1, powers + 1):
-        est = spectral_power_estimate(f, power)
-        ok = est == n
-        agree = agree and ok
-        checks.append({"l": power, "estimate": est.to_json(),
-                       "matches": ok})
+    checks = [{"l": l, "estimate": est.to_json(), "matches": est == n}
+              for l, est in enumerate(spectral_power_estimates(f, powers), 1)]
+    agree = all(c["matches"] for c in checks)
     result = {"spectral_radius": n.to_json(), "exact": exact,
               "power_estimates": checks, "all_match": agree}
     return result, "spectral-radius-equals-weighted-term-maximum", \

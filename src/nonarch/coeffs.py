@@ -192,13 +192,6 @@ def _below(a, limit):
 # GF(p^d)
 
 
-def _vec_add(a, b, p):
-    n = max(len(a), len(b))
-    a = a + (0,) * (n - len(a))
-    b = b + (0,) * (n - len(b))
-    return tuple((x + y) % p for x, y in zip(a, b))
-
-
 def _vec_trim(a):
     while a and a[-1] == 0:
         a = a[:-1]
@@ -328,7 +321,18 @@ class GF:
         return not a
 
     def add(self, a, b):
-        return _vec_trim(_vec_add(a, b, self.p))
+        p = self.p
+        if len(a) == 1 == len(b):
+            s = (a[0] + b[0]) % p
+            return (s,) if s else ()
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, y in enumerate(b):
+            out[i] = (out[i] + y) % p
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
 
     def neg(self, a):
         return tuple((-c) % self.p for c in a)

@@ -25,9 +25,8 @@ valuation at most once, on first use, into the ``_val`` slot (which a
 Laurent scalar uses for its exponent of t); results whose valuation is
 known from their operands are built with it.
 
-Powers of an exact p-adic series are computed over the integers
-(``padic_support_pow``): one common denominator, then integer
-square-and-multiply, giving the same coefficients as the scalar products.
+The spectral estimates raise an exact p-adic series f = F/D to powers
+over the integer numerators F that ``padic_numerators`` gives.
 
 A nonzero Laurent scalar is t^val times a unit series {offset: coefficient}
 with a nonzero constant term and no offset at or beyond the precision.  The
@@ -52,7 +51,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .coeffs import GF, RatFunField, is_prime, poly_mul, power, series_axpy
+from .coeffs import GF, RatFunField, is_prime, power, series_axpy
 from .errors import (DivisionByZero, NonarchError, NoRootInField,
                      PrecisionExhausted, PreconditionFailed)
 from .lognorm import LogNorm
@@ -679,37 +678,17 @@ def _su_div(a, b, dom, prec, cap):
 # -- powers of exact p-adic series, over the integers
 
 
-def padic_support_pow(spec, support, k, arity, cap):
-    """The support {exponent: Scalar} of f^k (k >= 0) for the exact series
-    f with the given support, or None when this kernel does not apply.
-
-    f = F/D with D the lcm of the coefficient denominators; F^k runs the
-    square-and-multiply schedule of ``TateSeries.pow_int`` on {exponent:
-    int} dicts, and each term of the result is n/D^k in lowest terms.
-    None (the caller multiplies scalars instead) for a Laurent field, a
-    capped coefficient, or an intermediate support above ``cap``, which is
-    where the scalar path starts pruning.  Not ``power``: the loop stops
-    at the first support above ``cap``, and that stop decides the bytes.
-    """
-    if spec.kind != PADIC or any(c._prec is not None
-                                 for c in support.values()):
+def padic_numerators(spec, support):
+    """(F, v) for the exact p-adic series f with the given support: f = F/D
+    with D the lcm of the coefficient denominators, F the {exponent: int}
+    numerators and v = v_q(D), so the term n*T^e of F^l gives f^l a term
+    of valuation v_q(n) - l*v.  None for a Laurent field or a capped
+    coefficient."""
+    if spec.kind != PADIC or any(not c.exact for c in support.values()):
         return None
     den = lcm(*(c._den for c in support.values()))
-    base = {e: c._num * (den // c._den) for e, c in support.items()}
-    out = {(0,) * arity: 1}
-    bits = k
-    while bits:
-        if bits & 1:
-            out = poly_mul(out, base, 0)
-            if len(out) > cap:
-                return None
-        if bits > 1:
-            base = poly_mul(base, base, 0)
-            if len(base) > cap:
-                return None
-        bits >>= 1
-    dk = den ** k
-    return {e: Scalar(spec, *_reduced(n, dk)) for e, n in out.items()}
+    return ({e: c._num * (den // c._den) for e, c in support.items()},
+            _padic_val(den, 1, spec.residue_prime))
 
 
 # ---------------------------------------------------------------------------

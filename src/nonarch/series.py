@@ -10,12 +10,15 @@ dropped mass into the tail so that every norm claim stays honest.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from operator import add, mul
 
 from .errors import (IncompatibleContext, PrecisionExhausted,
                      PreconditionFailed, SupportCapExceeded)
-from .coeffs import power
-from .fields import Scalar, _pmin, padic_support_pow, scalar_from_literal
+from .coeffs import poly_mul, power
+from .fields import (Scalar, _padic_val, _pmin, padic_numerators,
+                     scalar_from_literal)
+from .linalg import MAX_WORK
 from .lognorm import (Cmp, LogNorm, ln_compare, ln_max, ln_mul, ln_pow,
                       ln_sorted)
 
@@ -178,19 +181,6 @@ class TateSeries:
             result = result.pruned(SUPPORT_CAP)
         return result
 
-    def pow_int(self, k: int):
-        if k < 0:
-            # the square-and-multiply loops below never end on k < 0
-            raise ValueError(f"series power {k} is negative")
-        if self.tail.is_zero:
-            support = padic_support_pow(self.spec, self.support, k,
-                                        self.nvars, SUPPORT_CAP)
-            if support is not None:
-                return TateSeries._make(self.spec, self.kind, self.radii,
-                                        support, self.tail)
-        return power(self, k, mul,
-                     TateSeries.one(self.spec, self.radii, self.kind))
-
     def ring_one(self):
         return TateSeries.one(self.spec, self.radii, self.kind)
 
@@ -208,12 +198,7 @@ class TateSeries:
     def _term_max(self, start: LogNorm) -> LogNorm:
         """max(start, every stored term norm), terms in exponent order;
         with start = tail it is an upper bound for |f|."""
-        mx, support, radii = start, self.support, self.radii
-        for e in sorted(support):
-            n = LogNorm._make(support[e].valuation(), e)
-            if ln_compare(mx, n, radii) is Cmp.LT:
-                mx = n
-        return mx
+        return _norm_max(start, self.support, Scalar.valuation, self.radii)
 
     def gauss_norm(self):
         """(max over stored terms of |a_e| r^e, exactness flag).
@@ -350,6 +335,16 @@ def _str_list(x):
     return isinstance(x, list) and all(isinstance(s, str) for s in x)
 
 
+def _norm_max(mx, support, val, radii):
+    """max(mx, the norm LogNorm(val(c), e) of each term c*T^e of support),
+    terms in exponent order; of equal norms the first one read is kept."""
+    for e in sorted(support):
+        n = LogNorm._make(val(support[e]), e)
+        if ln_compare(mx, n, radii) is Cmp.LT:
+            mx = n
+    return mx
+
+
 def _merge(out, lost, row, shift=None, scale=None):
     """out += scale * T^shift * row in place, for row a support {exponent:
     coefficient}; scale None means unscaled and shift None unshifted.
@@ -405,19 +400,46 @@ def spectral_radius_laurent(f: TateSeries):
     return f.gauss_norm()
 
 
-def spectral_power_estimate(f: TateSeries, power: int) -> LogNorm:
-    """Oracle sequence ||f^l||^(1/l); equals the spectral radius for every
-    l over a field, by multiplicativity of the Gauss norm."""
-    if power < 1:
-        raise ValueError("power must be >= 1")
+def spectral_power_estimates(f: TateSeries, count: int) -> list:
+    """[||f^l||^(1/l) for l = 1..count], each the spectral radius over a
+    field.  f^(l+1) = f^l * f, over the integer numerators of an exact
+    p-adic f (``padic_numerators``), else over series; a capped coefficient
+    keeps square-and-multiply from scratch, as its sums can exhaust their
+    precision in one order and not in another.  Refused up front past
+    ``MAX_WORK`` estimated term products, and at the first inexact power.
+    """
+    if count < 1:
+        raise ValueError("power count must be >= 1")
     if not f.is_exact():
         raise PreconditionFailed("power estimate needs an exact series")
-    fl = f.pow_int(power)
-    if not fl.is_exact():
-        raise SupportCapExceeded(
-            f"support of f^{power} exceeded the cap; the estimate would "
-            "not be exact")
-    n, _ = fl.gauss_norm()
-    if n.is_zero:
-        return n
-    return ln_pow(n, Fraction(1, power))
+    # sum over l < count of m * min(m^l, prod_j (l*span_j + 1), SUPPORT_CAP)
+    m, work, grown = len(f.support), 0, 1
+    spans = [max(c) - min(c) for c in zip(*f.support)]
+    for l in range(1, count if m else 1):
+        grown = min(grown * m, SUPPORT_CAP)
+        work += m * min(grown, prod(l * s + 1 for s in spans))
+        if work > MAX_WORK:
+            raise PreconditionFailed(f"{count} powers of a {m}-term series "
+                                     f"pass the work cap of {MAX_WORK}")
+    nums, dv = padic_numerators(f.spec, f.support) or (None, 0)
+    capped = any(not c.exact for c in f.support.values())
+    q, zero = f.spec.residue_prime, LogNorm.zero(f.nvars)
+    fl, out = f if nums is None else nums, []
+    for l in range(1, count + 1):
+        if nums is None:
+            if capped:
+                fl = power(f, l, mul, f.ring_one())
+            elif l > 1:
+                fl = fl * f
+            n = fl.gauss_norm()[0] if fl.is_exact() else None
+        else:
+            if l > 1:
+                fl = poly_mul(fl, nums, 0)
+            # the term c*T^e of F^l is (c / D^l) T^e in f^l
+            n = None if len(fl) > SUPPORT_CAP else _norm_max(
+                zero, fl, lambda c: _padic_val(c, 1, q) - l * dv, f.radii)
+        if n is None:
+            raise SupportCapExceeded(f"support of f^{l} exceeded the cap; "
+                                     "the estimate would not be exact")
+        out.append(n if n.is_zero else ln_pow(n, Fraction(1, l)))
+    return out

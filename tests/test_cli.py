@@ -697,6 +697,18 @@ def test_padic_literal_powers_past_the_digit_limit_rejected(tmp_path,
         _replay_edited(tmp_path, capsys, good, edit)
 
 
+def test_spectral_powers_past_the_work_cap_rejected(tmp_path, capsys):
+    # 3x + x^2 takes (L - 1)(L + 2) term products for L powers: 1000 pass
+    # linalg.MAX_WORK and are refused before the first product, on the run
+    # and on the replay
+    argv = ["spectral-radius", "--field", "q3", "--series", SER_Q3]
+    _fails_with_one_line(capsys, argv + ["--powers", "1000", "--out",
+                                         str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+    _replay_edited(tmp_path, capsys, argv,
+                   lambda params: params.update(powers=1000))
+
+
 def test_unbounded_demo_bound_stored_exact(tmp_path):
     # one reader takes the bound on the run and on the replay, and the
     # artifact stores what it read: an integer or p/q

@@ -1,8 +1,9 @@
 """The shared kernels of ``coeffs`` against the loops they replaced.
 
 Each reference below is a loop that ``poly_axpy``, ``poly_mul``,
-``power``, the gcd of the irreducibility test, ``GF.series_mul``, the
-Newton inverse of unit series or the Miller-Rabin ``is_prime`` took over, kept verbatim (up to its name) as
+``power``, the gcd of the irreducibility test, ``GF.series_mul``,
+``GF.add``, the Newton inverse of unit series or the Miller-Rabin
+``is_prime`` took over, kept verbatim (up to its name) as
 the oracle; the inputs are drawn from fixed seeds and include empty, zero
 and fully cancelling operands.  The p-adic valuation ``fields._int_val``
 and the one-variable ``poly_mul`` loop are checked the same way, against
@@ -754,6 +755,57 @@ def test_prime_field_scalings_skip_poly_mulmod(monkeypatch):
     monkeypatch.setattr(coeffs, "_poly_mulmod", _refuse)
     assert [big.mul(a, b) for a, b in pairs] == want
     assert [ext.mul(a, b) for a, b in pairs_ext] == want_ext
+
+
+# -- one element sum: the longer operand plus the shorter, then trimmed
+
+
+def _vec_add(a, b, p):
+    n = max(len(a), len(b))
+    a = a + (0,) * (n - len(a))
+    b = b + (0,) * (n - len(b))
+    return tuple((x + y) % p for x, y in zip(a, b))
+
+
+def ref_gf_add(gf, a, b):
+    """GF.add before the one-pass sum."""
+    return _vec_trim(_vec_add(a, b, gf.p))
+
+
+@pytest.mark.parametrize("pd", [(2, 1), (2, 2), (5, 1), (3, 3)],
+                         ids=_gf_id)
+def test_gf_add_matches_padded_sum_on_every_pair(pd):
+    gf = GF(*pd)
+    elems = list(gf.elements())
+    for a in elems:
+        for b in elems:
+            assert gf.add(a, b) == ref_gf_add(gf, a, b), (a, b)
+
+
+def test_gf_add_matches_padded_sum_with_cancellations():
+    rng = random.Random(243)
+    gf = GF(3, 5)
+
+    def rand_elem():
+        return _vec_trim(tuple(rng.randrange(3)
+                               for _ in range(rng.randint(0, 5))))
+
+    pairs = [(rand_elem(), rand_elem()) for _ in range(2000)]
+    for _ in range(300):
+        a = rand_elem()
+        pairs.append((a, gf.neg(a)))                 # full cancellation
+        if a:
+            # the top component cancels, a lower one need not
+            b = rand_elem()
+            b = b[:len(a) - 1] + (0,) * (len(a) - 1 - len(b)) \
+                + ((-a[-1]) % 3,)
+            pairs.append((a, b))
+            pairs.append((b, a))
+    kinds = {len(gf.add(a, b)) < max(len(a), len(b)) for a, b in pairs}
+    assert kinds == {True, False}
+    assert any(a and not gf.add(a, b) for a, b in pairs)
+    for a, b in pairs:
+        assert gf.add(a, b) == ref_gf_add(gf, a, b), (a, b)
 
 
 @pytest.mark.parametrize("pd", GF_FIELDS, ids=_gf_id)

@@ -1,5 +1,6 @@
 """Truncated series arithmetic, Gauss norms and the spectral formula."""
 
+import collections
 import random
 from fractions import Fraction
 from functools import cmp_to_key
@@ -8,16 +9,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nonarch import (Cmp, FieldSpec, IncompatibleContext, LogNorm,
-                     PreconditionFailed, RadiusDecl, Scalar, TateSeries,
-                     UndecidableAtDepth, ln_compare, ln_mul,
-                     spectral_power_estimate, spectral_radius_laurent)
-from nonarch.fields import FQ_LAURENT, PADIC
+                     NonarchError, PreconditionFailed, RadiusDecl, Scalar,
+                     SupportCapExceeded, TateSeries, UndecidableAtDepth,
+                     ln_compare, ln_mul, ln_pow, spectral_power_estimates,
+                     spectral_radius_laurent)
+from nonarch.fields import FQ_LAURENT, PADIC, RATFUN_LAURENT
+from nonarch.linalg import MAX_WORK
 from nonarch.lognorm import ln_max
+from nonarch import series
 from nonarch.series import LAURENT, POWER, SUPPORT_CAP
 
 Q3 = FieldSpec(PADIC, 3, precision_cap=40)
 Q5 = FieldSpec(PADIC, 5, precision_cap=40)
 F2T = FieldSpec(FQ_LAURENT, 2, field_size=2, precision_cap=64)
+F4T = FieldSpec(FQ_LAURENT, 2, field_size=4, precision_cap=64)
+RF2 = FieldSpec(RATFUN_LAURENT, 2, nvars=3, precision_cap=64)
 R1 = RadiusDecl.default("r1")
 
 
@@ -87,12 +93,11 @@ def test_spectral_examples():
 
 def test_spectral_power_estimates():
     f = mono(1, 3, kind=LAURENT)
-    assert spectral_power_estimate(f, 4) == LogNorm.of(1, (1,))
+    assert spectral_power_estimates(f, 4) == [LogNorm.of(1, (1,))] * 4
     f2 = mono(1, 1, kind=LAURENT) + mono((-1,), 1, kind=LAURENT)
-    assert spectral_power_estimate(f2, 2) == LogNorm.of(0, (-1,))
+    assert spectral_power_estimates(f2, 2) == [LogNorm.of(0, (-1,))] * 2
     one = TateSeries.one(Q3, (R1,), kind=LAURENT)
-    for power in (1, 2, 5):
-        assert spectral_power_estimate(one, power).is_identity()
+    assert all(n.is_identity() for n in spectral_power_estimates(one, 5))
 
 
 def test_truncate_examples():
@@ -175,8 +180,7 @@ def test_two_variable_series():
     f = TateSeries.monomial(Q3, radii, (2, -1), a, kind=LAURENT)
     n, exact = spectral_radius_laurent(f)
     assert exact and n == LogNorm.of(1, (2, -1))
-    for power in (1, 2, 3):
-        assert spectral_power_estimate(f, power) == n
+    assert spectral_power_estimates(f, 3) == [n] * 3
     g = TateSeries.monomial(Q3, radii, (0, 1), Scalar.one(Q3), kind=LAURENT)
     nf, _ = f.gauss_norm()
     ng, _ = g.gauss_norm()
@@ -241,12 +245,11 @@ def test_sums_and_products_fold_lost_terms_into_the_tail():
 
 
 # ---------------------------------------------------------------------------
-# TateSeries.pow_int against scalar-by-scalar powers
+# Power estimates against the square-and-multiply schedule they replaced
 
 
 def _oracle_pow(f, k):
-    """f^k by TateSeries products, as pow_int computed it before exact
-    p-adic series got their integer kernel."""
+    """f^k by TateSeries products, square-and-multiply from the low bit."""
     out = TateSeries.one(f.spec, f.radii, f.kind)
     base = f
     while k:
@@ -257,13 +260,35 @@ def _oracle_pow(f, k):
     return out
 
 
-def _assert_same_power(f, k):
-    got, want = f.pow_int(k), _oracle_pow(f, k)
-    assert list(got.support) == list(want.support)
-    assert got.support == want.support     # values and precisions
-    assert got.tail == want.tail
-    assert (got.spec, got.kind, got.radii) == (want.spec, want.kind,
-                                               want.radii)
+def _oracle_estimates(f, count):
+    """||f^l||^(1/l) for l = 1..count, each f^l raised from scratch."""
+    if not f.is_exact():
+        raise PreconditionFailed("power estimate needs an exact series")
+    out = []
+    for l in range(1, count + 1):
+        fl = _oracle_pow(f, l)
+        if not fl.is_exact():
+            raise SupportCapExceeded(
+                f"support of f^{l} exceeded the cap; the estimate would "
+                "not be exact")
+        n, _ = fl.gauss_norm()
+        out.append(n if n.is_zero else ln_pow(n, Fraction(1, l)))
+    return out
+
+
+def _assert_same_estimates(f, count):
+    """spectral_power_estimates(f, count) gives the oracle's list, or
+    raises its exception class with its message; returns that exception,
+    or None."""
+    try:
+        want = _oracle_estimates(f, count)
+    except NonarchError as exc:
+        with pytest.raises(NonarchError) as got:
+            spectral_power_estimates(f, count)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return exc
+    assert spectral_power_estimates(f, count) == want
+    return None
 
 
 R2 = RadiusDecl.quadratic("r2", 0, 1, 2, 3)     # log_q(1/r2) = sqrt(3)/2
@@ -289,17 +314,15 @@ def _exact_padic_series(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(f=_exact_padic_series(), k=st.integers(0, 6))
-def test_pow_matches_scalar_products(f, k):
-    _assert_same_power(f, k)
+@given(f=_exact_padic_series(), count=st.integers(1, 6))
+def test_pow_matches_scalar_products(f, count):
+    _assert_same_estimates(f, count)
 
 
 def test_pow_drops_cancelled_terms():
     x = TateSeries.from_terms(Q3, (R1,), [(0, 1), (1, 2), (2, -2)])
-    sq = x.pow_int(2)
-    assert (2,) not in sq.support                  # 2*(1*-2) + 2^2 = 0
-    _assert_same_power(x, 2)
-    _assert_same_power(x, 5)
+    assert (2,) not in (x * x).support            # 2*(1*-2) + 2^2 = 0
+    assert _assert_same_estimates(x, 8) is None
 
 
 def test_pow_of_capped_or_tailed_series_keeps_scalar_path():
@@ -308,25 +331,26 @@ def test_pow_of_capped_or_tailed_series_keeps_scalar_path():
     tailed = TateSeries(Q3, POWER, (R1,), {
         (0,): Scalar.one(Q3), (1,): Scalar.from_int(Q3, 2)},
         LogNorm.of(1, (3,)))
-    for f in (capped, tailed):
-        for k in (1, 2, 3):
-            _assert_same_power(f, k)
-    assert not capped.pow_int(3).support[(3,)].exact
-    assert not tailed.pow_int(2).tail.is_zero
+    assert _assert_same_estimates(capped, 3) is None
+    assert isinstance(_assert_same_estimates(tailed, 3), PreconditionFailed)
+    assert not (capped * capped * capped).support[(3,)].exact
+    assert not (tailed * tailed).tail.is_zero
 
 
 @pytest.mark.parametrize("k", [0, 3])
 def test_pow_of_zero_series(k):
     z = TateSeries.zero(Q5, (R1,), LAURENT)
-    _assert_same_power(z, k)
-    assert z.pow_int(k).is_ring_zero() is (k > 0)
+    assert (z * z).is_ring_zero()
+    assert _assert_same_estimates(z, k + 1) is None
+    assert spectral_power_estimates(z, k + 1) == [LogNorm.zero(1)] * (k + 1)
 
 
 def test_negative_series_power_refused():
-    # the square-and-multiply loops never end on k < 0
+    # no power below l = 1 is estimated
     x = TateSeries.monomial(Q3, (R1,), 1, Scalar.one(Q3), LAURENT)
-    with pytest.raises(ValueError):
-        x.pow_int(-1)
+    for count in (0, -1):
+        with pytest.raises(ValueError):
+            spectral_power_estimates(x, count)
 
 
 def test_pow_past_support_cap_prunes_like_scalar_path():
@@ -336,9 +360,98 @@ def test_pow_past_support_cap_prunes_like_scalar_path():
     # comparison exactly
     f = TateSeries.from_terms(Q3, (R1, R1S), [
         ((i, i * i), Fraction(1, 2 + 5 * (i % 2))) for i in range(91)])
-    sq = f.pow_int(2)
+    sq = f * f
     assert len(sq.support) == SUPPORT_CAP and not sq.tail.is_zero
-    _assert_same_power(f, 2)
+    exc = _assert_same_estimates(f, 3)
+    assert isinstance(exc, SupportCapExceeded) and "f^2 " in str(exc)
+
+
+# the Laurent field of characteristic 3: a square keeps its cross terms
+F3T = FieldSpec(FQ_LAURENT, 3, field_size=3, precision_cap=64)
+# coefficient literals per field, and the same fields at precision cap 3,
+# where c.cap() keeps three t-adic (3-adic) digits of c
+_LITERALS = {
+    Q3: ["1", "-1", "2/3", "9", "4/5", "-8", "1/27"],
+    Q5: ["1", "-2", "3/5", "25", "7/3", "-1/5"],
+    F2T: ["1", "t", "1 + t", "t^-1 + t^2", "t^3"],
+    F4T: ["w", "w + 1", "w*t + 1", "t^-1", "1 + t^2"],
+    RF2: ["u1", "1 + u2", "u1*t + u3", "t/(1 + u1)", "t^-1"],
+}
+_CAPPED = {spec: FieldSpec(spec.kind, spec.residue_prime,
+                           field_size=spec.field_size, nvars=spec.nvars,
+                           precision_cap=3)
+           for spec in (Q3, F2T, F4T)}
+
+
+def _random_oracle_series(rng, spec, radii, capped=False):
+    kind = rng.choice([POWER, LAURENT])
+    lo = 0 if kind == POWER else -2
+    if capped:
+        cspec, spec = spec, _CAPPED[spec]
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        e = tuple(rng.randint(lo, lo + 4) for _ in radii)
+        c = TateSeries.from_terms(spec, radii, [
+            (e, rng.choice(_LITERALS[cspec if capped else spec]))],
+            kind).support
+        if c and capped and rng.random() < 0.7:
+            c = {e: c[e].cap()}
+        terms.update(c)
+    return TateSeries(spec, kind, radii, terms)
+
+
+def test_power_estimates_match_square_and_multiply():
+    rng = random.Random(2929)
+    seen = collections.Counter()
+    cases = [(spec, radii, False) for spec in (Q3, Q5)
+             for radii in ((R1,), (R1, R2))]
+    cases += [(spec, (R1,), False) for spec in (F2T, F4T, RF2)]
+    cases += [(spec, (R1,), True) for spec in (Q3, F2T, F4T)]
+    for spec, radii, capped in cases:
+        for _ in range(25):
+            f = _random_oracle_series(rng, spec, radii, capped)
+            exc = _assert_same_estimates(f, rng.randint(1, 8))
+            capped_in = any(not c.exact for c in f.support.values())
+            seen[spec.kind, len(radii), capped_in,
+                 type(exc).__name__] += 1
+    # every field with one radius, and the p-adic ones with two, exact
+    for kind in (PADIC, FQ_LAURENT, RATFUN_LAURENT):
+        assert seen[kind, 1, False, "NoneType"]
+    assert seen[PADIC, 2, False, "NoneType"]
+    # capped coefficients that stay exact through every product, and ones
+    # whose sums exhaust their precision
+    for kind in (PADIC, FQ_LAURENT):
+        assert seen[kind, 1, True, "NoneType"]
+        assert seen[kind, 1, True, "SupportCapExceeded"]
+    # the cancelling sums of the golden q3-spectral-cancelling-powers case
+    cancelling = TateSeries.from_terms(Q3, (R1,), [(0, 1), (1, 2), (2, -2)],
+                                       LAURENT)
+    assert _assert_same_estimates(cancelling, 8) is None
+    # past SUPPORT_CAP at l = 2 on the integer path and on the series path
+    for spec in (Q3, F3T):
+        f = TateSeries.from_terms(spec, (R1, R1S), [
+            ((i, i * i), 1) for i in range(91)])
+        exc = _assert_same_estimates(f, 3)
+        assert isinstance(exc, SupportCapExceeded) and "f^2 " in str(exc)
+
+
+def test_power_work_cap_boundary(monkeypatch):
+    # f = 3x + x^2: f^l has l + 1 terms, so powers 2..L take
+    # sum over l < L of 2(l + 1) = (L - 1)(L + 2) term products
+    f = TateSeries.from_terms(Q3, (R1,), [(1, 3), (2, 1)])
+    last = max(n for n in range(1, 2000) if (n - 1) * (n + 2) <= MAX_WORK)
+    assert last == 999
+    with pytest.raises(PreconditionFailed, match="work cap"):
+        spectral_power_estimates(f, last + 1)
+    # the box (l*span + 1) bounds a sparse series: 40 terms over a span of
+    # 117 take 40 * (40 + 235 + ...) products, not 40^l
+    g = TateSeries.from_terms(Q3, (R1,), [(3 * i, 1) for i in range(40)])
+    assert len(spectral_power_estimates(g, 6)) == 6
+    # the same boundary under a work cap of 9 * 12 = 108 products
+    monkeypatch.setattr(series, "MAX_WORK", 108)
+    assert len(spectral_power_estimates(f, 10)) == 10
+    with pytest.raises(PreconditionFailed, match="work cap of 108$"):
+        spectral_power_estimates(f, 11)
 
 
 # ---------------------------------------------------------------------------
@@ -447,5 +560,5 @@ def test_pow_past_support_cap_prunes_like_comparison_sort():
     sq = TateSeries(Q3, POWER, (R1, R1S), products)
     assert len(sq.support) > SUPPORT_CAP
     _assert_prunes_like_oracle(sq, SUPPORT_CAP)
-    pr, got = sq.pruned(SUPPORT_CAP), f.pow_int(2)
+    pr, got = sq.pruned(SUPPORT_CAP), f * f
     assert got.support == pr.support and got.tail == pr.tail
