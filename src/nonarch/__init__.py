@@ -1,7 +1,7 @@
 """Exact computation in non-archimedean Banach rings.
 
 Truncated Tate/Laurent series over concrete valued fields, exact log-norm
-arithmetic with interval-refined comparison, certified p-th root lifting
+arithmetic with exactly decided comparison, certified p-th root lifting
 and compatible root towers, dual numbers, explicit unbounded
 dual-number homomorphisms with divergence certificates, and Frobenius
 p-th power decompositions over F-finite Laurent fields.
@@ -10,12 +10,10 @@ p-th power decompositions over F-finite Laurent fields.
 from .errors import (DivisionByZero, IncompatibleContext, MaxStepsExceeded,
                      MissingCertificate, NoRootInField, NonarchError,
                      PrecisionExhausted, PreconditionFailed,
-                     SupportCapExceeded, TowerObstruction,
-                     UndecidableAtDepth)
+                     SupportCapExceeded, TowerObstruction)
 from .fields import (FQ_LAURENT, PADIC, RATFUN_LAURENT, FieldSpec, Scalar,
                      check_aux_prime, scalar_from_literal, scalar_pth_root)
-from .lognorm import (Cmp, LogNorm, RadiusDecl, in_value_group_rational,
-                      ln_compare, ln_mul, ln_pow)
+from .lognorm import Cmp, LogNorm, RadiusDecl, ln_compare, ln_mul, ln_pow
 from .series import (LAURENT, POWER, TateSeries, spectral_power_estimates,
                      spectral_radius_laurent)
 from .rootlift import (NearRootResult, RootTower, RootTrace, build_tower,

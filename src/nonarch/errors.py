@@ -17,10 +17,6 @@ class NoRootInField(NonarchError):
     """No residue root exists; the requested root lies outside the field."""
 
 
-class UndecidableAtDepth(NonarchError):
-    """Interval comparison still straddles zero after maximal refinement."""
-
-
 class PreconditionFailed(NonarchError):
     pass
 

@@ -14,16 +14,15 @@ log-difference e0 + sum e_j * log_q(1/r_j).  When every radius in it is
 quadratic, log_q(1/r_j) = (a_j + b_j*sqrt(d))/c_j with integers a_j, b_j,
 c_j over one common d, the difference times the lcm of the c_j is
 A + B*sqrt(d), and its sign is decided exactly by comparing A^2 with
-B^2*d; an exact zero there is final.  Otherwise (radii over different
-sqrt(d), rational stubs) the intervals are refined to depth 256, and a
-difference that vanishes exactly or is too small stays undecided.
+B^2*d.  Otherwise (radii over different sqrt(d), rational stubs) the
+difference is written in coordinates over 1 and one sqrt(D) per square
+class, which vanish together exactly when it does; a nonzero difference
+is then separated from zero by refining the radii's intervals.
 
-``ln_compare`` gives up on an undecided difference with
-``UndecidableAtDepth``; ``ln_max`` is the one norm maximum, and
-``norm_exceeds`` decides value > bound by comparing against the powers of
-q that bracket the bound.  ``ln_sorted`` orders many norms by the same
-sign and keeps undecided pairs in input order, so series pruning cannot
-fail on a tie.
+``ln_compare`` is the total comparison: EQ for equal values, however they
+are written.  ``ln_max`` is the one norm maximum, and ``norm_exceeds``
+decides value > bound by comparing against the powers of q that bracket
+the bound.
 """
 
 from __future__ import annotations
@@ -31,13 +30,8 @@ from __future__ import annotations
 import enum
 import re
 from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd, isqrt, log
 from operator import add, sub
-
-from .errors import UndecidableAtDepth
-
-MAX_REFINE_DEPTH = 256
 
 
 class Cmp(enum.Enum):
@@ -181,13 +175,6 @@ def ln_pow(a: LogNorm, s) -> LogNorm:
             raise ValueError("ZERO norm cannot be raised to a power <= 0")
         return a
     return LogNorm._make(a.base_exp * s, tuple(e * s for e in a.radius_exps))
-
-
-def in_value_group_rational(a: LogNorm) -> bool:
-    """Membership of the value in |k^x|^Q: no formal-radius component."""
-    if a.is_zero:
-        raise ValueError("ZERO norm has no value-group class")
-    return not any(a.radius_exps)
 
 
 # ---------------------------------------------------------------------------
@@ -347,16 +334,52 @@ def _sqrt_sign(A, B, d):
     return sa if lhs > rhs else sb if lhs < rhs else 0
 
 
-def _log_sign(base, exps, radii):
-    """Sign of base + sum exps[j] * log_q(1/r_j): 1, -1, or 0 for
-    undecided.
+def _coords(base, exps, radii):
+    """base + sum exps[j] * log_q(1/r_j) as exact coordinates {D: x_D} over
+    1 (D = 1) and one sqrt(D) per square class of the radii's d.
 
-    Exact when every radius with a nonzero exponent is quadratic over one
-    sqrt(d): with log_q(1/r_j) = (a_j + b_j*sqrt(d))/c_j, the sum times the
-    lcm L of the c_j is A + B*sqrt(d) (ints when the exponents are,
-    Fractions otherwise), and a 0 there is an exact vanishing.  Otherwise
-    the intervals are refined from depth 8 to ``MAX_REFINE_DEPTH``, and 0
-    means that none of them excluded zero."""
+    A rational stub's value goes into the rational part.  d and d' share a
+    class iff d*d' is a perfect square s^2, and then sqrt(d') =
+    (s/d)*sqrt(d), with d the first of its class met; a perfect square d
+    is in the class of 1, the rational part.  Square roots of distinct
+    squarefree integers are linearly independent over Q (Besicovitch
+    1940), so the sum is 0 iff every coordinate is."""
+    x = {1: Fraction(base)}
+    for e, decl in zip(exps, radii):
+        if not e:
+            continue
+        if decl.quadratic_parts is None:
+            x[1] += e * decl.value
+            continue
+        d, a, b, c = decl.quadratic_parts
+        x[1] += Fraction(e * a, c)
+        for D in x:
+            s = isqrt(D * d)
+            if s * s == D * d:
+                x[D] += Fraction(e * b * s, c * D)
+                break
+        else:
+            x[d] = Fraction(e * b, c)
+    return x
+
+
+def _log_sign(base, exps, radii):
+    """Sign of base + sum exps[j] * log_q(1/r_j): 1, -1, or 0 exactly when
+    the sum vanishes.
+
+    Exact arithmetic when every radius with a nonzero exponent is quadratic
+    over one sqrt(d): with log_q(1/r_j) = (a_j + b_j*sqrt(d))/c_j, the sum
+    times the lcm L of the c_j is A + B*sqrt(d) (ints when the exponents
+    are, Fractions otherwise).  Otherwise a vanishing sum is read from
+    ``_coords``, and the intervals of a nonzero one are refined from depth
+    8, doubling, until they exclude zero.  That ends quickly: with k
+    irrational square classes, the coordinates times their common
+    denominator M are integers y_0, y_D, and M times the sum is a nonzero
+    algebraic integer of degree at most 2^k.  Its conjugates y_0 +-
+    y_D*sqrt(D) +- ... are at most H = |y_0| + sum |y_D|*sqrt(D), and
+    their product is a nonzero integer, so |sum| >= 1/(M*H^(2^k - 1)).
+    The interval is at most W*2^-depth wide, W = sum |e_j*b_j|/c_j (|e_j|/2
+    for a stub), and excludes zero once 2^depth > W*M*H^(2^k - 1)."""
     A, B, L, d = base, 0, 1, None
     for e, decl in zip(exps, radii):
         if not e:
@@ -374,26 +397,24 @@ def _log_sign(base, exps, radii):
         B += e * b * m
     else:
         return _sqrt_sign(A, B, d)
+    if not any(_coords(base, exps, radii).values()):
+        return 0
     depth = 8
-    while depth <= MAX_REFINE_DEPTH:
+    while True:
         lo, hi = _log_interval(base, exps, radii, depth)
         if lo > 0:
             return 1
         if hi < 0:
             return -1
         depth *= 2
-    return 0
 
 
 def ln_compare(a: LogNorm, b: LogNorm, radii=()) -> Cmp:
-    """Total comparison of two norm values.
+    """Total comparison of two norm values: EQ exactly when they are equal,
+    however they are written.
 
-    EQ only for structurally equal inputs.  A difference whose radius
-    components cancel exactly is decided rationally, any other by
-    ``_log_sign``; when that leaves it undecided (an exact vanishing, or a
-    difference too small to separate from zero) the comparison gives up
-    with ``UndecidableAtDepth``.
-    """
+    A difference whose radius components cancel is decided rationally,
+    any other by ``_log_sign``."""
     if a.is_zero:
         return Cmp.EQ if b.is_zero else Cmp.LT
     if b.is_zero:
@@ -408,12 +429,8 @@ def ln_compare(a: LogNorm, b: LogNorm, radii=()) -> Cmp:
     if len(radii) < len(ra):
         raise ValueError("missing radius declarations for comparison")
     sign = _log_sign(d_base, tuple(map(sub, ra, rb)), radii)
-    if sign:
-        # larger log = smaller norm
-        return Cmp.LT if sign > 0 else Cmp.GT
-    raise UndecidableAtDepth(
-        f"norm comparison undecided after depth {MAX_REFINE_DEPTH}: "
-        f"{a} vs {b}")
+    # larger log = smaller norm
+    return Cmp.LT if sign > 0 else Cmp.GT if sign else Cmp.EQ
 
 
 def ln_le(a, b, radii=()) -> bool:
@@ -425,25 +442,6 @@ def ln_max(a: LogNorm, b: LogNorm, radii) -> LogNorm:
     return a if ln_compare(a, b, radii) is not Cmp.LT else b
 
 
-def ln_sorted(norms, radii):
-    """Positions of ``norms`` in ascending order of value; never raises on
-    a tie.  Norms whose order ``_log_sign`` leaves undecided (equal
-    values, or a mixed-sqrt(d) difference too small to separate) keep
-    their input order."""
-    order = [i for i, n in enumerate(norms) if n.is_zero]
-    rest = [i for i, n in enumerate(norms) if not n.is_zero]
-    if any(len(norms[i].radius_exps) != len(radii) for i in rest):
-        raise ValueError("norms from different radius contexts")
-
-    def cmp(i, j):
-        a, b = norms[i], norms[j]
-        # larger log = smaller norm
-        return -_log_sign(a.base_exp - b.base_exp,
-                          tuple(map(sub, a.radius_exps, b.radius_exps)),
-                          radii)
-    return order + sorted(rest, key=cmp_to_key(cmp))
-
-
 def norm_exceeds(a: LogNorm, radii, q: int, bound: Fraction) -> bool:
     """Certified check that value(a) > bound.
 
@@ -451,8 +449,8 @@ def norm_exceeds(a: LogNorm, radii, q: int, bound: Fraction) -> bool:
     q^((m+1)/D), by exact integer comparisons, and asks ``ln_compare``
     whether a >= q^((m+1)/D) (True) or a <= q^(m/D) (False).  D doubles
     from 1 while a lies strictly between the two, up to 2^16.  A False
-    return means "not certified": a <= bound, a too close to the bound
-    at D = 2^16, or a comparison that gave up.
+    return means "not certified": a <= bound, or a too close to the
+    bound at D = 2^16.
     """
     if a.is_zero:
         return False
@@ -469,21 +467,18 @@ def norm_exceeds(a: LogNorm, radii, q: int, bound: Fraction) -> bool:
         m, rd = m + 1, rd * q
     zeros = (Fraction(0),) * a.arity
     D = 1
-    try:
-        while True:
-            if ln_compare(a, LogNorm._make(Fraction(-(m + 1), D), zeros),
-                          radii) is not Cmp.LT:
-                return True
-            if D == 1 << 16 or ln_compare(
-                    a, LogNorm._make(Fraction(-m, D), zeros),
-                    radii) is not Cmp.GT:
-                return False
-            # at 2D the ratio bound^2D / q^2m = (rn/rd)^2 lies in [1, q^2)
-            D, m, rn, rd = 2 * D, 2 * m, rn * rn, rd * rd
-            if rn >= q * rd:
-                m, rd = m + 1, rd * q
-    except UndecidableAtDepth:
-        return False
+    while True:
+        if ln_compare(a, LogNorm._make(Fraction(-(m + 1), D), zeros),
+                      radii) is not Cmp.LT:
+            return True
+        if D == 1 << 16 or ln_compare(
+                a, LogNorm._make(Fraction(-m, D), zeros),
+                radii) is not Cmp.GT:
+            return False
+        # at 2D the ratio bound^2D / q^2m = (rn/rd)^2 lies in [1, q^2)
+        D, m, rn, rd = 2 * D, 2 * m, rn * rn, rd * rd
+        if rn >= q * rd:
+            m, rd = m + 1, rd * q
 
 
 def log_q_interval(a: LogNorm, radii):

@@ -10,6 +10,7 @@ dropped mass into the tail so that every norm claim stays honest.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from math import prod
 from operator import add, mul
 
@@ -19,8 +20,7 @@ from .coeffs import poly_mul, power
 from .fields import (Scalar, _padic_val, _pmin, padic_numerators,
                      scalar_from_literal)
 from .linalg import MAX_WORK
-from .lognorm import (Cmp, LogNorm, ln_compare, ln_max, ln_mul, ln_pow,
-                      ln_sorted)
+from .lognorm import Cmp, LogNorm, ln_compare, ln_max, ln_mul, ln_pow
 
 POWER = "power"
 LAURENT = "laurent"
@@ -237,21 +237,23 @@ class TateSeries:
         """Keep the `cap` largest-norm terms; fold the rest into the tail.
 
         Terms of equal norm are dropped in exponent order.  The new tail is
-        the largest of the old tail and the dropped norms; when two of
-        them tie, either is that maximum, so no tie can fail the pruning.
+        the larger of the old tail and the largest dropped norm, the old
+        tail on a tie.
         """
         if len(self.support) <= cap:
             return self
+        radii = self.radii
         exps = sorted(self.support)
         norms = [self.term_norm(e) for e in exps]
-        # smallest norms first; ties keep the exponent order
-        order = ln_sorted(norms, self.radii)
+        # smallest norms first; the sort is stable, so ties keep the
+        # exponent order
+        order = sorted(range(len(exps)), key=cmp_to_key(
+            lambda i, j: ln_compare(norms[i], norms[j], radii).value))
         drop = len(exps) - cap
         support = dict(self.support)
         for i in order[:drop]:
             del support[exps[i]]
-        top = [norms[order[drop - 1]], self.tail]
-        tail = top[ln_sorted(top, self.radii)[-1]]
+        tail = ln_max(self.tail, norms[order[drop - 1]], radii)
         return TateSeries._make(self.spec, self.kind, self.radii, support,
                                 tail)
 

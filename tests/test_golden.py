@@ -20,6 +20,9 @@ from nonarch.cli import (_params_for, build_parser, load_config,
                          make_artifact, main)
 
 TABLE = os.path.join(os.path.dirname(__file__), "golden_sha256.json")
+# radii whose norms tie with other norms written differently: a rational
+# rs = q^(-3/5) and r1s = q^(-(1 + sqrt(2))/2), the twin of r1
+TIES = ["--config", os.path.join(os.path.dirname(__file__), "radii_ties.json")]
 
 
 def _series(*terms):
@@ -48,6 +51,9 @@ def _mixed_laurent(q, n):
                   f"{dens[(2 * i + 1) % 5]}*{q}^{i * 3 % 5 - 2}"}
         for i in range(n)]})
 
+
+_STUB_TIE = json.dumps({"kind": "power", "radius": ["rs"], "terms": [
+    {"exp": [0], "coeff": "27"}, {"exp": [5], "coeff": "1"}]})
 
 CASES = {
     # the README CLI examples
@@ -203,13 +209,28 @@ CASES = {
     "f4t-tower-obstructed-residue": [
         "tower", "--field", "f4t", "--prime", "3", "--target", "w*(1 + t)",
         "--depth", "2"],
+    # equal norms written differently: 27 and T^5 over rs are both q^-3,
+    # and f^5 of the four-term series over (r1, r1s) has two terms of
+    # equal norm where f has none
+    "rational-radius-gauss-norm-tie": TIES + [
+        "gauss-norm", "--field", "q3", "--series", _STUB_TIE],
+    "rational-radius-spectral-tie": TIES + [
+        "spectral-radius", "--field", "q3", "--series", _STUB_TIE],
+    "twin-radii-spectral-tie": TIES + [
+        "spectral-radius", "--field", "q5", "--series", json.dumps({
+            "kind": "power", "radius": ["r1", "r1s"], "terms": [
+                {"exp": [3, 4], "coeff": "7/3*5"},
+                {"exp": [0, 1], "coeff": "8/3*5"},
+                {"exp": [4, 2], "coeff": "8/9*5^2"},
+                {"exp": [1, 0], "coeff": "1/9*5"}]})],
 }
 
 
 def run_case(argv, out_dir):
     """(exit code, artifact sha256, artifact path) of one CLI run."""
     code = main(list(argv) + ["--out", str(out_dir)])
-    path = os.path.join(str(out_dir), argv[0] + ".json")
+    command = build_parser().parse_args(argv).command
+    path = os.path.join(str(out_dir), command + ".json")
     with open(path, "rb") as fh:
         return code, hashlib.sha256(fh.read()).hexdigest(), path
 
@@ -224,7 +245,7 @@ def test_golden_artifact(case, tmp_path):
     want = _table()[case]
     code, digest, path = run_case(CASES[case], tmp_path)
     assert (code, digest) == (want["exit"], want["sha256"])
-    assert main([CASES[case][0], "--check", path]) == 0
+    assert main(["--check", path]) == 0
 
 
 def test_table_covers_cases():
@@ -246,7 +267,7 @@ def test_terms_7_extends_the_readme_table(tmp_path):
 def test_replay_names_a_missing_param(case, tmp_path, capsys):
     # the params a run of the case stores, each deleted in turn
     args = build_parser().parse_args(CASES[case])
-    params = _params_for(args, load_config())
+    params = _params_for(args, load_config(args.config))
     for key in params:
         art = make_artifact(args.command, dict(params), {}, "", "")
         del art["params"][key]

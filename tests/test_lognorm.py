@@ -1,23 +1,23 @@
-"""Exact norm-value arithmetic and comparison: exact for quadratic radii,
-interval-refined otherwise."""
+"""Exact norm-value arithmetic and comparison: every order decided, and
+equal values EQ however they are written."""
 
+import collections
 import copy
 import pickle
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cache
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonarch import (Cmp, LogNorm, RadiusDecl, UndecidableAtDepth,
-                     in_value_group_rational, ln_compare, ln_mul, ln_pow)
+from nonarch import Cmp, LogNorm, RadiusDecl, ln_compare, ln_mul, ln_pow
 from nonarch.fields import PADIC, FieldSpec, Scalar
-from nonarch.lognorm import (_log_sign, ln_sorted, log_q_interval,
+from nonarch.lognorm import (_coords, _log_sign, ln_max, log_q_interval,
                              norm_exceeds)
-from nonarch.series import POWER, TateSeries
+from nonarch.series import LAURENT, POWER, TateSeries
 
 R1 = RadiusDecl.default("r1")             # log_q(1/r) = sqrt(2)/2
 R06 = RadiusDecl.rational_stub("r06", Fraction(3, 5))
@@ -50,20 +50,37 @@ def test_compare_examples():
 
 
 def test_value_group_membership():
-    assert in_value_group_rational(LogNorm.of(Fraction(1, 2), (0,)))
-    assert not in_value_group_rational(LogNorm.of(0, (1,)))
-    assert not in_value_group_rational(LogNorm.of(2, (Fraction(3, 2),)))
-    with pytest.raises(ValueError):
-        in_value_group_rational(LogNorm.zero(1))
+    # a value lies in |k^x|^Q iff no sqrt(D) coordinate of its log is left,
+    # and then it is the power of q its rational coordinate names: over the
+    # stub r06 = q^(-3/5), r06^5 = q^-3, though it has a radius component
+    for n, radii in ((LogNorm.of(0, (5,)), (R06,)),
+                     (LogNorm.of(Fraction(1, 2), (Fraction(5, 3),)), (R06,)),
+                     (LogNorm.of(1, (4,)), (R_D9,)),
+                     (LogNorm.of(2, (Fraction(3, 2), -3)), (R06, R_D9))):
+        x = _coords(n.base_exp, n.radius_exps, radii)
+        assert set(x) == {1}
+        assert ln_compare(n, LogNorm.of(x[1], (0,) * n.arity), radii) \
+            is Cmp.EQ
+    assert _coords(0, (5,), (R06,)) == {1: 3}
+    # over the irrational r1 a radius component always leaves one
+    assert _coords(Fraction(1, 2), (3,), (R1,)) \
+        == {1: Fraction(1, 2), 2: Fraction(3, 2)}
+    assert ln_compare(LogNorm.of(0, (1,)), LogNorm.of(Fraction(7, 10), (0,)),
+                      (R1,)) is Cmp.LT
 
 
-def test_undecidable_for_dependent_radii():
-    # two generators declared with the same irrational radius: the log
-    # difference of r_1 and r_2 is exactly zero, so the comparison gives up
+def test_dependent_radii_compare_eq():
+    # two generators declared with the same irrational radius: r_1 and r_2
+    # are one value written two ways, and every order between them decided
     a = RadiusDecl.default("a")
     b = RadiusDecl.default("b")
-    with pytest.raises(UndecidableAtDepth):
-        ln_compare(LogNorm.of(0, (1, 0)), LogNorm.of(0, (0, 1)), (a, b))
+    assert ln_compare(LogNorm.of(0, (1, 0)), LogNorm.of(0, (0, 1)),
+                      (a, b)) is Cmp.EQ
+    assert ln_compare(LogNorm.of(1, (2, 0)), LogNorm.of(1, (1, 1)),
+                      (a, b)) is Cmp.EQ
+    # log_q(1/value): 1 + sqrt(2) = 2.41 against 3*sqrt(2)/2 = 2.12
+    assert ln_compare(LogNorm.of(1, (2, 0)), LogNorm.of(0, (0, 3)),
+                      (a, b)) is Cmp.LT
 
 
 def test_never_eq_for_distinct_structures():
@@ -96,7 +113,7 @@ def test_irrationality_is_computed(a, b, c, d):
     assert not stub.asserts_irrational
     assert RadiusDecl.from_json(stub.to_json()).to_json() == stub.to_json()
     if decl.asserts_irrational:
-        # exact and never 0: r against 1 cannot give up
+        # exact and never 0: r against 1 cannot tie
         want = Cmp.LT if a + b * d ** 0.5 > 0 else Cmp.GT
         assert ln_compare(LogNorm.of(0, (1,)), LogNorm.identity(1),
                           (decl,)) is want
@@ -149,6 +166,7 @@ R_NEG = RadiusDecl.quadratic("rneg", 3, -1, 2, 2)     # (3 - sqrt(2))/2
 R_D5 = RadiusDecl.quadratic("rd5", 1, 1, 4, 5)        # (1 + sqrt(5))/4
 R_D9 = RadiusDecl.quadratic("rd9", 0, 1, 4, 9)        # sqrt(9)/4 = 3/4
 R1_TWIN = RadiusDecl.default("r1twin")                # r1's radius again
+R1_D8 = RadiusDecl.quadratic("r1d8", 0, 1, 4, 8)      # sqrt(8)/4 = r1's
 RADIUS_SET = (R1, R_NEG, R_D5, R_D9, R06, R1_TWIN)
 
 
@@ -200,13 +218,6 @@ def _oracle_compare(a, b, radii, max_depth=256):
     return None
 
 
-def _compare_or_none(a, b, radii):
-    try:
-        return ln_compare(a, b, radii)
-    except UndecidableAtDepth:
-        return None
-
-
 def _rand_exp(rng):
     return Fraction(rng.randint(-12, 12), rng.choice([1, 1, 2, 3, 4]))
 
@@ -234,8 +245,9 @@ def _tie(rng, a, radii):
 
 
 def test_exact_compare_agrees_with_interval_oracle():
+    # where the oracle's intervals never separate the two, they tie exactly
     rng = random.Random(20251)
-    undecided = 0
+    ties = 0
     for _ in range(3000):
         radii = tuple(rng.sample(RADIUS_SET, rng.randint(1, 3)))
         a = LogNorm.of(_rand_exp(rng), [_rand_exp(rng) for _ in radii])
@@ -245,10 +257,10 @@ def test_exact_compare_agrees_with_interval_oracle():
             b = LogNorm.of(_rand_exp(rng),
                            [_rand_exp(rng) if rng.random() < 0.7 else e
                             for e in a.radius_exps])
-        want = _oracle_compare(a, b, radii)
-        assert _compare_or_none(a, b, radii) is want, (a, b, radii)
-        undecided += want is None
-    assert undecided > 100      # the ties really were drawn
+        want = _oracle_compare(a, b, radii) or Cmp.EQ
+        assert ln_compare(a, b, radii) is want, (a, b, radii)
+        ties += want is Cmp.EQ
+    assert ties > 100      # the ties really were drawn
 
 
 def test_exact_compare_needs_no_interval_for_r1(monkeypatch):
@@ -337,8 +349,8 @@ def test_norm_exceeds_edges():
     q5 = LogNorm.of(-5, (0,))
     assert not norm_exceeds(q5, (R1,), 3, 243)
     assert norm_exceeds(q5, (R1,), 3, 242)
-    # r06^-5 = 3^3 exactly: the tie with the bracket's lower end gives up,
-    # which is "not certified"
+    # r06^-5 = 3^3 exactly: equal to the bracket's lower end, so it does
+    # not exceed 27
     assert not norm_exceeds(LogNorm.of(0, (-5,)), (R06,), 3, 27)
     # values below 1 against bounds below 1 (the ladder never certified
     # a value <= q^(1/64), so these have no oracle)
@@ -396,13 +408,6 @@ def _both(base, rads):
     return n_int, n_frac
 
 
-def _outcome(f, *args):
-    try:
-        return f(*args)
-    except UndecidableAtDepth:
-        return UndecidableAtDepth
-
-
 @pytest.mark.parametrize("radii", [(R1, R_NEG), (R1, R06), (R_D5, R1_TWIN)],
                          ids=["quadratic", "stub", "mixed-d"])
 @settings(max_examples=150, deadline=None)
@@ -415,16 +420,16 @@ def test_int_and_fraction_exponents_agree(radii, a0, a, b0, b):
     assert a_int.to_json() == a_frac.to_json()
     assert str(a_int) == str(a_frac)
     assert LogNorm.from_json(a_int.to_json()) == a_int
-    want = _outcome(ln_compare, a_frac, b_frac, radii)
+    want = ln_compare(a_frac, b_frac, radii)
     for x, y in ((a_int, b_int), (a_int, b_frac), (a_frac, b_int)):
-        assert _outcome(ln_compare, x, y, radii) is want
+        assert ln_compare(x, y, radii) is want
     assert ln_mul(a_int, b_int) == ln_mul(a_frac, b_frac)
     assert ln_mul(a_int, b_int).to_json() == ln_mul(a_frac, b_frac).to_json()
     assert log_q_interval(a_int, radii) == log_q_interval(a_frac, radii)
     assert [str(x) for x in log_q_interval(a_int, radii)] \
         == [str(x) for x in log_q_interval(a_frac, radii)]
-    assert _outcome(norm_exceeds, a_int, radii, 3, Fraction(10)) \
-        is _outcome(norm_exceeds, a_frac, radii, 3, Fraction(10))
+    assert norm_exceeds(a_int, radii, 3, Fraction(10)) \
+        is norm_exceeds(a_frac, radii, 3, Fraction(10))
 
 
 @pytest.mark.parametrize("radii", [(R1, R_NEG), (R1, R06), (R_D5, R1_TWIN)],
@@ -444,8 +449,7 @@ def test_int_powers_agree_with_fraction_powers(radii, a0, a, s, b0, b):
     assert all(type(e) is (int if type(x) is int else Fraction)
                for e, x in zip((got.base_exp,) + got.radius_exps,
                                (a_int.base_exp,) + a_int.radius_exps))
-    assert _outcome(ln_compare, got, b_int, radii) \
-        is _outcome(ln_compare, want, b_int, radii)
+    assert ln_compare(got, b_int, radii) is ln_compare(want, b_int, radii)
     assert ln_mul(got, b_int).to_json() == ln_mul(want, b_int).to_json()
 
 
@@ -573,7 +577,7 @@ def test_integer_quadratic_sign_edge_cases():
     assert _log_sign(100, (1, 1), (R1, R_D5)) == 1
     assert _log_sign(100, (1, 1), (R1, R06)) == 1
     assert _log_sign(Fraction(-7, 10), (1, 0), (R06, R1)) == -1
-    # ... and a stub pinned at a tie stays undecided: 3 - 5 * 3/5 = 0
+    # ... and a stub pinned at a tie vanishes exactly: 3 - 5 * 3/5 = 0
     assert _log_sign(3, (-5,), (R06,)) == 0
     # a zero exponent on the other radius leaves it out
     assert _log_sign(1, (1, 0), (R1, R_D5)) == 1
@@ -625,24 +629,146 @@ def test_log_sign_matches_both_oracles(exact):
 
 
 def test_exact_vanishing_is_final(monkeypatch):
-    # a sum that vanishes exactly over quadratic radii of one sqrt(d)
-    # raises at once: no interval is refined
+    # a sum that vanishes exactly is EQ at once, over one sqrt(d) and
+    # across radii, stubs and square classes alike: no interval is refined
     def no_interval(self, depth):
         raise AssertionError("an exact vanishing refined an interval")
 
     monkeypatch.setattr(RadiusDecl, "interval", no_interval)
     a, b = RadiusDecl.default("r1"), RadiusDecl.default("r1")
-    with pytest.raises(UndecidableAtDepth,
-                       match=r"after depth 256: \(0;1;0\) vs \(0;0;1\)"):
-        ln_compare(LogNorm.of(0, (1, 0)), LogNorm.of(0, (0, 1)), (a, b))
+    assert ln_compare(LogNorm.of(0, (1, 0)), LogNorm.of(0, (0, 1)),
+                      (a, b)) is Cmp.EQ
     # -1 - 4 * r1 + 3 * rc3 = 0 over c = 2 and c = 3
-    with pytest.raises(UndecidableAtDepth):
-        ln_compare(LogNorm.of(-1, (-4, 3)), LogNorm.identity(2), (R1, R_C3))
-    with pytest.raises(UndecidableAtDepth):
-        ln_compare(LogNorm.of(Fraction(-1, 2), (-2, Fraction(3, 2))),
-                   LogNorm.of(0, (0, 0)), (R1, R_C3))
-    assert ln_sorted([LogNorm.of(0, (0, 1)), LogNorm.of(0, (1, 0))],
-                     (a, b)) == [0, 1]
+    assert ln_compare(LogNorm.of(-1, (-4, 3)), LogNorm.identity(2),
+                      (R1, R_C3)) is Cmp.EQ
+    assert ln_compare(LogNorm.of(Fraction(-1, 2), (-2, Fraction(3, 2))),
+                      LogNorm.of(0, (0, 0)), (R1, R_C3)) is Cmp.EQ
+    # 3 - 5 * 3/5 = 0 over a stub; sqrt(8)/4 = sqrt(2)/2 over d = 2 and 8;
+    # sqrt(9)/4 = 3/4 beside a stub
+    assert ln_compare(LogNorm.of(3, (0,)), LogNorm.of(0, (5,)),
+                      (R06,)) is Cmp.EQ
+    assert ln_compare(LogNorm.of(0, (1, 0)), LogNorm.of(0, (0, 1)),
+                      (R1, R1_D8)) is Cmp.EQ
+    assert ln_compare(LogNorm.of(0, (4, 5)), LogNorm.of(6, (0, 0)),
+                      (R_D9, R06)) is Cmp.EQ
+
+
+# ---------------------------------------------------------------------------
+# The sign across square classes against a 120-digit decimal evaluation
+
+R1S = RadiusDecl.quadratic("r1s", 1, 1, 2, 2)        # (1 + sqrt(2))/2
+R_S3 = RadiusDecl.quadratic("rs3", 0, 1, 2, 3)       # sqrt(3)/2
+SIGN_SET = (R1, R1S, R1_D8, R_S3, R_D9, R06)
+
+
+def _decimal_log(base, exps, radii):
+    """base + sum exps[j] * log_q(1/r_j) to 120 digits."""
+    def dec(x):
+        x = Fraction(x)
+        return Decimal(x.numerator) / Decimal(x.denominator)
+
+    with localcontext() as ctx:
+        ctx.prec = 120
+        total = dec(base)
+        for e, decl in zip(exps, radii):
+            if decl.quadratic_parts is None:
+                total += dec(e) * dec(decl.value)
+            else:
+                d, a, b, c = decl.quadratic_parts
+                total += dec(e) * (a + b * Decimal(d).sqrt()) / c
+        return total
+
+
+def _cancel_classes(exps, radii):
+    """`exps` with one exponent per irrational square class moved so that
+    the class's sqrt(D) coordinate vanishes."""
+    exps = list(exps)
+    for D, v in _coords(0, exps, radii).items():
+        for j, decl in enumerate(radii):
+            parts = decl.quadratic_parts
+            if v and D > 1 and parts and parts[2] \
+                    and isqrt(D * parts[0]) ** 2 == D * parts[0]:
+                d, _, b, c = parts
+                exps[j] -= v / Fraction(b * isqrt(D * d), c * D)
+                break
+    return exps
+
+
+def _depth_bound(base, exps, radii):
+    """The first depth 8 * 2^i with 2^depth > W*M*H^(2^k - 1), past which
+    the interval of a nonzero sum excludes zero (see ``_log_sign``)."""
+    x = _coords(base, exps, radii)
+    M = 1
+    for v in x.values():
+        M = M * v.denominator // gcd(M, v.denominator)
+    # H over-estimated with sqrt(D) < isqrt(D) + 1
+    H = sum(abs(v * M) * (isqrt(D) + (D > 1)) for D, v in x.items())
+    k = sum(1 for D, v in x.items() if D > 1 and v)
+    W = sum(abs(e) * (Fraction(1, 2) if decl.quadratic_parts is None
+                      else Fraction(abs(decl.quadratic_parts[2]),
+                                    decl.quadratic_parts[3]))
+            for e, decl in zip(exps, radii))
+    depth = 8
+    while 2 ** depth <= W * M * H ** (2 ** k - 1):
+        depth *= 2
+    return depth
+
+
+def test_log_sign_matches_decimal_oracle(monkeypatch):
+    depths = []
+    real = RadiusDecl.interval
+
+    def recording(self, depth):
+        depths.append(depth)
+        return real(self, depth)
+
+    monkeypatch.setattr(RadiusDecl, "interval", recording)
+    rng = random.Random(1940)
+    kinds = collections.Counter()
+    deepest = 0
+    for _ in range(1500):
+        radii = tuple(rng.sample(SIGN_SET, rng.randint(1, 4)))
+        exps = [_rand_int_or_fraction(rng) if rng.random() < 0.8 else 0
+                for _ in radii]
+        base = _rand_int_or_fraction(rng)
+        drawn = rng.random()
+        if drawn < 0.4:
+            # an exact tie built from the coordinates, or a near one
+            exps = _cancel_classes(exps, radii)
+            base = -_coords(0, exps, radii)[1]
+            if drawn < 0.1:
+                base += Fraction(rng.choice([-1, 1]), 10 ** rng.randint(3, 9))
+        exps = tuple(exps)
+        used = [decl for e, decl in zip(exps, radii) if e]
+        ds = {decl.quadratic_parts[0] for decl in used if decl.quadratic_parts}
+        one_sqrt = len(ds) <= 1 and all(decl.quadratic_parts for decl in used)
+        depths.clear()
+        got = _log_sign(base, exps, radii)
+        value = _decimal_log(base, exps, radii)
+        if abs(value) < Decimal(10) ** -100:
+            assert got == 0, (base, exps, radii)
+            assert not depths       # a zero is never refined
+            kinds["tie" if one_sqrt else "mixed-tie"] += 1
+        else:
+            assert got == (1 if value > 0 else -1), (base, exps, radii)
+            if depths:
+                assert max(depths) <= _depth_bound(base, exps, radii)
+                deepest = max(deepest, max(depths))
+            kinds["near-tie" if drawn < 0.1 else "decided"] += 1
+        if one_sqrt:
+            assert not depths
+            kinds["one-sqrt"] += 1
+        else:
+            kinds["mixed"] += 1
+        kinds["stub"] += R06 in used
+        kinds["square-d"] += R_D9 in used and not one_sqrt
+        kinds["twin-d"] += R1_D8 in used and bool(ds & {2})
+        kinds["two-classes"] += len(_coords(base, exps, radii)) == 3
+    assert set(kinds) == {"tie", "mixed-tie", "near-tie", "decided",
+                          "one-sqrt", "mixed", "stub", "square-d", "twin-d",
+                          "two-classes"}
+    assert min(kinds.values()) > 20, kinds
+    assert deepest > 8
 
 
 def test_quadratic_parts_are_integers():
@@ -702,20 +828,19 @@ def test_lognorm_is_immutable_and_keeps_its_repr():
 
 
 # ---------------------------------------------------------------------------
-# ln_sorted: one order for many norms, never raising on a tie
+# The order of many norms, as series pruning takes it (it was ln_sorted's):
+# ascending by value, ties in exponent order
 
 
 def _oracle_sorted(norms, radii):
-    """Insertion by ln_compare; None if a comparison gives up."""
+    """Positions of `norms` by insertion with ln_compare: ascending, ties
+    in input order."""
     out = []
-    try:
-        for i, n in enumerate(norms):
-            k = len(out)
-            while k and ln_compare(norms[out[k - 1]], n, radii) is Cmp.GT:
-                k -= 1
-            out.insert(k, i)
-    except UndecidableAtDepth:
-        return None
+    for i, n in enumerate(norms):
+        k = len(out)
+        while k and ln_compare(norms[out[k - 1]], n, radii) is Cmp.GT:
+            k -= 1
+        out.insert(k, i)
     return out
 
 
@@ -723,32 +848,43 @@ def _oracle_sorted(norms, radii):
                                    (R1, R_D5), (R06,)],
                          ids=["r1", "c2-c3", "d5", "mixed-d", "stub"])
 def test_ln_sorted_matches_comparison_order(radii):
+    # pruning at each cap keeps the terms after the first `drop` in the
+    # comparison order, and folds the largest dropped norm into the tail
+    spec = FieldSpec(PADIC, 3, precision_cap=40)
     rng = random.Random(77)
-    decided = 0
+    pruned = 0
     for _ in range(60):
-        norms = [LogNorm.of(_rand_int_or_fraction(rng),
-                            [rng.randint(-6, 6) for _ in radii])
-                 for _ in range(rng.randint(0, 25))]
-        if rng.random() < 0.3:
-            norms.append(LogNorm.zero(len(radii)))
-        want = _oracle_sorted(norms, radii)
-        if want is not None:
-            assert ln_sorted(norms, radii) == want
-            decided += 1
-    assert decided > 40
+        exps = sorted({tuple(rng.randint(-6, 6) for _ in radii)
+                       for _ in range(rng.randint(2, 25))})
+        if len(exps) < 2:
+            continue
+        support = {e: Scalar.from_fraction(
+            spec, Fraction(rng.choice([1, 2, 5, 7]))
+            * Fraction(3) ** rng.randint(-4, 4)) for e in exps}
+        tail = None
+        if rng.random() < 0.5:
+            tail = LogNorm.of(rng.randint(-6, 6),
+                              [rng.randint(-6, 6) for _ in radii])
+        f = TateSeries(spec, LAURENT, radii, support, tail)
+        norms = [f.term_norm(e) for e in exps]
+        order = _oracle_sorted(norms, radii)
+        cap = rng.randint(1, len(exps) - 1)
+        drop = len(exps) - cap
+        got = f.pruned(cap)
+        assert sorted(got.support) == sorted(exps[i] for i in order[drop:])
+        assert got.tail == ln_max(f.tail, norms[order[drop - 1]], radii)
+        pruned += 1
+    assert pruned > 40
 
 
-def test_ln_sorted_breaks_ties_by_input_order():
+def test_ln_max_keeps_its_first_argument_on_a_tie():
     a, b = RadiusDecl.default("a"), RadiusDecl.default("b")
     x, y = LogNorm.of(0, (1, 0)), LogNorm.of(0, (0, 1))
-    with pytest.raises(UndecidableAtDepth):
-        ln_compare(x, y, (a, b))
-    assert ln_sorted([x, y], (a, b)) == [0, 1]
-    assert ln_sorted([y, x], (a, b)) == [0, 1]
-    assert ln_sorted([LogNorm.of(0, (2, 0)), x, y, LogNorm.zero(2)],
-                     (a, b)) == [3, 0, 1, 2]
-    # a stub pinned at a tie falls back to the input order too
+    assert ln_compare(x, y, (a, b)) is ln_compare(y, x, (a, b)) is Cmp.EQ
+    assert ln_max(x, y, (a, b)) is x and ln_max(y, x, (a, b)) is y
+    # a stub pinned at a tie: 5 * 3/5 = 3
     s = LogNorm.of(3, (0,))
-    t = LogNorm.of(0, (5,))         # 5 * 3/5 = 3
-    assert ln_sorted([s, t], (R06,)) == [0, 1]
-    assert ln_sorted([t, s], (R06,)) == [0, 1]
+    t = LogNorm.of(0, (5,))
+    assert ln_compare(s, t, (R06,)) is ln_compare(t, s, (R06,)) is Cmp.EQ
+    assert ln_max(s, t, (R06,)) is s and ln_max(t, s, (R06,)) is t
+    assert ln_max(LogNorm.of(0, (2, 0)), x, (a, b)) is x

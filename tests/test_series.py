@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from nonarch import (Cmp, FieldSpec, IncompatibleContext, LogNorm,
                      NonarchError, PreconditionFailed, RadiusDecl, Scalar,
-                     SupportCapExceeded, TateSeries, UndecidableAtDepth,
-                     ln_compare, ln_mul, ln_pow, spectral_power_estimates,
+                     SupportCapExceeded, TateSeries, ln_compare, ln_mul,
+                     ln_pow, spectral_power_estimates,
                      spectral_radius_laurent)
 from nonarch.fields import FQ_LAURENT, PADIC, RATFUN_LAURENT
 from nonarch.linalg import MAX_WORK
@@ -470,11 +470,12 @@ def _oracle_pruned(f, cap):
     order.sort(key=cmp_to_key(
         lambda x, y: ln_compare(x[0], y[0], f.radii).value))
     drop = len(f.support) - cap
-    tail = f.tail
     support = dict(f.support)
-    for n, e in order[:drop]:
-        tail = ln_max(tail, n, f.radii)
+    for _, e in order[:drop]:
         del support[e]
+    # the largest dropped norm is the last one dropped; the old tail is
+    # kept on a tie
+    tail = ln_max(f.tail, order[drop - 1][0], f.radii)
     return TateSeries(f.spec, f.kind, f.radii, support, tail)
 
 
@@ -488,23 +489,27 @@ def _assert_prunes_like_oracle(f, cap):
 
 def test_pruning_over_twin_radii_does_not_fail_on_ties():
     # r1 declared twice: x and y have exactly equal norms, which
-    # ln_compare cannot order
+    # ln_compare orders EQ
     a, b = RadiusDecl.default("r1"), RadiusDecl.default("r1")
     f = TateSeries.from_terms(Q3, (a, b), [
         ((0, 0), 1), ((1, 0), 1), ((0, 1), 1),
         ((2, 0), 1), ((1, 1), 1), ((0, 2), 1)])
-    with pytest.raises(UndecidableAtDepth):
-        _oracle_pruned(f, 3)
+    assert ln_compare(f.term_norm((1, 0)), f.term_norm((0, 1)),
+                      (a, b)) is Cmp.EQ
+    _assert_prunes_like_oracle(f, 3)
     pr = f.pruned(3)
-    # the three degree-2 terms tie; they go in exponent order
+    # the three degree-2 terms tie; they go in exponent order, and the
+    # tail is the last of them dropped
     assert sorted(pr.support) == [(0, 0), (0, 1), (1, 0)]
     assert pr.tail == LogNorm.of(0, (2, 0))
+    _assert_prunes_like_oracle(f, 4)
     pr = f.pruned(4)
     assert sorted(pr.support) == [(0, 0), (0, 1), (1, 0), (2, 0)]
     assert pr.tail == LogNorm.of(0, (1, 1))
-    # the old tail ties with the largest dropped norm: either is the max
+    # the old tail ties with the largest dropped norm: it is kept
     g = TateSeries(Q3, POWER, (a, b), f.support, LogNorm.of(0, (0, 2)))
-    assert g.pruned(3).tail in (LogNorm.of(0, (0, 2)), LogNorm.of(0, (2, 0)))
+    _assert_prunes_like_oracle(g, 3)
+    assert g.pruned(3).tail == LogNorm.of(0, (0, 2))
 
 
 def test_pruning_with_stub_ties_falls_back_to_exponent_order():
@@ -513,11 +518,14 @@ def test_pruning_with_stub_ties_falls_back_to_exponent_order():
     f = TateSeries(Q3, POWER, (stub,), {(0,): Scalar.from_int(Q3, 27),
                                         (5,): Scalar.one(Q3),
                                         (1,): Scalar.one(Q3)})
-    with pytest.raises(UndecidableAtDepth):
-        _oracle_pruned(f, 1)
+    _assert_prunes_like_oracle(f, 1)
     pr = f.pruned(1)
     assert sorted(pr.support) == [(1,)]
-    assert pr.tail in (LogNorm.of(3, (0,)), LogNorm.of(0, (5,)))
+    assert pr.tail == LogNorm.of(0, (5,))
+    # dropping one of the tied pair: the first in exponent order goes
+    pr = f.pruned(2)
+    assert sorted(pr.support) == [(1,), (5,)]
+    assert pr.tail == LogNorm.of(3, (0,))
 
 
 @pytest.mark.parametrize("radii", [(R1,), (R1, R1S), (R1, R2), (R06S,)],
@@ -538,11 +546,6 @@ def test_pruning_matches_comparison_sort_where_it_decides(radii):
                               [rng.randint(0, 12) for _ in radii])
         f = TateSeries(Q3, POWER, radii, terms, tail)
         cap = rng.randint(1, len(terms))
-        try:
-            _oracle_pruned(f, cap)
-        except UndecidableAtDepth:
-            f.pruned(cap)       # decided here all the same
-            continue
         _assert_prunes_like_oracle(f, cap)
         decided += 1
     assert decided > 40
